@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .engine import (  # noqa: F401
     SolveOptions,
     SolverState,
-    alg1_init,
-    alg1_step,
     init_state,
     nres_trace,
     radi_solve,
@@ -19,14 +17,16 @@ from .kernels import (  # noqa: F401
     chol_spd,
     factor_shifted,
     ltimes,
-    ltimes_dense,
-    ltimes_identities_check,
     smw_row_solve,
     trunc_svd,
 )
 from .oracles import (  # noqa: F401
     NewtonOptions,
+    alg1_init,
+    alg1_step,
     care_schur_solve,
+    ltimes_dense,
+    ltimes_identities_check,
     newton_ref_solve,
     residual_formula_check,
     run_validation,

@@ -230,7 +230,6 @@ def with_noise_blocks(
         ahat=StackedMat.from_blocks(ahat, block_rows=base.n, block_cols=base.n),
         bhat=StackedMat.from_blocks(bhat, block_rows=base.n, block_cols=base.m),
         e=base.e,
-        kron_flip=base.kron_flip,
         f0=base.f0,
         kpi0=base.kpi0,
     )

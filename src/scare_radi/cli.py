@@ -18,6 +18,7 @@ from .bench import (
 )
 from .oracles import run_validation
 from .problems import OriginalProblem, adapt_in_place
+from .report import TIMING_FIELDS
 
 SHIFT_NAMES = {"hami": "hamiltonian", "proj": "projection"}
 MODE_NAMES = {"cached": "cached", "per-iter": "per_iteration"}
@@ -104,6 +105,10 @@ def cmd_solve(args) -> int:
         f"nres = {report.final_nres:.3e}, solution width = {report.xi_width}, "
         f"wall = {report.wall_time:.2f}s"
     )
+    totals = {c: sum(getattr(row, c) for row in report.rows) for c in TIMING_FIELDS}
+    spent = sum(totals.values())
+    for c, t in totals.items():
+        print(f"  {c:9s} {t:9.3f}s {t / spent if spent else 0.0:6.1%}")
     if args.out:
         print(f"trace written to {Path(args.out).resolve()}")
     return 0 if report.converged or report.flags else 1

@@ -1,4 +1,4 @@
-"""The practical low-rank RADI-type iteration and its dense prototype.
+"""The practical low-rank RADI-type iteration.
 
 One iteration of the practical engine: draw a positive shift, push the
 current residual factor and the accumulated feedback through one sparse
@@ -9,10 +9,8 @@ truncated SVD, and account the discarded energy exactly.  The trace-norm
 residual is then available for free as the squared Frobenius norm of the
 kept factor plus the accumulated discard.
 
-The dense prototype (`alg1_init`/`alg1_step`) updates the full coefficient
-matrices explicitly each iteration and exists as an equivalence oracle; its
-residual factor grows by a factor r per step, so it is only usable for a
-handful of iterations at small n.
+The dense prototype this iteration is checked against (`alg1_init`/
+`alg1_step`) lives in :mod:`scare_radi.oracles`.
 """
 
 from __future__ import annotations
@@ -32,13 +30,12 @@ from .errors import (
     SpdViolationError,
 )
 from .kernels import (
-    StackedMat,
-    TruncationResult,
     chol_spd,
     factor_shifted,
     kron_gram,
     ltimes,
     materialize_stack,
+    smw_row_solve,
     trunc_svd,
 )
 from .problems import StandardProblem
@@ -53,9 +50,6 @@ __all__ = [
     "step_once",
     "nres_trace",
     "radi_solve",
-    "alg1_init",
-    "alg1_step",
-    "Alg1State",
 ]
 
 MAX_SHIFT_REJECTIONS = 5
@@ -83,7 +77,6 @@ class SolveOptions:
     max_cols_xi: int | None = None
     shift_sequence: list | None = None  # replay externally supplied shifts, cycled
     record_omega: bool = False  # keep the discarded factors (dense test mode)
-    lu_options: dict | None = None
 
     def __post_init__(self):
         if self.tol_nres <= 0 or self.trunc_rel <= 0:
@@ -114,17 +107,7 @@ class IterationScratch:
     """Intermediate quantities of one iteration, exposed for tests/replay."""
 
     gamma: float
-    c_a: np.ndarray
-    f_a: np.ndarray
     c_gamma: np.ndarray
-    y: np.ndarray
-    yhat: StackedMat
-    n_factor: np.ndarray
-    s: np.ndarray
-    c_m: StackedMat
-    k_factor: np.ndarray
-    m_factor: np.ndarray
-    trunc: TruncationResult
     t_solve: float = 0.0
     t_ltimes: float = 0.0
     t_svd: float = 0.0
@@ -177,26 +160,18 @@ def step_once(
     ell = state.ccur.shape[0]
     e = p.e_sparse()
     sqrt2g = np.sqrt(2.0 * gamma)
-    interleaved = not p.kron_flip
 
-    # Rows of C and F through one sparse factorization of A - gamma*E.
+    # Rows of C through A + B F - gamma*E, from one sparse factorization of
+    # A - gamma*E and the SMW correction for the feedback.
     t0 = time.perf_counter()
-    fac = factor_shifted(p.a_sparse(), gamma, e=e, lu_options=opts.lu_options)
-    both = fac.row_solve(np.vstack([state.ccur, state.f]))
-    c_a, f_a = both[:ell], both[ell:]
-    c_ab = c_a @ p.b
-    f_ab = f_a @ p.b
-    lu, piv = sla.lu_factor(np.eye(m) + f_ab)
-    diag = np.abs(np.diag(lu))
-    if diag.size and diag.min() <= 1e3 * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise ShiftRejectionError("I + F_A B is numerically singular at this shift")
-    t_mat = sla.lu_solve((lu, piv), f_a)  # (I + F_A B)^-1 F_A
-    c_gamma = sqrt2g * (c_a - c_ab @ t_mat)
+    fac = factor_shifted(p.a_sparse(), gamma, e=e)
+    c_f = smw_row_solve(fac, p.b, state.f, state.ccur)
+    c_gamma = sqrt2g * c_f
     t_solve = time.perf_counter() - t0
 
     # Stochastic couplings of the fresh residual factor.
     t0 = time.perf_counter()
-    y = _right_tri_solve(state.kpi, sla.lu_solve((lu, piv), c_ab.T, trans=1).T)
+    y = _right_tri_solve(state.kpi, c_f @ p.b)
     cm = ltimes(c_gamma, p.ahat)
     yhat = ltimes(c_gamma, p.bhat)
     t_ltimes = time.perf_counter() - t0
@@ -236,13 +211,12 @@ def step_once(
 
     # Block Gram, its Cholesky factor, and the compressed residual factor.
     if r > 1:
-        yh_mat = materialize_stack(yhat_blocks, m, interleaved)
-        gram = kron_gram(np.eye(ell) + y @ y.T, r - 1, p.kron_flip) + yh_mat @ yh_mat.T
+        yh_mat = materialize_stack(yhat_blocks, m)
+        gram = kron_gram(np.eye(ell) + y @ y.T, r - 1) + yh_mat @ yh_mat.T
         m_factor = chol_spd(0.5 * (gram + gram.T)).T  # lower, M M^T = gram
-        cm_mat = materialize_stack(cm_blocks, n, interleaved)
+        cm_mat = materialize_stack(cm_blocks, n)
         stacked = np.vstack([c_top, sla.solve_triangular(m_factor, cm_mat, lower=True)])
     else:
-        m_factor = np.zeros((0, 0))
         stacked = c_top
 
     t0 = time.perf_counter()
@@ -265,17 +239,7 @@ def step_once(
 
     scratch = IterationScratch(
         gamma=gamma,
-        c_a=c_a,
-        f_a=f_a,
         c_gamma=c_gamma,
-        y=y,
-        yhat=StackedMat.from_blocks(yhat_blocks, block_rows=ell, block_cols=m),
-        n_factor=n_factor,
-        s=s,
-        c_m=StackedMat.from_blocks(cm_blocks, block_rows=ell, block_cols=n),
-        k_factor=k_factor,
-        m_factor=m_factor,
-        trunc=trunc,
         t_solve=t_solve,
         t_ltimes=t_ltimes,
         t_svd=t_svd,
@@ -395,98 +359,3 @@ def _echo_options(opts: SolveOptions) -> dict:
             "gamma_floor": opts.shift.gamma_floor,
         },
     }
-
-
-# ---------------------------------------------------------------------------
-# Dense prototype (equivalence oracle)
-
-
-@dataclass
-class Alg1State:
-    """Dense prototype state: coefficients are rewritten every iteration."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    ahat: list
-    bhat: list
-    xi: np.ndarray
-    kron_flip: bool = False
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.xi @ self.xi.T
-
-
-def alg1_init(p: StandardProblem) -> Alg1State:
-    """Dense starting state from the effective standard-form coefficients."""
-    if p.is_generalized:
-        raise ValueError("the dense prototype handles the E = I form only")
-    if p.n > 200:
-        raise ValueError("dense prototype is guarded to n <= 200")
-    co = p.dense_coefficients()
-    return Alg1State(
-        a=co.a,
-        b=co.b,
-        c=co.c,
-        ahat=[blk.copy() for blk in co.ahat],
-        bhat=[blk.copy() for blk in co.bhat],
-        xi=np.zeros((p.n, 0)),
-        kron_flip=p.kron_flip,
-    )
-
-
-def alg1_step(st: Alg1State, gamma: float) -> Alg1State:
-    """One literal prototype iteration over dense, explicitly updated matrices."""
-    if gamma <= 0:
-        raise ValueError("shift must be positive")
-    n = st.a.shape[0]
-    m = st.b.shape[1]
-    ell = st.c.shape[0]
-    k = len(st.ahat)
-    sqrt2g = np.sqrt(2.0 * gamma)
-    interleaved = not st.kron_flip
-
-    a_g = st.a - gamma * np.eye(n)
-    c_gamma = sqrt2g * sla.solve(a_g.T, st.c.T).T
-    y = c_gamma @ st.b / sqrt2g
-    yhat = [c_gamma @ bh for bh in st.bhat]
-
-    n_factor = chol_spd(np.eye(ell) + y @ y.T).T
-    s = sla.solve_triangular(n_factor, c_gamma, lower=True)
-    xi = np.hstack([st.xi, s.T])
-
-    w = sqrt2g * sla.solve_triangular(n_factor, s, trans="T", lower=True)
-    yw = y.T @ w
-    cm_blocks = [c_gamma @ ah - yh @ yw for ah, yh in zip(st.ahat, yhat)]
-
-    if k:
-        yh_mat = materialize_stack(yhat, m, interleaved)
-        gram = kron_gram(np.eye(ell) + y @ y.T, k, st.kron_flip) + yh_mat @ yh_mat.T
-        m_factor = chol_spd(0.5 * (gram + gram.T)).T
-        cm_mat = materialize_stack(cm_blocks, n, interleaved)
-        c_new = np.vstack([st.c + w, sla.solve_triangular(m_factor, cm_mat, lower=True)])
-    else:
-        c_new = st.c + w
-
-    ny = [sla.solve_triangular(n_factor, yh, lower=True) for yh in yhat]
-    g_k = np.eye(m)
-    for z in ny:
-        g_k = g_k + z.T @ z
-    k_factor = chol_spd(0.5 * (g_k + g_k.T))
-
-    lt = k_factor @ yw
-    acc = np.zeros((m, n))
-    for z, cm in zip(ny, cm_blocks):
-        acc += z.T @ sla.solve_triangular(n_factor, cm, lower=True)
-    lt = lt + sla.solve_triangular(k_factor, acc, trans="T", lower=False)
-
-    b_new = _right_tri_solve(k_factor, st.b)
-    bhat_new = [_right_tri_solve(k_factor, bh) for bh in st.bhat]
-    a_new = st.a - b_new @ lt
-    ahat_new = [ah - bh @ lt for ah, bh in zip(st.ahat, bhat_new)]
-
-    return Alg1State(
-        a=a_new, b=b_new, c=c_new, ahat=ahat_new, bhat=bhat_new,
-        xi=xi, kron_flip=st.kron_flip,
-    )

@@ -24,8 +24,6 @@ __all__ = [
     "ShiftedFactorization",
     "TruncationResult",
     "ltimes",
-    "ltimes_dense",
-    "ltimes_identities_check",
     "factor_shifted",
     "smw_row_solve",
     "chol_spd",
@@ -83,33 +81,26 @@ class StackedMat:
     def is_empty(self) -> bool:
         return not self.blocks
 
-    def materialize(self, interleaved: bool = False) -> np.ndarray:
-        """Dense (k*p) x q matrix; ``interleaved`` emits row (i, a) at i*k + a."""
-        dense = [np.asarray(b.toarray() if sp.issparse(b) else b, dtype=float)
-                 for b in self.blocks]
-        k = len(dense)
-        if k == 0:
-            return np.zeros((0, self.block_cols))
-        if interleaved:
-            return np.stack(dense, axis=1).reshape(k * self.block_rows, self.block_cols)
-        return np.vstack(dense)
+    def materialize(self) -> np.ndarray:
+        """Dense (k*p) x q matrix [M_1; ...; M_k]."""
+        return materialize_stack(
+            [np.asarray(b.toarray() if sp.issparse(b) else b, dtype=float)
+             for b in self.blocks],
+            self.block_cols,
+        )
 
 
-def materialize_stack(blocks, ncols: int, interleaved: bool) -> np.ndarray:
-    """Stack a list of equal-shape dense blocks, interleaved or block-major."""
+def materialize_stack(blocks, ncols: int) -> np.ndarray:
+    """Stack a list of equal-shape dense blocks block-major: [M_1; ...; M_k]."""
     blocks = list(blocks)
     if not blocks:
         return np.zeros((0, ncols))
-    if interleaved:
-        return np.stack(blocks, axis=1).reshape(-1, blocks[0].shape[1])
     return np.vstack(blocks)
 
 
-def kron_gram(base: np.ndarray, k: int, flip: bool) -> np.ndarray:
-    """base (x) I_k, or I_k (x) base when ``flip`` is set."""
-    if flip:
-        return np.kron(np.eye(k), base)
-    return np.kron(base, np.eye(k))
+def kron_gram(base: np.ndarray, k: int) -> np.ndarray:
+    """I_k (x) base: the block diagonal of the Gram of a block-major stack."""
+    return np.kron(np.eye(k), base)
 
 
 def ltimes(x: np.ndarray, m: StackedMat) -> StackedMat:
@@ -118,7 +109,7 @@ def ltimes(x: np.ndarray, m: StackedMat) -> StackedMat:
     For the stacked operand this reduces to the blockwise product: block i of
     the result is ``x @ m.blocks[i]``.  Only the row-compatible case used by
     the iteration is supported here; the general divisibility-based product
-    lives in :func:`ltimes_dense`.
+    lives in :func:`scare_radi.oracles.ltimes_dense`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != m.block_rows:
@@ -131,98 +122,6 @@ def ltimes(x: np.ndarray, m: StackedMat) -> StackedMat:
         block_rows=x.shape[0],
         block_cols=m.block_cols,
     )
-
-
-def ltimes_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """General left semi-tensor product via explicit Kronecker padding.
-
-    Dense and small by design: this is the oracle used to validate the
-    blockwise kernels and the product identities, not a production path.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    n = a.shape[1]
-    p = b.shape[0]
-    if p % n == 0:
-        return np.kron(a, np.eye(p // n)) @ b
-    if n % p == 0:
-        return a @ np.kron(b, np.eye(n // p))
-    raise ConformabilityError(
-        f"inner dimensions {n} and {p} do not divide either way"
-    )
-
-
-def _rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    num = np.linalg.norm(lhs - rhs)
-    den = np.linalg.norm(lhs)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return float(num / den)
-
-
-def ltimes_identities_check(u, v, seed: int = 0, m=None, d=None) -> float:
-    """Max relative deviation over the three semi-tensor product identities.
-
-    Checks, by direct Kronecker construction,
-    ``U lt (I + V lt U) = (I + U lt V) lt U``, its inverse form, and the
-    Sherman-Morrison-Woodbury form
-    ``M^-1 - (M + U lt D lt V)^-1 = M^-1 lt U lt (D^-1 + V lt M^-1 lt U)^-1 lt V lt M^-1``.
-    ``m`` and ``d`` default to well-conditioned random matrices of the sizes
-    the products dictate.  A singular ``I + V lt U`` skips the inverse
-    identities rather than failing.
-    """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    rng = np.random.default_rng(seed)
-
-    uv = ltimes_dense(u, v)
-    vu = ltimes_dense(v, u)
-    if uv.shape[0] != uv.shape[1] or vu.shape[0] != vu.shape[1]:
-        raise ConformabilityError("U lt V and V lt U must both be square")
-    s_uv = uv.shape[0]
-    s_vu = vu.shape[0]
-
-    devs = [
-        _rel_dev(
-            ltimes_dense(u, np.eye(s_vu) + vu),
-            ltimes_dense(np.eye(s_uv) + uv, u),
-        )
-    ]
-
-    i_vu = np.eye(s_vu) + vu
-    i_uv = np.eye(s_uv) + uv
-    if (
-        np.linalg.matrix_rank(i_vu) == s_vu
-        and np.linalg.matrix_rank(i_uv) == s_uv
-    ):
-        devs.append(
-            _rel_dev(
-                ltimes_dense(u, np.linalg.inv(i_vu)),
-                ltimes_dense(np.linalg.inv(i_uv), u),
-            )
-        )
-
-    if m is None:
-        w = rng.standard_normal((s_uv, s_uv))
-        m = np.eye(s_uv) + 0.3 * w / max(np.linalg.norm(w, 2), 1.0)
-    if d is None:
-        w = rng.standard_normal((s_vu, s_vu))
-        d = np.eye(s_vu) + 0.2 * w / max(np.linalg.norm(w, 2), 1.0)
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    minv = np.linalg.inv(m)
-    dinv = np.linalg.inv(d)
-    udv = ltimes_dense(ltimes_dense(u, d), v)
-    core = dinv + ltimes_dense(ltimes_dense(v, minv), u)
-    if np.linalg.matrix_rank(core) == core.shape[0]:
-        lhs = minv - np.linalg.inv(m + udv)
-        rhs = ltimes_dense(
-            ltimes_dense(ltimes_dense(minv, u), np.linalg.inv(core)),
-            ltimes_dense(v, minv),
-        )
-        devs.append(_rel_dev(lhs, rhs))
-
-    return float(max(devs))
 
 
 @dataclass
@@ -249,13 +148,13 @@ class ShiftedFactorization:
         return self._lu.solve(rows.T, trans="T").T
 
 
-def factor_shifted(a, gamma: float, e=None, lu_options: dict | None = None) -> ShiftedFactorization:
+def factor_shifted(a, gamma: float, e=None) -> ShiftedFactorization:
     """Factor A - gamma*E with sparse LU (partial pivoting, fill-reducing ordering)."""
     n = a.shape[0]
     a = sp.csc_matrix(a)
     shifted = a - gamma * (sp.identity(n, format="csc") if e is None else sp.csc_matrix(e))
     try:
-        lu = splu(shifted.tocsc(), **(lu_options or {}))
+        lu = splu(shifted.tocsc())
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise ShiftRejectionError(
             f"factorization of A - {gamma}*E failed: {exc}"
@@ -274,21 +173,20 @@ def _solve_core(core: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sla.lu_solve((lu, piv), rhs)
 
 
-def smw_row_solve(fac: ShiftedFactorization, b: np.ndarray, f, rows: np.ndarray) -> np.ndarray:
+def smw_row_solve(
+    fac: ShiftedFactorization, b: np.ndarray, f: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
     """rows @ (A + B F - gamma*E)^-1 from the factorization of A - gamma*E.
 
     Uses the low-rank correction
-    ``rows A_g^-1 - rows A_g^-1 B (I + F A_g^-1 B)^-1 F A_g^-1``;
-    with F = 0 this is the plain shifted solve.
+    ``rows A_g^-1 - rows A_g^-1 B (I + F A_g^-1 B)^-1 F A_g^-1``, with the
+    rows and F pushed through one stacked sparse solve; with F = 0 this is
+    the plain shifted solve.
     """
-    ra = fac.row_solve(rows)
-    if f is None:
-        return ra
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    if not np.any(f):
-        return ra
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    fa = fac.row_solve(f)
+    both = fac.row_solve(np.vstack([rows, np.atleast_2d(f)]))
+    ra, fa = both[: rows.shape[0]], both[rows.shape[0]:]
     core = np.eye(b.shape[1]) + fa @ b
     return ra - (ra @ b) @ _solve_core(core, fa)
 

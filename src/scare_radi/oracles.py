@@ -2,9 +2,12 @@
 
 A flattened-system Newton iteration and a Hamiltonian-Schur CARE solver give
 two routes to the exact dense solution; the residual-formula validator checks
-the low-rank residual factorization that drives the iteration engine.  These
-are verification tools: simplicity beats speed, and all of them are guarded
-to dense-friendly sizes.
+the low-rank residual factorization that drives the iteration engine; the
+dense prototype (`alg1_init`/`alg1_step`) rewrites the full coefficient
+matrices every iteration and is the engine's equivalence oracle; the general
+semi-tensor product (`ltimes_dense`) validates the blockwise kernels and the
+product identities.  These are verification tools: simplicity beats speed,
+and all of them are guarded to dense-friendly sizes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .engine import _right_tri_solve
 from .errors import ConformabilityError, OracleFailureError
 from .kernels import chol_spd, kron_gram, materialize_stack
 from .problems import (
@@ -26,6 +30,11 @@ from .problems import (
 )
 
 __all__ = [
+    "Alg1State",
+    "alg1_init",
+    "alg1_step",
+    "ltimes_dense",
+    "ltimes_identities_check",
     "NewtonOptions",
     "newton_ref_solve",
     "care_schur_solve",
@@ -155,7 +164,6 @@ def residual_formula_check(p: StandardProblem | DenseCoefficients, gamma: float)
     co = p.dense_coefficients() if isinstance(p, StandardProblem) else p
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    flip = p.kron_flip if isinstance(p, StandardProblem) else False
     if co.e is not None:
         raise ConformabilityError("formula check expects a standard (E = I) problem")
     if not np.any(co.c):
@@ -171,9 +179,9 @@ def residual_formula_check(p: StandardProblem | DenseCoefficients, gamma: float)
     bx = co.b.T @ x
     cm_blocks = [c_g @ ah - yh @ bx for ah, yh in zip(co.ahat, yhat)]
     if k:
-        yh_mat = materialize_stack(yhat, co.m, interleaved=not flip)
-        cm_mat = materialize_stack(cm_blocks, n, interleaved=not flip)
-        gram = kron_gram(iyy, k, flip) + yh_mat @ yh_mat.T
+        yh_mat = materialize_stack(yhat, co.m)
+        cm_mat = materialize_stack(cm_blocks, n)
+        gram = kron_gram(iyy, k) + yh_mat @ yh_mat.T
         mt = chol_spd(0.5 * (gram + gram.T)).T
         bottom = sla.solve_triangular(mt, cm_mat, lower=True)
         ctilde = np.vstack([top, bottom])
@@ -201,6 +209,191 @@ def residual_formula_check(p: StandardProblem | DenseCoefficients, gamma: float)
     dev_fb = np.linalg.norm(lt_direct + p_x @ fhat) / max(np.linalg.norm(lt_direct), 1e-300)
 
     return float(max(dev_res, dev_lt, dev_fb))
+
+
+# ---------------------------------------------------------------------------
+# General semi-tensor product and its identities
+
+
+def ltimes_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """General left semi-tensor product via explicit Kronecker padding.
+
+    Dense and small by design: this is the oracle used to validate the
+    blockwise kernels and the product identities, not a production path.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    n = a.shape[1]
+    p = b.shape[0]
+    if p % n == 0:
+        return np.kron(a, np.eye(p // n)) @ b
+    if n % p == 0:
+        return a @ np.kron(b, np.eye(n // p))
+    raise ConformabilityError(
+        f"inner dimensions {n} and {p} do not divide either way"
+    )
+
+
+def _rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    num = np.linalg.norm(lhs - rhs)
+    den = np.linalg.norm(lhs)
+    if den == 0.0:
+        return 0.0 if num == 0.0 else np.inf
+    return float(num / den)
+
+
+def ltimes_identities_check(u, v, seed: int = 0, m=None, d=None) -> float:
+    """Max relative deviation over the three semi-tensor product identities.
+
+    Checks, by direct Kronecker construction,
+    ``U lt (I + V lt U) = (I + U lt V) lt U``, its inverse form, and the
+    Sherman-Morrison-Woodbury form
+    ``M^-1 - (M + U lt D lt V)^-1 = M^-1 lt U lt (D^-1 + V lt M^-1 lt U)^-1 lt V lt M^-1``.
+    ``m`` and ``d`` default to well-conditioned random matrices of the sizes
+    the products dictate.  A singular ``I + V lt U`` skips the inverse
+    identities rather than failing.
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    rng = np.random.default_rng(seed)
+
+    uv = ltimes_dense(u, v)
+    vu = ltimes_dense(v, u)
+    if uv.shape[0] != uv.shape[1] or vu.shape[0] != vu.shape[1]:
+        raise ConformabilityError("U lt V and V lt U must both be square")
+    s_uv = uv.shape[0]
+    s_vu = vu.shape[0]
+
+    devs = [
+        _rel_dev(
+            ltimes_dense(u, np.eye(s_vu) + vu),
+            ltimes_dense(np.eye(s_uv) + uv, u),
+        )
+    ]
+
+    i_vu = np.eye(s_vu) + vu
+    i_uv = np.eye(s_uv) + uv
+    if (
+        np.linalg.matrix_rank(i_vu) == s_vu
+        and np.linalg.matrix_rank(i_uv) == s_uv
+    ):
+        devs.append(
+            _rel_dev(
+                ltimes_dense(u, np.linalg.inv(i_vu)),
+                ltimes_dense(np.linalg.inv(i_uv), u),
+            )
+        )
+
+    if m is None:
+        w = rng.standard_normal((s_uv, s_uv))
+        m = np.eye(s_uv) + 0.3 * w / max(np.linalg.norm(w, 2), 1.0)
+    if d is None:
+        w = rng.standard_normal((s_vu, s_vu))
+        d = np.eye(s_vu) + 0.2 * w / max(np.linalg.norm(w, 2), 1.0)
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    d = np.atleast_2d(np.asarray(d, dtype=float))
+    minv = np.linalg.inv(m)
+    dinv = np.linalg.inv(d)
+    udv = ltimes_dense(ltimes_dense(u, d), v)
+    core = dinv + ltimes_dense(ltimes_dense(v, minv), u)
+    if np.linalg.matrix_rank(core) == core.shape[0]:
+        lhs = minv - np.linalg.inv(m + udv)
+        rhs = ltimes_dense(
+            ltimes_dense(ltimes_dense(minv, u), np.linalg.inv(core)),
+            ltimes_dense(v, minv),
+        )
+        devs.append(_rel_dev(lhs, rhs))
+
+    return float(max(devs))
+
+
+# ---------------------------------------------------------------------------
+# Dense prototype (equivalence oracle)
+
+
+@dataclass
+class Alg1State:
+    """Dense prototype state: coefficients are rewritten every iteration."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    ahat: list
+    bhat: list
+    xi: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.xi @ self.xi.T
+
+
+def alg1_init(p: StandardProblem) -> Alg1State:
+    """Dense starting state from the effective standard-form coefficients."""
+    if p.is_generalized:
+        raise ValueError("the dense prototype handles the E = I form only")
+    if p.n > 200:
+        raise ValueError("dense prototype is guarded to n <= 200")
+    co = p.dense_coefficients()
+    return Alg1State(
+        a=co.a,
+        b=co.b,
+        c=co.c,
+        ahat=[blk.copy() for blk in co.ahat],
+        bhat=[blk.copy() for blk in co.bhat],
+        xi=np.zeros((p.n, 0)),
+    )
+
+
+def alg1_step(st: Alg1State, gamma: float) -> Alg1State:
+    """One literal prototype iteration over dense, explicitly updated matrices."""
+    if gamma <= 0:
+        raise ValueError("shift must be positive")
+    n = st.a.shape[0]
+    m = st.b.shape[1]
+    ell = st.c.shape[0]
+    k = len(st.ahat)
+    sqrt2g = np.sqrt(2.0 * gamma)
+
+    a_g = st.a - gamma * np.eye(n)
+    c_gamma = sqrt2g * sla.solve(a_g.T, st.c.T).T
+    y = c_gamma @ st.b / sqrt2g
+    yhat = [c_gamma @ bh for bh in st.bhat]
+
+    n_factor = chol_spd(np.eye(ell) + y @ y.T).T
+    s = sla.solve_triangular(n_factor, c_gamma, lower=True)
+    xi = np.hstack([st.xi, s.T])
+
+    w = sqrt2g * sla.solve_triangular(n_factor, s, trans="T", lower=True)
+    yw = y.T @ w
+    cm_blocks = [c_gamma @ ah - yh @ yw for ah, yh in zip(st.ahat, yhat)]
+
+    if k:
+        yh_mat = materialize_stack(yhat, m)
+        gram = kron_gram(np.eye(ell) + y @ y.T, k) + yh_mat @ yh_mat.T
+        m_factor = chol_spd(0.5 * (gram + gram.T)).T
+        cm_mat = materialize_stack(cm_blocks, n)
+        c_new = np.vstack([st.c + w, sla.solve_triangular(m_factor, cm_mat, lower=True)])
+    else:
+        c_new = st.c + w
+
+    ny = [sla.solve_triangular(n_factor, yh, lower=True) for yh in yhat]
+    g_k = np.eye(m)
+    for z in ny:
+        g_k = g_k + z.T @ z
+    k_factor = chol_spd(0.5 * (g_k + g_k.T))
+
+    lt = k_factor @ yw
+    acc = np.zeros((m, n))
+    for z, cm in zip(ny, cm_blocks):
+        acc += z.T @ sla.solve_triangular(n_factor, cm, lower=True)
+    lt = lt + sla.solve_triangular(k_factor, acc, trans="T", lower=False)
+
+    b_new = _right_tri_solve(k_factor, st.b)
+    bhat_new = [_right_tri_solve(k_factor, bh) for bh in st.bhat]
+    a_new = st.a - b_new @ lt
+    ahat_new = [ah - bh @ lt for ah, bh in zip(st.ahat, bhat_new)]
+
+    return Alg1State(a=a_new, b=b_new, c=c_new, ahat=ahat_new, bhat=bhat_new, xi=xi)
 
 
 def validation_corpus():

@@ -110,11 +110,7 @@ class StandardProblem:
 
     ``f0``/``kpi0`` carry the initialization the in-place adapter needs so
     that the iteration can run on unmodified original coefficients; a
-    natively standard problem has f0 = 0 and kpi0 = I.  ``kron_flip``
-    selects the interleaving convention used when stochastic stacks are
-    materialized and when the block Gram is assembled as a Kronecker
-    product; the row permutation between the two conventions never reaches
-    any computed value.
+    natively standard problem has f0 = 0 and kpi0 = I.
     """
 
     a: object
@@ -123,7 +119,6 @@ class StandardProblem:
     ahat: StackedMat
     bhat: StackedMat
     e: object = None
-    kron_flip: bool = False
     f0: np.ndarray = None
     kpi0: np.ndarray = None
 
@@ -288,7 +283,6 @@ def standardize(orig: OriginalProblem) -> StandardProblem:
         ahat=ahat,
         bhat=bhat,
         e=orig.e,
-        kron_flip=False,
     )
 
 
@@ -296,8 +290,8 @@ def adapt_in_place(orig: OriginalProblem) -> StandardProblem:
     """Adapter that leaves the original coefficients untouched.
 
     The weights are carried by the initialization instead: F0 = -R^-1 L^T and
-    an accumulator seed Kpi0 with Kpi0^T Kpi0 = R.  The stochastic blocks stay
-    plain stacks, which flips the Kronecker interleaving convention.
+    an accumulator seed Kpi0 with Kpi0^T Kpi0 = R; the stochastic blocks are
+    the original ones.
     """
     rinv_lt, p = _r_inv_lt(orig.r_weight, orig.l)
     n = orig.n
@@ -314,7 +308,6 @@ def adapt_in_place(orig: OriginalProblem) -> StandardProblem:
         ahat=ahat,
         bhat=bhat,
         e=orig.e,
-        kron_flip=True,
         f0=-rinv_lt,
         kpi0=p,
     )

@@ -50,7 +50,6 @@ def random_standard_problem(
     seed: int,
     noise: float = 5e-2,
     with_e: bool = False,
-    kron_flip: bool = False,
 ) -> StandardProblem:
     rng = np.random.default_rng(seed)
     a = random_stable_sparse(n, seed)
@@ -69,7 +68,6 @@ def random_standard_problem(
         ahat=StackedMat.from_blocks(ahat, block_rows=n, block_cols=n),
         bhat=StackedMat.from_blocks(bhat, block_rows=n, block_cols=m),
         e=e,
-        kron_flip=kron_flip,
     )
 
 

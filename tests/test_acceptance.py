@@ -20,15 +20,16 @@ from scare_radi.bench import (
 )
 from scare_radi.engine import (
     SolveOptions,
-    alg1_init,
-    alg1_step,
     init_state,
     radi_solve,
     step_once,
 )
-from scare_radi.kernels import ltimes_identities_check, smw_row_solve, factor_shifted
+from scare_radi.kernels import smw_row_solve, factor_shifted
 from scare_radi.oracles import (
+    alg1_init,
+    alg1_step,
     care_schur_solve,
+    ltimes_identities_check,
     newton_ref_solve,
     residual_formula_check,
     validation_corpus,

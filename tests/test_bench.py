@@ -247,6 +247,12 @@ def test_cli_solve_generate(tmp_path, capsys):
     assert rc == 0
     assert "converged" in out
     assert list(tmp_path.glob("*.csv"))
+    # The five trace categories follow the status line, each with its share.
+    lines = out.splitlines()
+    status = next(i for i, line in enumerate(lines) if "converged" in line)
+    cats = [line.split() for line in lines[status + 1:status + 6]]
+    assert [c[0] for c in cats] == ["t_shift", "t_solve", "t_ltimes", "t_svd", "t_other"]
+    assert abs(sum(float(c[2].rstrip("%")) for c in cats) - 100.0) <= 0.5
 
 
 def test_cli_solve_problem_dir_with_noise(tmp_path, capsys):

@@ -1,18 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st_h
 
 from scare_radi.engine import (
     SolveOptions,
-    alg1_init,
-    alg1_step,
     init_state,
     nres_trace,
     radi_solve,
     step_once,
 )
-from scare_radi.errors import DegenerateProblemError
-from scare_radi.oracles import care_schur_solve, newton_ref_solve, one_step_approximant
+from scare_radi.errors import DegenerateProblemError, NoProgressError, ShiftRejectionError
+from scare_radi.oracles import (
+    alg1_init,
+    alg1_step,
+    care_schur_solve,
+    newton_ref_solve,
+    one_step_approximant,
+)
 from scare_radi.problems import residual_dense
 from scare_radi.shifts import ShiftConfig
 from scare_radi.testing import random_standard_problem
@@ -58,6 +65,18 @@ def test_first_step_gram_is_one_step_approximant():
     st, _ = step_once(p, st, gamma, SolveOptions(**NO_TRUNC))
     x_ref, _, _, _ = one_step_approximant(p.dense_coefficients(), gamma)
     assert np.linalg.norm(x_of(st) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_singular_smw_core_rejects_shift(scalar_problem):
+    # a=-1, b=c=1, f0=2 at gamma=1: I + F (A - I)^-1 B = 1 + 2 * (-1/2) = 0.
+    p = scalar_problem()
+    p.f0 = np.array([[2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sla.LinAlgWarning)
+        with pytest.raises(ShiftRejectionError):
+            step_once(p, init_state(p), 1.0)
+    with pytest.raises(NoProgressError):
+        radi_solve(p, SolveOptions(shift_sequence=[1.0]))
 
 
 def test_step_counter_and_width_growth():

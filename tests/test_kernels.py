@@ -14,11 +14,10 @@ from scare_radi.kernels import (
     chol_spd,
     factor_shifted,
     ltimes,
-    ltimes_dense,
-    ltimes_identities_check,
     smw_row_solve,
     trunc_svd,
 )
+from scare_radi.oracles import ltimes_dense, ltimes_identities_check
 
 
 def random_conformable_pair(rng):

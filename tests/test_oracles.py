@@ -145,11 +145,6 @@ def test_formula_random_instance():
     assert residual_formula_check(co, 0.7) <= 1e-11
 
 
-def test_formula_respects_flip_convention():
-    p = random_standard_problem(n=15, m=2, l=2, r=3, seed=5, kron_flip=True)
-    assert residual_formula_check(p, 1.3) <= 1e-11
-
-
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
 def test_formula_small_corpus(gamma):
     worst = 0.0

@@ -71,7 +71,6 @@ def test_adapter_trivial_weights_is_identity_setup():
 def test_adapter_scalar_cholesky_seed():
     adapted = adapt_in_place(scalar_original())
     np.testing.assert_allclose(adapted.kpi0, [[2.0]])
-    assert adapted.kron_flip
 
 
 def test_routes_share_residual_operator():
