@@ -38,7 +38,7 @@ from .kernels import (
     smw_row_solve,
     trunc_svd,
 )
-from .problems import StandardProblem
+from .problems import OperatorForms, StandardProblem
 from .report import IterationRecord, RunReport
 from .shifts import ShiftConfig, next_shift
 
@@ -75,7 +75,7 @@ class SolveOptions:
     shift: ShiftConfig = field(default_factory=ShiftConfig)
     stop_on_stall: bool = False
     max_cols_xi: int | None = None
-    shift_sequence: list | None = None  # replay externally supplied shifts, cycled
+    shift_sequence: list | None = None  # replay externally supplied shifts, cycled per attempt
     record_omega: bool = False  # keep the discarded factors (dense test mode)
 
     def __post_init__(self):
@@ -85,21 +85,46 @@ class SolveOptions:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve state: factors, feedback, accumulators, history."""
+    """Mutable per-solve state: factors, feedback, accumulators, history.
 
-    xi: np.ndarray
+    The solution factor is kept transposed: the leading ``xi_width`` rows of
+    ``xi_buf`` hold Xi^T, so a step appends its block as contiguous rows.  The
+    buffer doubles when an append overflows it, so appending costs amortized
+    O(n * ell) per step instead of a copy of the whole factor.  ``ops`` holds
+    the problem's operators in the forms the steps and the shift layer use,
+    built once per solve.
+    """
+
+    xi_buf: np.ndarray
     f: np.ndarray
     kpi: np.ndarray
     ccur: np.ndarray
     nu0: float
+    ops: OperatorForms
+    xi_width: int = 0
     nu_omega: float = 0.0
     k: int = 0
     s_history: deque = field(default_factory=lambda: deque(maxlen=8))
     omega_factors: list = field(default_factory=list)
 
     @property
-    def xi_width(self) -> int:
-        return self.xi.shape[1]
+    def xi(self) -> np.ndarray:
+        """The solution factor Xi, n x xi_width (a view into the buffer)."""
+        return self.xi_buf[: self.xi_width].T
+
+    def append_xi(self, s: np.ndarray) -> None:
+        """Append the columns s^T to Xi, doubling the buffer when it is full."""
+        width, ell = self.xi_width, s.shape[0]
+        if width + ell > self.xi_buf.shape[0]:
+            grown = np.empty((max(2 * self.xi_buf.shape[0], width + ell), self.xi_buf.shape[1]))
+            grown[:width] = self.xi_buf[:width]
+            self.xi_buf = grown
+        self.xi_buf[width : width + ell] = s
+        self.xi_width = width + ell
+
+    def trim_xi(self) -> None:
+        """Shrink the buffer to Xi itself, so that ``xi`` is C-contiguous."""
+        self.xi_buf = np.ascontiguousarray(self.xi).T
 
 
 @dataclass
@@ -118,11 +143,12 @@ def init_state(p: StandardProblem, window_s: int = 8) -> SolverState:
     n = p.n
     c = np.array(p.c, dtype=float)
     return SolverState(
-        xi=np.zeros((n, 0)),
+        xi_buf=np.zeros((0, n)),
         f=np.array(p.f0, dtype=float),
         kpi=np.array(p.kpi0, dtype=float),
         ccur=c,
         nu0=float(np.linalg.norm(c) ** 2),
+        ops=p.operators(),
         s_history=deque(maxlen=max(window_s, 1)),
     )
 
@@ -148,9 +174,10 @@ def step_once(
     """One full iteration at a fixed shift; commits to state only on success.
 
     Raises :class:`ShiftRejectionError` (recoverable with another shift) when
-    the shifted factorization or the small SMW core fails, and
+    the shifted factorization or the small SMW core fails,
     :class:`SpdViolationError` when one of the Gram factorizations loses
-    definiteness.
+    definiteness, and :class:`NumericalBreakdownError` when the new residual
+    or feedback is not finite (the iteration has diverged).
     """
     if gamma <= 0:
         raise ValueError("shift must be positive")
@@ -158,13 +185,13 @@ def step_once(
     t_start = time.perf_counter()
     n, m, r = p.n, p.m, p.r
     ell = state.ccur.shape[0]
-    e = p.e_sparse()
+    e = state.ops.e
     sqrt2g = np.sqrt(2.0 * gamma)
 
     # Rows of C through A + B F - gamma*E, from one sparse factorization of
     # A - gamma*E and the SMW correction for the feedback.
     t0 = time.perf_counter()
-    fac = factor_shifted(p.a_sparse(), gamma, e=e)
+    fac = factor_shifted(state.ops.a, gamma, e=e)
     c_f = smw_row_solve(fac, p.b, state.f, state.ccur)
     c_gamma = sqrt2g * c_f
     t_solve = time.perf_counter() - t0
@@ -185,39 +212,50 @@ def step_once(
     c_top = state.ccur + w8e
     f_mid = state.f - sla.solve_triangular(state.kpi, y.T @ w8e, lower=False)
 
-    cm_blocks = [blk + yh @ f_mid for blk, yh in zip(cm.blocks, yhat.blocks)]
-    yhat_blocks = [_right_tri_solve(state.kpi, yh) for yh in yhat.blocks]
-
-    # Gram of the scaled stochastic couplings and the accumulator update.
-    z_blocks = [
-        sla.solve_triangular(
-            n_factor, sla.solve_triangular(n_factor, yh, lower=True),
-            trans="T", lower=True,
-        )
-        for yh in yhat_blocks
-    ]
-    g10 = np.eye(m)
-    for yh, z in zip(yhat_blocks, z_blocks):
-        g10 = g10 + yh.T @ z
-    k_factor = chol_spd(0.5 * (g10 + g10.T))
-    kpi_new = k_factor @ state.kpi
-
-    w12 = np.zeros((m, n))
-    for z, blk in zip(z_blocks, cm_blocks):
-        w12 += z.T @ blk
-    f_new = f_mid - sla.solve_triangular(
-        kpi_new, sla.solve_triangular(k_factor, w12, trans="T", lower=False), lower=False
-    )
-
-    # Block Gram, its Cholesky factor, and the compressed residual factor.
     if r > 1:
+        cm_blocks = [blk + yh @ f_mid for blk, yh in zip(cm.blocks, yhat.blocks)]
+        yhat_blocks = [_right_tri_solve(state.kpi, yh) for yh in yhat.blocks]
+
+        # Gram of the scaled stochastic couplings and the accumulator update.
+        z_blocks = [
+            sla.solve_triangular(
+                n_factor, sla.solve_triangular(n_factor, yh, lower=True),
+                trans="T", lower=True,
+            )
+            for yh in yhat_blocks
+        ]
+        g10 = np.eye(m)
+        for yh, z in zip(yhat_blocks, z_blocks):
+            g10 = g10 + yh.T @ z
+        k_factor = chol_spd(0.5 * (g10 + g10.T))
+        kpi_new = k_factor @ state.kpi
+
+        w12 = np.zeros((m, n))
+        for z, blk in zip(z_blocks, cm_blocks):
+            w12 += z.T @ blk
+        f_new = f_mid - sla.solve_triangular(
+            kpi_new, sla.solve_triangular(k_factor, w12, trans="T", lower=False), lower=False
+        )
+
+        # Block Gram, its Cholesky factor, and the compressed residual factor.
         yh_mat = materialize_stack(yhat_blocks, m)
         gram = kron_gram(np.eye(ell) + y @ y.T, r - 1) + yh_mat @ yh_mat.T
         m_factor = chol_spd(0.5 * (gram + gram.T)).T  # lower, M M^T = gram
         cm_mat = materialize_stack(cm_blocks, n)
         stacked = np.vstack([c_top, sla.solve_triangular(m_factor, cm_mat, lower=True)])
     else:
-        stacked = c_top
+        # No stochastic blocks: the accumulator Gram is I, so its factor is I
+        # and the update leaves Kpi and the mid-step feedback as they are.
+        kpi_new, f_new, stacked = state.kpi, f_mid, c_top
+
+    # |stacked|_F^2 is the new residual before truncation.  Once it or the
+    # feedback is no longer finite the iteration has diverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.linalg.norm(stacked) ** 2) and np.isfinite(f_new).all()
+    if not finite:
+        raise NumericalBreakdownError(
+            state.k + 1, f"residual or feedback not finite at iteration {state.k + 1}"
+        )
 
     t0 = time.perf_counter()
     cap = opts.cap_cols if opts.cap_cols is not None else 10 * r * max(p.l, 1)
@@ -229,7 +267,7 @@ def step_once(
         state.omega_factors.append(stacked - kept @ trunc.vt)
 
     # Commit.
-    state.xi = np.hstack([state.xi, s.T])
+    state.append_xi(s)
     state.ccur = trunc.factor()
     state.f = f_new
     state.kpi = kpi_new
@@ -255,7 +293,9 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     debt over the initial energy) drops below tolerance, when the iteration
     budget runs out, when the stall rule fires, or when the solution factor
     hits its width budget.  A rejected shift is retried with the next
-    candidate up to a small budget before aborting.
+    candidate (the next entry of a replayed sequence, or the next pending
+    shift of the last projection) up to a small budget before aborting.
+    The returned state holds Xi as a C-contiguous array.
     """
     opts = opts or SolveOptions()
     wall0 = time.perf_counter()
@@ -279,16 +319,20 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
 
     cache = None
     seq = list(opts.shift_sequence) if opts.shift_sequence else None
+    attempts = 0
     rejections = 0
     last_error = None
 
     while state.k < opts.max_iter:
         t0 = time.perf_counter()
         if seq is not None:
-            gamma = float(seq[state.k % len(seq)])
+            gamma = float(seq[attempts % len(seq)])
+        elif rejections and cache.pending:
+            gamma = cache.pending.pop(0)  # retry with the projection's next candidate
         else:
             gamma, cache = next_shift(opts.shift, cache, p, state)
         t_shift = time.perf_counter() - t0
+        attempts += 1
 
         try:
             state, scratch = step_once(p, state, gamma, opts)
@@ -337,6 +381,7 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
             report.flags = "m"
             break
 
+    state.trim_xi()
     report.iterations = state.k
     report.xi_width = state.xi_width
     report.final_nres = report.rows[-1].nres

@@ -148,11 +148,15 @@ class ShiftedFactorization:
         return self._lu.solve(rows.T, trans="T").T
 
 
+def _csc(m):
+    """m in CSC format; a CSC input is returned as it is, not rebuilt."""
+    return m.tocsc() if sp.issparse(m) else sp.csc_matrix(m)
+
+
 def factor_shifted(a, gamma: float, e=None) -> ShiftedFactorization:
     """Factor A - gamma*E with sparse LU (partial pivoting, fill-reducing ordering)."""
     n = a.shape[0]
-    a = sp.csc_matrix(a)
-    shifted = a - gamma * (sp.identity(n, format="csc") if e is None else sp.csc_matrix(e))
+    shifted = _csc(a) - gamma * (sp.identity(n, format="csc") if e is None else _csc(e))
     try:
         lu = splu(shifted.tocsc())
     except RuntimeError as exc:  # SuperLU signals exact singularity this way

@@ -34,6 +34,7 @@ __all__ = [
     "StandardProblem",
     "DenseSolution",
     "DenseCoefficients",
+    "OperatorForms",
     "standardize",
     "adapt_in_place",
     "residual_dense",
@@ -174,6 +175,15 @@ class StandardProblem:
     def e_sparse(self):
         return None if self.e is None else sp.csc_matrix(self.e)
 
+    def operators(self) -> "OperatorForms":
+        """Fresh CSC forms of A and E, with ||A||_1, for one solve."""
+        a = self.a_sparse()
+        return OperatorForms(
+            a=a,
+            e=self.e_sparse(),
+            a_norm1=float(np.max(np.asarray(abs(a).sum(axis=0)).ravel())),
+        )
+
     def dense_coefficients(self) -> "DenseCoefficients":
         """Effective standard-form coefficients, densified for oracle work.
 
@@ -204,6 +214,22 @@ class StandardProblem:
             bhat = [_as_dense(blk) for blk in self.bhat.blocks]
         e = None if self.e is None else _as_dense(self.e)
         return DenseCoefficients(a, b_eff, self.c.copy(), ahat, bhat, e)
+
+
+@dataclass
+class OperatorForms:
+    """The fixed operators of one solve, in the forms its iterations use.
+
+    Converting A and E to CSC, taking ||A||_1 and factoring E are the same
+    work at every step, so a solve does them once.  ``e_lu`` is filled by the
+    shift layer on first use.  An instance belongs to one solve: problems are
+    shared read-only across grid threads, while ``e_lu`` is written.
+    """
+
+    a: sp.csc_matrix
+    e: sp.csc_matrix | None
+    a_norm1: float
+    e_lu: object = None
 
 
 @dataclass

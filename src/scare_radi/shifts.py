@@ -80,20 +80,21 @@ def build_basis(s_history, s: int, fallback: np.ndarray) -> np.ndarray:
     return q[:, :rank]
 
 
-def _resolve_floor(cfg: ShiftConfig, p) -> float:
+def _resolve_floor(cfg: ShiftConfig, ops) -> float:
     if cfg.gamma_floor is not None:
         return cfg.gamma_floor
-    a = p.a_sparse()
-    return 1e-8 * float(np.max(np.asarray(abs(a).sum(axis=0)).ravel()))
+    return 1e-8 * ops.a_norm1
 
 
-def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray):
+def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
     """U^T (A + B F) E^-1 U together with the E^-1 U workspace."""
-    if p.e is None:
+    if ops.e is None:
         w = u
     else:
-        w = splu(p.e_sparse()).solve(np.ascontiguousarray(u))
-    aw = p.a_sparse() @ w
+        if ops.e_lu is None:
+            ops.e_lu = splu(ops.e)
+        w = ops.e_lu.solve(np.ascontiguousarray(u))
+    aw = ops.a @ w
     abar = u.T @ aw + (u.T @ p.b) @ (f @ w)
     return abar, w
 
@@ -107,29 +108,27 @@ def _dedupe_keep_order(gammas, rel=1e-12):
 
 
 def projection_shifts(
-    u: np.ndarray, p, f: np.ndarray, kpi: np.ndarray, *,
-    gamma_floor: float, all_shifts: bool = False,
+    u: np.ndarray, p, f: np.ndarray, *, gamma_floor: float, ops=None
 ) -> ShiftCache:
     """Shifts from the stable spectrum of the projected closed-loop matrix.
 
-    The primary shift negates the smallest real part; cached mode returns the
-    negated real parts of every stable eigenvalue, most negative first.
+    Returns the negated real parts of every stable eigenvalue, most negative
+    first; the first is the primary shift.  ``ops`` carries the solve's
+    operator forms (``p.operators()``, built afresh when omitted).
     """
-    abar, _ = _projected_closed_loop(u, p, f)
+    abar, _ = _projected_closed_loop(u, p, f, ops or p.operators())
     lam = np.linalg.eigvals(abar)
     stable = lam[lam.real < 0]
     if stable.size == 0:
         raise ShiftFailureError("projected closed-loop matrix has no stable eigenvalue")
     order = np.argsort(stable.real)
     gammas = _dedupe_keep_order([max(-z.real, gamma_floor) for z in stable[order]])
-    if not all_shifts:
-        gammas = gammas[:1]
-    return ShiftCache(pending=list(gammas))
+    return ShiftCache(pending=gammas)
 
 
 def hamiltonian_shifts(
     u: np.ndarray, p, f: np.ndarray, kpi: np.ndarray, ccur: np.ndarray, *,
-    gamma_floor: float, all_shifts: bool = False,
+    gamma_floor: float, ops=None,
 ) -> ShiftCache:
     """Shifts from the eigenpairs of the projected 2d x 2d Hamiltonian matrix.
 
@@ -138,8 +137,10 @@ def hamiltonian_shifts(
     stable eigenvalues ordered by descending lower-block eigenvector norm.
     Ties prefer real eigenvalues, then real parts closest to zero.  With no
     stable eigenpair available it degrades to the projection strategy.
+    ``ops`` is as for :func:`projection_shifts`.
     """
-    abar, w = _projected_closed_loop(u, p, f)
+    ops = ops or p.operators()
+    abar, w = _projected_closed_loop(u, p, f, ops)
     bk = sla.solve_triangular(kpi, p.b.T, trans="T", lower=False).T
     ub = u.T @ bk
     gbar = ub @ ub.T
@@ -152,30 +153,22 @@ def hamiltonian_shifts(
 
     stable = lam.real < 0
     if not np.any(stable):
-        return projection_shifts(
-            u, p, f, kpi, gamma_floor=gamma_floor, all_shifts=all_shifts
-        )
+        return projection_shifts(u, p, f, gamma_floor=gamma_floor, ops=ops)
     idx = np.nonzero(stable)[0]
     # descending |q|, then smallest |Im|, then real part closest to zero
     order = idx[np.lexsort((-lam[idx].real, np.abs(lam[idx].imag), -qnorm[idx]))]
     gammas = _dedupe_keep_order([max(-lam[i].real, gamma_floor) for i in order])
-    if not all_shifts:
-        gammas = gammas[:1]
-    return ShiftCache(pending=list(gammas))
+    return ShiftCache(pending=gammas)
 
 
 def _compute(cfg: ShiftConfig, p, state, floor: float) -> ShiftCache:
     u = build_basis(state.s_history, cfg.window_s, state.ccur)
-    all_shifts = cfg.mode == "cached"
     if cfg.strategy == "hamiltonian":
         cache = hamiltonian_shifts(
-            u, p, state.f, state.kpi, state.ccur,
-            gamma_floor=floor, all_shifts=all_shifts,
+            u, p, state.f, state.kpi, state.ccur, gamma_floor=floor, ops=state.ops
         )
     else:
-        cache = projection_shifts(
-            u, p, state.f, state.kpi, gamma_floor=floor, all_shifts=all_shifts
-        )
+        cache = projection_shifts(u, p, state.f, gamma_floor=floor, ops=state.ops)
     cache.source_iteration = state.k
     return cache
 
@@ -184,9 +177,10 @@ def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state):
     """Pop the next shift, recomputing per mode.
 
     Per-iteration mode always recomputes; cached mode consumes the pending
-    list and recomputes only when it runs dry.
+    list and recomputes only when it runs dry.  Either way the cache keeps
+    the remaining candidates, which a retry after a rejected shift takes.
     """
-    floor = _resolve_floor(cfg, p)
+    floor = _resolve_floor(cfg, state.ops)
     if cfg.mode == "per_iteration" or cache is None or not cache.pending:
         cache = _compute(cfg, p, state, floor)
     gamma = cache.pending.pop(0)

@@ -3,8 +3,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_h
 
+from scare_radi import engine, shifts
+from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import (
     SolveOptions,
     init_state,
@@ -12,7 +15,13 @@ from scare_radi.engine import (
     radi_solve,
     step_once,
 )
-from scare_radi.errors import DegenerateProblemError, NoProgressError, ShiftRejectionError
+from scare_radi.errors import (
+    DegenerateProblemError,
+    NoProgressError,
+    NumericalBreakdownError,
+    ShiftRejectionError,
+)
+from scare_radi.kernels import StackedMat
 from scare_radi.oracles import (
     alg1_init,
     alg1_step,
@@ -20,9 +29,9 @@ from scare_radi.oracles import (
     newton_ref_solve,
     one_step_approximant,
 )
-from scare_radi.problems import residual_dense
+from scare_radi.problems import StandardProblem, adapt_in_place, residual_dense
 from scare_radi.shifts import ShiftConfig
-from scare_radi.testing import random_standard_problem
+from scare_radi.testing import random_original_problem, random_standard_problem
 
 SQRT2 = np.sqrt(2.0)
 NO_TRUNC = dict(trunc_rel=1e-300, cap_cols=10**6)
@@ -77,6 +86,99 @@ def test_singular_smw_core_rejects_shift(scalar_problem):
             step_once(p, init_state(p), 1.0)
     with pytest.raises(NoProgressError):
         radi_solve(p, SolveOptions(shift_sequence=[1.0]))
+
+
+@pytest.mark.parametrize("sequence", [[1.0, 0.5], [0.5, 1.0]])
+def test_replay_retries_next_shift_after_rejection(sequence):
+    # A - 1.0*I is exactly singular, so every attempt at 1.0 is rejected.
+    p = StandardProblem(
+        a=sp.csc_matrix(np.diag([1.0, -2.0, -3.0, -4.0])),
+        b=np.ones((4, 1)),
+        c=np.ones((1, 4)),
+        ahat=StackedMat.from_blocks([], block_rows=4, block_cols=4),
+        bhat=StackedMat.from_blocks([], block_rows=4, block_cols=1),
+    )
+    _, report = radi_solve(p, SolveOptions(shift_sequence=sequence))
+    assert report.converged
+    assert {row.gamma for row in report.rows[1:]} == {0.5}
+
+
+def test_per_iteration_retry_takes_next_candidate(monkeypatch):
+    p = random_standard_problem(n=30, m=2, l=2, r=2, seed=20)
+    attempts = {}
+
+    def rejecting_step(p, st, gamma, opts=None):
+        attempts.setdefault(st.k, []).append(gamma)
+        if st.k == 1 and len(attempts[1]) == 1:
+            raise ShiftRejectionError("rejected once for the test")
+        return step_once(p, st, gamma, opts)
+
+    monkeypatch.setattr(engine, "step_once", rejecting_step)
+    _, report = radi_solve(
+        p, SolveOptions(shift=ShiftConfig("hamiltonian", 2, "per_iteration"))
+    )
+    assert report.converged
+    rejected, retried = attempts[1]
+    assert retried != rejected
+    assert report.rows[2].gamma == retried
+
+
+def test_cached_solve_factors_e_once(monkeypatch):
+    p = random_standard_problem(n=40, m=2, l=2, r=2, seed=13, with_e=True)
+    factored, projections = [], []
+    real_splu, real_hami = shifts.splu, shifts.hamiltonian_shifts
+
+    def counting_splu(m, *args, **kwargs):
+        factored.append(m.shape)
+        return real_splu(m, *args, **kwargs)
+
+    def counting_hami(*args, **kwargs):
+        projections.append(1)
+        return real_hami(*args, **kwargs)
+
+    monkeypatch.setattr(shifts, "splu", counting_splu)
+    monkeypatch.setattr(shifts, "hamiltonian_shifts", counting_hami)
+    _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
+    assert report.converged
+    assert len(projections) >= 2
+    assert len(factored) == 1
+
+
+def test_overflowing_solve_raises_breakdown():
+    # The noise at 1e-1 on the undamped stencil admits no stabilizing
+    # solution: the iterates grow until their residual overflows.
+    base = gen_heat_problem(200, 7, 6, seed=0)
+    p = with_noise_blocks(base, [1e-1], seed=100)
+    with pytest.raises(NumericalBreakdownError):
+        radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
+
+
+def test_r1_step_leaves_kpi_bit_identical():
+    p = adapt_in_place(random_original_problem(n=20, m=2, l=2, r=1, seed=3))
+    st = init_state(p)
+    kpi0 = st.kpi.copy()
+    assert not np.array_equal(kpi0, np.eye(2))  # a nontrivial accumulator seed
+    for g in SHIFTS[:3]:
+        st, _ = step_once(p, st, g)
+    assert st.kpi.tobytes() == kpi0.tobytes()
+
+
+def test_xi_buffer_grows_and_matches_hstack(monkeypatch):
+    p = random_standard_problem(n=30, m=2, l=2, r=1, seed=19)
+    blocks, capacities = [], set()
+
+    def recording_step(*args, **kwargs):
+        st, scratch = step_once(*args, **kwargs)
+        blocks.append(st.s_history[-1].copy())
+        capacities.add(st.xi_buf.shape[0])
+        return st, scratch
+
+    monkeypatch.setattr(engine, "step_once", recording_step)
+    st, report = radi_solve(p, SolveOptions(**NO_TRUNC, shift_sequence=SHIFTS, max_iter=12))
+    assert len(capacities) >= 4  # the buffer grew at least three times
+    assert st.xi.flags["C_CONTIGUOUS"]
+    assert st.xi.shape == (p.n, st.xi_width) == (p.n, report.xi_width)
+    assert st.xi.tobytes() == np.hstack([s.T for s in blocks]).tobytes()
 
 
 def test_step_counter_and_width_growth():

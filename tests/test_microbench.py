@@ -1,0 +1,47 @@
+"""Kernel micro-benchmarks (pytest-benchmark) at the size of the det-mass workload.
+
+Few rounds keep them cheap inside the full suite; run them alone with
+``pytest tests/test_microbench.py`` to read the timing table, or with
+``--benchmark-disable`` to run each body once as a plain test.
+"""
+
+import numpy as np
+
+from scare_radi.bench import gen_heat_problem
+from scare_radi.engine import init_state
+from scare_radi.kernels import factor_shifted
+
+N = 5000
+
+
+def test_factor_shifted_and_row_solve(benchmark):
+    p = gen_heat_problem(N, 7, 6, seed=0, mass_matrix=True)
+    ops = p.operators()
+    rows = np.vstack([p.c, p.b.T])  # the stacked [C; F] shape of one step
+    gamma = 1e3
+
+    def factor_and_solve():
+        return factor_shifted(ops.a, gamma, e=ops.e).row_solve(rows)
+
+    out = benchmark.pedantic(factor_and_solve, rounds=5, iterations=1, warmup_rounds=1)
+    back = np.asarray((ops.a - gamma * ops.e).T @ out.T).T
+    assert np.linalg.norm(back - rows) <= 1e-10 * np.linalg.norm(rows)
+
+
+def test_xi_append_75_steps(benchmark):
+    p = gen_heat_problem(N, 7, 6, seed=0)
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((6, N)) for _ in range(75)]
+
+    def fresh_state():
+        return (init_state(p),), {}
+
+    def append_all(state):
+        for s in blocks:
+            state.append_xi(s)
+        state.trim_xi()
+        return state
+
+    state = benchmark.pedantic(append_all, setup=fresh_state, rounds=5, warmup_rounds=1)
+    assert state.xi.flags["C_CONTIGUOUS"]
+    assert state.xi.tobytes() == np.hstack([s.T for s in blocks]).tobytes()

@@ -124,7 +124,7 @@ def test_hamiltonian_cached_returns_ordered_distinct_shifts():
     st = init_state(p)
     u = build_basis([], 1, st.ccur)
     cache = hamiltonian_shifts(
-        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, all_shifts=True
+        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14
     )
     gammas = cache.pending
     assert len(gammas) >= 2
@@ -146,7 +146,7 @@ def test_hamiltonian_selection_invariant_under_basis_permutation():
 def test_gamma_floor_clamps():
     p = diag_problem([-1e-15, -2e-15])
     cache = projection_shifts(
-        np.eye(2), p, np.zeros((1, 2)), np.eye(1), gamma_floor=1e-6
+        np.eye(2), p, np.zeros((1, 2)), gamma_floor=1e-6
     )
     assert all(g >= 1e-6 for g in cache.pending)
 
@@ -157,22 +157,22 @@ def test_gamma_floor_clamps():
 
 def test_projection_reads_diagonal():
     p = diag_problem([-1.0, -3.0, -2.0])
-    cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)), np.eye(1),
+    cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)),
                               gamma_floor=1e-12)
-    np.testing.assert_allclose(cache.pending, [3.0])
+    np.testing.assert_allclose(cache.pending[0], 3.0)
 
 
 def test_projection_scalar(scalar_problem):
     p = scalar_problem()
-    cache = projection_shifts(np.eye(1), p, np.zeros((1, 1)), np.eye(1),
+    cache = projection_shifts(np.eye(1), p, np.zeros((1, 1)),
                               gamma_floor=1e-12)
     np.testing.assert_allclose(cache.pending, [1.0])
 
 
 def test_projection_cached_order():
     p = diag_problem([-1.0, -3.0, -2.0])
-    cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)), np.eye(1),
-                              gamma_floor=1e-12, all_shifts=True)
+    cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)),
+                              gamma_floor=1e-12)
     np.testing.assert_allclose(cache.pending, [3.0, 2.0, 1.0])
 
 
@@ -180,7 +180,7 @@ def test_projection_matches_dense_eigs():
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=10)
     st = init_state(p)
     u = build_basis([], 1, st.ccur)
-    got = projection_shifts(u, p, st.f, st.kpi, gamma_floor=1e-14).pending[0]
+    got = projection_shifts(u, p, st.f, gamma_floor=1e-14).pending[0]
     a = p.a_sparse().toarray()
     lam = np.linalg.eigvals(u.T @ (a + p.b @ st.f) @ u)
     assert abs(got - (-lam.real.min())) <= 1e-10 * got
@@ -189,7 +189,7 @@ def test_projection_matches_dense_eigs():
 def test_projection_unstable_projection_fails():
     p = diag_problem([1.0, 2.0])
     with pytest.raises(ShiftFailureError):
-        projection_shifts(np.eye(2), p, np.zeros((1, 2)), np.eye(1),
+        projection_shifts(np.eye(2), p, np.zeros((1, 2)),
                           gamma_floor=1e-12)
 
 
