@@ -12,13 +12,14 @@ from .bench import (
     load_problem,
     run_grid,
     run_single,
-    solve_options_for,
     variant_label,
     with_noise_blocks,
 )
+from .engine import SolveOptions
 from .oracles import run_validation
 from .problems import OriginalProblem, adapt_in_place
 from .report import TIMING_FIELDS
+from .shifts import ShiftConfig
 
 SHIFT_NAMES = {"hami": "hamiltonian", "proj": "projection"}
 MODE_NAMES = {"cached": "cached", "per-iter": "per_iteration"}
@@ -85,18 +86,17 @@ def _solve_problem(args):
 
 def cmd_solve(args) -> int:
     p = _solve_problem(args)
-    cfg = ExperimentConfig(
-        tol=args.tol,
+    strategy = SHIFT_NAMES[args.shift]
+    mode = MODE_NAMES[args.mode]
+    opts = SolveOptions(
+        tol_nres=args.tol,
         max_iter=args.max_iter,
         trunc_rel=args.trunc_rel,
         cap_cols=args.cap_cols,
         max_cols_xi=args.max_cols_xi,
         stop_on_stall=args.stop_on_stall,
-        seed=args.seed,
+        shift=ShiftConfig(strategy, args.window, mode),
     )
-    strategy = SHIFT_NAMES[args.shift]
-    mode = MODE_NAMES[args.mode]
-    opts = solve_options_for(cfg, strategy, args.window, mode)
     label = f"{variant_label(strategy, args.window, mode)} (n={p.n}, r={p.r})"
     report = run_single(p, opts, label, args.out)
     status = "converged" if report.converged else f"stopped [{report.flags or 'max-iter'}]"

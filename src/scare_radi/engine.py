@@ -32,7 +32,7 @@ from .errors import (
 from .kernels import (
     chol_spd,
     factor_shifted,
-    kron_gram,
+    kron_gram,  # unused here, but perfbench/tracing.py wraps engine.kron_gram by name
     ltimes,
     materialize_stack,
     smw_row_solve,
@@ -76,7 +76,6 @@ class SolveOptions:
     stop_on_stall: bool = False
     max_cols_xi: int | None = None
     shift_sequence: list | None = None  # replay externally supplied shifts, cycled per attempt
-    record_omega: bool = False  # keep the discarded factors (dense test mode)
 
     def __post_init__(self):
         if self.tol_nres <= 0 or self.trunc_rel <= 0:
@@ -105,7 +104,6 @@ class SolverState:
     nu_omega: float = 0.0
     k: int = 0
     s_history: deque = field(default_factory=lambda: deque(maxlen=8))
-    omega_factors: list = field(default_factory=list)
 
     @property
     def xi(self) -> np.ndarray:
@@ -213,36 +211,31 @@ def step_once(
     f_mid = state.f - sla.solve_triangular(state.kpi, y.T @ w8e, lower=False)
 
     if r > 1:
-        cm_blocks = [blk + yh @ f_mid for blk, yh in zip(cm.blocks, yhat.blocks)]
-        yhat_blocks = [_right_tri_solve(state.kpi, yh) for yh in yhat.blocks]
-
-        # Gram of the scaled stochastic couplings and the accumulator update.
-        z_blocks = [
-            sla.solve_triangular(
-                n_factor, sla.solve_triangular(n_factor, yh, lower=True),
-                trans="T", lower=True,
-            )
-            for yh in yhat_blocks
-        ]
-        g10 = np.eye(m)
-        for yh, z in zip(yhat_blocks, z_blocks):
-            g10 = g10 + yh.T @ z
-        k_factor = chol_spd(0.5 * (g10 + g10.T))
+        # Z = (I (x) N)^-1 Yhat Kpi^-1 and X = (I (x) N)^-1 Cm, one N-solve per
+        # block.  I + Z^T Z = K^T K is the accumulator Gram, and X has Gram
+        # Cm^T (I (x) (I + Y Y^T) + Yhat Yhat^T)^-1 Cm through (I + Z Z^T)^-1.
+        z_mat = materialize_stack(
+            [sla.solve_triangular(n_factor, _right_tri_solve(state.kpi, yh), lower=True)
+             for yh in yhat.blocks], m,
+        )
+        x_mat = materialize_stack(
+            [sla.solve_triangular(n_factor, blk + yh @ f_mid, lower=True)
+             for blk, yh in zip(cm.blocks, yhat.blocks)], n,
+        )
+        k_factor = chol_spd(np.eye(m) + z_mat.T @ z_mat)
         kpi_new = k_factor @ state.kpi
-
-        w12 = np.zeros((m, n))
-        for z, blk in zip(z_blocks, cm_blocks):
-            w12 += z.T @ blk
         f_new = f_mid - sla.solve_triangular(
-            kpi_new, sla.solve_triangular(k_factor, w12, trans="T", lower=False), lower=False
+            kpi_new,
+            sla.solve_triangular(k_factor, z_mat.T @ x_mat, trans="T", lower=False),
+            lower=False,
         )
 
-        # Block Gram, its Cholesky factor, and the compressed residual factor.
-        yh_mat = materialize_stack(yhat_blocks, m)
-        gram = kron_gram(np.eye(ell) + y @ y.T, r - 1) + yh_mat @ yh_mat.T
-        m_factor = chol_spd(0.5 * (gram + gram.T)).T  # lower, M M^T = gram
-        cm_mat = materialize_stack(cm_blocks, n)
-        stacked = np.vstack([c_top, sla.solve_triangular(m_factor, cm_mat, lower=True)])
+        # (I + Z Z^T)^-1/2 X = X + Q ((I + R R^T)^-1/2 - I) Q^T X for Z = Q R.
+        q, rz = np.linalg.qr(z_mat)
+        lam, v = np.linalg.eigh(np.eye(rz.shape[0]) + rz @ rz.T)
+        qv = q @ v
+        bottom = x_mat + qv @ ((lam**-0.5 - 1.0)[:, None] * (qv.T @ x_mat))
+        stacked = np.vstack([c_top, bottom])
     else:
         # No stochastic blocks: the accumulator Gram is I, so its factor is I
         # and the update leaves Kpi and the mid-step feedback as they are.
@@ -261,10 +254,6 @@ def step_once(
     cap = opts.cap_cols if opts.cap_cols is not None else 10 * r * max(p.l, 1)
     trunc = trunc_svd(stacked, tau_abs=opts.trunc_rel * state.nu0, cap=cap)
     t_svd = time.perf_counter() - t0
-
-    if opts.record_omega:
-        kept = stacked @ trunc.vt.T  # Omega = stacked (I - V V^T)
-        state.omega_factors.append(stacked - kept @ trunc.vt)
 
     # Commit.
     state.append_xi(s)
@@ -401,6 +390,5 @@ def _echo_options(opts: SolveOptions) -> dict:
             "strategy": opts.shift.strategy,
             "window_s": opts.shift.window_s,
             "mode": opts.shift.mode,
-            "gamma_floor": opts.shift.gamma_floor,
         },
     }

@@ -77,10 +77,6 @@ class StackedMat:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.blocks
-
     def materialize(self) -> np.ndarray:
         """Dense (k*p) x q matrix [M_1; ...; M_k]."""
         return materialize_stack(

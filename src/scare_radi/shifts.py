@@ -7,8 +7,8 @@ closed-loop matrix.  Each runs either once per iteration or in a cached mode
 that consumes all stable eigenvalues of one projection before recomputing.
 
 Only real shifts are produced: complex eigenvalues contribute their shared
-real part once.  Emitted shifts are clamped to a positive floor, since the
-iteration scales its update by sqrt(2 gamma).
+real part once.  Emitted shifts are clamped to a positive floor (the solver
+uses 1e-8 |A|_1), since the iteration scales its update by sqrt(2 gamma).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class ShiftConfig:
     strategy: str = "hamiltonian"
     window_s: int = 1
     mode: str = "cached"
-    gamma_floor: float | None = None  # resolved to 1e-8 * |A|_1 by the solver
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -78,12 +77,6 @@ def build_basis(s_history, s: int, fallback: np.ndarray) -> np.ndarray:
     tol = max(stack.shape) * np.finfo(float).eps * diag[0]
     rank = int(np.count_nonzero(diag > tol))
     return q[:, :rank]
-
-
-def _resolve_floor(cfg: ShiftConfig, ops) -> float:
-    if cfg.gamma_floor is not None:
-        return cfg.gamma_floor
-    return 1e-8 * ops.a_norm1
 
 
 def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
@@ -161,7 +154,8 @@ def hamiltonian_shifts(
     return ShiftCache(pending=gammas)
 
 
-def _compute(cfg: ShiftConfig, p, state, floor: float) -> ShiftCache:
+def _compute(cfg: ShiftConfig, p, state) -> ShiftCache:
+    floor = 1e-8 * state.ops.a_norm1
     u = build_basis(state.s_history, cfg.window_s, state.ccur)
     if cfg.strategy == "hamiltonian":
         cache = hamiltonian_shifts(
@@ -180,8 +174,7 @@ def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state):
     list and recomputes only when it runs dry.  Either way the cache keeps
     the remaining candidates, which a retry after a rejected shift takes.
     """
-    floor = _resolve_floor(cfg, state.ops)
     if cfg.mode == "per_iteration" or cache is None or not cache.pending:
-        cache = _compute(cfg, p, state, floor)
+        cache = _compute(cfg, p, state)
     gamma = cache.pending.pop(0)
     return gamma, cache

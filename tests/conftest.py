@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scare_radi import engine, kernels
 from scare_radi.kernels import StackedMat
 from scare_radi.problems import StandardProblem
 
@@ -20,6 +23,31 @@ def scalar_problem():
         )
 
     return make
+
+
+@contextmanager
+def _recording_omega():
+    omegas = []
+
+    def recording(stacked, *args, **kwargs):
+        trunc = kernels.trunc_svd(stacked, *args, **kwargs)
+        kept = stacked @ trunc.vt.T  # Omega = stacked (I - V V^T)
+        omegas.append(stacked - kept @ trunc.vt)
+        return trunc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "trunc_svd", recording)
+        yield omegas
+
+
+@pytest.fixture(scope="session")
+def omega_recorder():
+    """``with omega_recorder() as omegas:`` collects the factor each truncation discards.
+
+    Session-scoped and stateless, so hypothesis tests may use it too; each
+    ``with`` block patches ``engine.trunc_svd`` only while it is open.
+    """
+    return _recording_omega
 
 
 def symmetric(rng, n, scale=1.0):

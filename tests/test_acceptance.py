@@ -142,7 +142,7 @@ def test_criterion_04_prototype_equivalence_ten_steps():
     _report(4, f"20 instances x 10 steps, max X deviation {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_05_truncated_bookkeeping():
+def test_criterion_05_truncated_bookkeeping(omega_recorder):
     t0 = time.perf_counter()
     shifts = [2.0, 0.9, 3.5, 1.2, 0.6, 2.7, 1.8]
     worst = 0.0
@@ -151,15 +151,16 @@ def test_criterion_05_truncated_bookkeeping():
         n = (40, 50, 60)[seed % 3]
         r = (2, 3)[seed % 2]
         p = random_standard_problem(n=n, m=2, l=3, r=r, seed=seed)
-        opts = SolveOptions(trunc_rel=1e-6, record_omega=True)
+        opts = SolveOptions(trunc_rel=1e-6)
         st = init_state(p)
-        for g in shifts:
-            st, _ = step_once(p, st, g, opts)
-            lhs = residual_dense(p, st.xi @ st.xi.T)
-            rhs = st.ccur.T @ st.ccur
-            for om in st.omega_factors:
-                rhs = rhs + om.T @ om
-            worst = max(worst, np.linalg.norm(lhs - rhs) / st.nu0)
+        with omega_recorder() as omegas:
+            for g in shifts:
+                st, _ = step_once(p, st, g, opts)
+                lhs = residual_dense(p, st.xi @ st.xi.T)
+                rhs = st.ccur.T @ st.ccur
+                for om in omegas:
+                    rhs = rhs + om.T @ om
+                worst = max(worst, np.linalg.norm(lhs - rhs) / st.nu0)
         fired += st.nu_omega > 0
     elapsed = time.perf_counter() - t0
     assert fired == 6  # the tolerance actually forced truncation everywhere

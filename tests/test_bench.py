@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +301,21 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"tol": 1e-10, "truncation": 1.0}))
     with pytest.raises(ValueError, match="truncation"):
         ExperimentConfig.from_json(path)
+
+
+def test_heat200_grid_config_file():
+    # The checked-in n=200 grid: the synthetic heat problem on a damped
+    # spectrum, all twelve shift variants, a residual row cap and a width guard.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "grid_heat200.json"
+    assert ExperimentConfig.from_json(path) == ExperimentConfig(
+        generate={"kind": "heat", "n": 200, "m": 7, "l": 6, "scale": 100.0, "damping": 100.0},
+        variants=list(ALL_SHIFT_VARIANTS),
+        tol=1e-12,
+        max_iter=300,
+        cap_cols=1500,
+        max_cols_xi=50_000,
+        seed=0,
+    )
 
 
 def test_grid_r3_uses_first_two_scales():

@@ -222,32 +222,34 @@ def test_exact_residual_bookkeeping_without_truncation(r, with_e):
     st_h.floats(0.1, 20.0),
     st_h.booleans(),
 )
-def test_bookkeeping_property_single_steps(seed, r, gamma, with_e):
+def test_bookkeeping_property_single_steps(omega_recorder, seed, r, gamma, with_e):
     p = random_standard_problem(n=14, m=2, l=2, r=r, seed=seed, with_e=with_e)
     st = init_state(p)
-    opts = SolveOptions(trunc_rel=1e-9, record_omega=True)
-    for g in (gamma, 0.5 * gamma + 0.3):
-        st, _ = step_once(p, st, g, opts)
+    opts = SolveOptions(trunc_rel=1e-9)
+    with omega_recorder() as omegas:
+        for g in (gamma, 0.5 * gamma + 0.3):
+            st, _ = step_once(p, st, g, opts)
     lhs = residual_dense(p, x_of(st))
     rhs = st.ccur.T @ st.ccur
-    for om in st.omega_factors:
+    for om in omegas:
         rhs = rhs + om.T @ om
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * st.nu0
 
 
-def test_residual_bookkeeping_with_truncation_debt():
+def test_residual_bookkeeping_with_truncation_debt(omega_recorder):
     p = random_standard_problem(n=40, m=2, l=3, r=3, seed=4)
-    opts = SolveOptions(trunc_rel=1e-6, record_omega=True)
+    opts = SolveOptions(trunc_rel=1e-6)
     st = init_state(p)
-    for g in SHIFTS[:6]:
-        st, _ = step_once(p, st, g, opts)
-        lhs = residual_dense(p, x_of(st))
-        rhs = st.ccur.T @ st.ccur
-        for om in st.omega_factors:
-            rhs = rhs + om.T @ om
-        assert np.linalg.norm(lhs - rhs) <= 1e-9 * st.nu0
+    with omega_recorder() as omegas:
+        for g in SHIFTS[:6]:
+            st, _ = step_once(p, st, g, opts)
+            lhs = residual_dense(p, x_of(st))
+            rhs = st.ccur.T @ st.ccur
+            for om in omegas:
+                rhs = rhs + om.T @ om
+            assert np.linalg.norm(lhs - rhs) <= 1e-9 * st.nu0
     assert st.nu_omega > 0  # truncation actually fired at this tolerance
-    recorded = sum(np.linalg.norm(om) ** 2 for om in st.omega_factors)
+    recorded = sum(np.linalg.norm(om) ** 2 for om in omegas)
     assert abs(recorded - st.nu_omega) <= 1e-9 * st.nu0
 
 
@@ -280,6 +282,23 @@ def test_prototype_matches_engine(r, steps):
         proto = alg1_step(proto, g)
         x1, x2 = proto.x, x_of(st)
         assert np.linalg.norm(x1 - x2) <= 1e-10 * np.linalg.norm(x1)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_prototype_matches_engine_r5(ell):
+    # m = 7: with ell = 1 the first step has (r-1) ell = 4 < m stacked coupling
+    # rows (square Q in the thin QR), later steps and ell = 3 have more than m.
+    p = random_standard_problem(n=40, m=7, l=ell, r=5, seed=8)
+    st = init_state(p)
+    proto = alg1_init(p)
+    opts = SolveOptions(**NO_TRUNC)
+    for g in SHIFTS[:3]:
+        st, _ = step_once(p, st, g, opts)
+        proto = alg1_step(proto, g)
+        x1, x2 = proto.x, x_of(st)
+        assert np.linalg.norm(x1 - x2) <= 1e-10 * np.linalg.norm(x1)
+        lhs = residual_dense(p, x2)
+        assert np.linalg.norm(lhs - st.ccur.T @ st.ccur) <= 1e-10 * st.nu0
 
 
 def test_prototype_scalar_first_step(scalar_problem):
