@@ -85,18 +85,21 @@ def _solve_problem(args):
 
 
 def cmd_solve(args) -> int:
-    p = _solve_problem(args)
     strategy = SHIFT_NAMES[args.shift]
     mode = MODE_NAMES[args.mode]
-    opts = SolveOptions(
-        tol_nres=args.tol,
-        max_iter=args.max_iter,
-        trunc_rel=args.trunc_rel,
-        cap_cols=args.cap_cols,
-        max_cols_xi=args.max_cols_xi,
-        stop_on_stall=args.stop_on_stall,
-        shift=ShiftConfig(strategy, args.window, mode),
-    )
+    try:
+        opts = SolveOptions(
+            tol_nres=args.tol,
+            max_iter=args.max_iter,
+            trunc_rel=args.trunc_rel,
+            cap_cols=args.cap_cols,
+            max_cols_xi=args.max_cols_xi,
+            stop_on_stall=args.stop_on_stall,
+            shift=ShiftConfig(strategy, args.window, mode),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid solve option: {exc}") from exc
+    p = _solve_problem(args)
     label = f"{variant_label(strategy, args.window, mode)} (n={p.n}, r={p.r})"
     report = run_single(p, opts, label, args.out)
     status = "converged" if report.converged else f"stopped [{report.flags or 'max-iter'}]"

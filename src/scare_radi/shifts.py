@@ -53,7 +53,12 @@ class ShiftConfig:
 
 @dataclass
 class ShiftCache:
-    """Pending shifts from one projection, oldest-priority first."""
+    """Pending shifts from one projection, highest priority first.
+
+    ``source_iteration`` is the iteration count the projection was computed
+    at; while the solver is still at that count, the pending shifts are the
+    retry candidates for a rejected step.
+    """
 
     pending: list = field(default_factory=list)
     source_iteration: int = 0
@@ -92,14 +97,6 @@ def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
     return abar, w
 
 
-def _dedupe_keep_order(gammas, rel=1e-12):
-    kept = []
-    for g in gammas:
-        if all(abs(g - h) > rel * max(abs(g), abs(h)) for h in kept):
-            kept.append(g)
-    return kept
-
-
 def projection_shifts(
     u: np.ndarray, p, f: np.ndarray, *, gamma_floor: float, ops=None
 ) -> ShiftCache:
@@ -115,7 +112,7 @@ def projection_shifts(
     if stable.size == 0:
         raise ShiftFailureError("projected closed-loop matrix has no stable eigenvalue")
     order = np.argsort(stable.real)
-    gammas = _dedupe_keep_order([max(-z.real, gamma_floor) for z in stable[order]])
+    gammas = list(dict.fromkeys(max(-z.real, gamma_floor) for z in stable[order]))
     return ShiftCache(pending=gammas)
 
 
@@ -150,7 +147,7 @@ def hamiltonian_shifts(
     idx = np.nonzero(stable)[0]
     # descending |q|, then smallest |Im|, then real part closest to zero
     order = idx[np.lexsort((-lam[idx].real, np.abs(lam[idx].imag), -qnorm[idx]))]
-    gammas = _dedupe_keep_order([max(-lam[i].real, gamma_floor) for i in order])
+    gammas = list(dict.fromkeys(max(-lam[i].real, gamma_floor) for i in order))
     return ShiftCache(pending=gammas)
 
 
@@ -170,11 +167,14 @@ def _compute(cfg: ShiftConfig, p, state) -> ShiftCache:
 def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state):
     """Pop the next shift, recomputing per mode.
 
-    Per-iteration mode always recomputes; cached mode consumes the pending
-    list and recomputes only when it runs dry.  Either way the cache keeps
-    the remaining candidates, which a retry after a rejected shift takes.
+    Cached mode consumes the pending list and recomputes only when it runs
+    dry.  Per-iteration mode recomputes once the iteration count has moved
+    past the cache's ``source_iteration``.  A rejected step leaves the count
+    unchanged, so in both modes a retry takes the projection's next pending
+    candidate, a shift different from the rejected one, while any remain.
     """
-    if cfg.mode == "per_iteration" or cache is None or not cache.pending:
+    if not (cache and cache.pending
+            and (cfg.mode == "cached" or cache.source_iteration == state.k)):
         cache = _compute(cfg, p, state)
     gamma = cache.pending.pop(0)
     return gamma, cache

@@ -287,6 +287,12 @@ def test_cli_rejects_conflicting_sources():
         main(["solve", "--problem", "x", "--generate", "heat:n=10,m=1,l=1"])
 
 
+@pytest.mark.parametrize("flag", ["--cap-cols", "--max-cols-xi"])
+def test_cli_rejects_out_of_range_options(flag):
+    with pytest.raises(SystemExit, match=flag[2:].replace("-", "_")):
+        main(["solve", "--generate", "heat:n=10,m=1,l=1", flag, "0"])
+
+
 def test_cli_generate_accepts_float_fields(capsys):
     rc = main([
         "solve", "--generate", "heat:n=60,m=2,l=2,scale=40.0,damping=20",

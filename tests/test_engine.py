@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_h
 
 from scare_radi import engine, shifts
@@ -21,7 +20,7 @@ from scare_radi.errors import (
     NumericalBreakdownError,
     ShiftRejectionError,
 )
-from scare_radi.kernels import StackedMat
+from scare_radi.kernels import factor_shifted, smw_row_solve
 from scare_radi.oracles import (
     alg1_init,
     alg1_step,
@@ -29,7 +28,7 @@ from scare_radi.oracles import (
     newton_ref_solve,
     one_step_approximant,
 )
-from scare_radi.problems import StandardProblem, adapt_in_place, residual_dense
+from scare_radi.problems import adapt_in_place, residual_dense
 from scare_radi.shifts import ShiftConfig
 from scare_radi.testing import random_original_problem, random_standard_problem
 
@@ -49,22 +48,19 @@ def x_of(state):
 def test_scalar_one_step_at_optimal_shift(scalar_problem):
     p = scalar_problem()
     st = init_state(p)
-    st, scratch = step_once(p, st, SQRT2)
+    st, row = step_once(p, st, SQRT2)
     np.testing.assert_allclose(x_of(st), [[SQRT2 - 1.0]], atol=1e-14)
     assert nres_trace(st) <= 1e-25
-    assert scratch.gamma == SQRT2
+    assert (row.k, row.gamma, row.nres) == (1, SQRT2, nres_trace(st))
 
 
 def test_zero_feedback_step_reduces_to_plain_shifted_solve():
     p = random_standard_problem(n=20, m=2, l=2, r=2, seed=0)
-    st = init_state(p)
     gamma = 1.7
-    _, scratch = step_once(p, st, gamma, SolveOptions(**NO_TRUNC))
+    got = smw_row_solve(factor_shifted(p.a, gamma), p.b, np.zeros((p.m, p.n)), p.c)
     a = p.a_sparse().toarray()
-    expected = np.sqrt(2 * gamma) * np.linalg.solve(
-        (a - gamma * np.eye(20)).T, p.c.T
-    ).T
-    np.testing.assert_allclose(scratch.c_gamma, expected, atol=1e-12)
+    expected = np.linalg.solve((a - gamma * np.eye(20)).T, p.c.T).T
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_first_step_gram_is_one_step_approximant():
@@ -76,7 +72,7 @@ def test_first_step_gram_is_one_step_approximant():
     assert np.linalg.norm(x_of(st) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
-def test_singular_smw_core_rejects_shift(scalar_problem):
+def test_singular_smw_core_rejects_shift(scalar_problem, monkeypatch):
     # a=-1, b=c=1, f0=2 at gamma=1: I + F (A - I)^-1 B = 1 + 2 * (-1/2) = 0.
     p = scalar_problem()
     p.f0 = np.array([[2.0]])
@@ -84,28 +80,16 @@ def test_singular_smw_core_rejects_shift(scalar_problem):
         warnings.simplefilter("error", sla.LinAlgWarning)
         with pytest.raises(ShiftRejectionError):
             step_once(p, init_state(p), 1.0)
+    monkeypatch.setattr(engine, "next_shift", lambda cfg, cache, p, state: (1.0, cache))
     with pytest.raises(NoProgressError):
-        radi_solve(p, SolveOptions(shift_sequence=[1.0]))
+        radi_solve(p, SolveOptions())
 
 
-@pytest.mark.parametrize("sequence", [[1.0, 0.5], [0.5, 1.0]])
-def test_replay_retries_next_shift_after_rejection(sequence):
-    # A - 1.0*I is exactly singular, so every attempt at 1.0 is rejected.
-    p = StandardProblem(
-        a=sp.csc_matrix(np.diag([1.0, -2.0, -3.0, -4.0])),
-        b=np.ones((4, 1)),
-        c=np.ones((1, 4)),
-        ahat=StackedMat.from_blocks([], block_rows=4, block_cols=4),
-        bhat=StackedMat.from_blocks([], block_rows=4, block_cols=1),
-    )
-    _, report = radi_solve(p, SolveOptions(shift_sequence=sequence))
-    assert report.converged
-    assert {row.gamma for row in report.rows[1:]} == {0.5}
-
-
-def test_per_iteration_retry_takes_next_candidate(monkeypatch):
+@pytest.mark.parametrize("mode", ["cached", "per_iteration"])
+def test_retry_takes_next_candidate(monkeypatch, mode):
     p = random_standard_problem(n=30, m=2, l=2, r=2, seed=20)
-    attempts = {}
+    attempts, computed_at = {}, []
+    real_compute = shifts._compute
 
     def rejecting_step(p, st, gamma, opts=None):
         attempts.setdefault(st.k, []).append(gamma)
@@ -113,14 +97,18 @@ def test_per_iteration_retry_takes_next_candidate(monkeypatch):
             raise ShiftRejectionError("rejected once for the test")
         return step_once(p, st, gamma, opts)
 
+    def recording_compute(cfg, p, state):
+        computed_at.append(state.k)
+        return real_compute(cfg, p, state)
+
     monkeypatch.setattr(engine, "step_once", rejecting_step)
-    _, report = radi_solve(
-        p, SolveOptions(shift=ShiftConfig("hamiltonian", 2, "per_iteration"))
-    )
+    monkeypatch.setattr(shifts, "_compute", recording_compute)
+    _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 2, mode)))
     assert report.converged
     rejected, retried = attempts[1]
     assert retried != rejected
     assert report.rows[2].gamma == retried
+    assert computed_at.count(1) <= 1  # the retry reads the pending list, no new projection
 
 
 def test_cached_solve_factors_e_once(monkeypatch):
@@ -146,11 +134,12 @@ def test_cached_solve_factors_e_once(monkeypatch):
 
 def test_overflowing_solve_raises_breakdown():
     # The noise at 1e-1 on the undamped stencil admits no stabilizing
-    # solution: the iterates grow until their residual overflows.
+    # solution: the iterates grow until the residual ceiling stops them.
     base = gen_heat_problem(200, 7, 6, seed=0)
     p = with_noise_blocks(base, [1e-1], seed=100)
-    with pytest.raises(NumericalBreakdownError):
+    with pytest.raises(NumericalBreakdownError) as info:
         radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
+    assert info.value.iteration <= 10  # stopped by the residual ceiling, not by overflow
 
 
 def test_r1_step_leaves_kpi_bit_identical():
@@ -168,13 +157,13 @@ def test_xi_buffer_grows_and_matches_hstack(monkeypatch):
     blocks, capacities = [], set()
 
     def recording_step(*args, **kwargs):
-        st, scratch = step_once(*args, **kwargs)
+        st, row = step_once(*args, **kwargs)
         blocks.append(st.s_history[-1].copy())
         capacities.add(st.xi_buf.shape[0])
-        return st, scratch
+        return st, row
 
     monkeypatch.setattr(engine, "step_once", recording_step)
-    st, report = radi_solve(p, SolveOptions(**NO_TRUNC, shift_sequence=SHIFTS, max_iter=12))
+    st, report = radi_solve(p, SolveOptions(**NO_TRUNC, max_iter=12))
     assert len(capacities) >= 4  # the buffer grew at least three times
     assert st.xi.flags["C_CONTIGUOUS"]
     assert st.xi.shape == (p.n, st.xi_width) == (p.n, report.xi_width)
@@ -191,6 +180,14 @@ def test_step_counter_and_width_growth():
         widths.append(st.xi_width)
     assert st.k == 4
     assert all(b > a for a, b in zip(widths, widths[1:]))
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(cap_cols=0), dict(max_cols_xi=0), dict(max_iter=-1), dict(tol_nres=0.0)]
+)
+def test_solve_options_reject_out_of_range(bad):
+    with pytest.raises(ValueError):
+        SolveOptions(**bad)
 
 
 def test_step_rejects_nonpositive_shift():
@@ -432,9 +429,9 @@ def test_solve_report_consistency():
         assert nres_trace(st2) == row.nres
 
 
-def test_solve_replay_shift_sequence_deterministic():
+def test_solve_deterministic():
     p = random_standard_problem(n=25, m=2, l=2, r=2, seed=15)
-    opts = SolveOptions(shift_sequence=SHIFTS, max_iter=12)
+    opts = SolveOptions(max_iter=12)
     _, rep1 = radi_solve(p, opts)
     _, rep2 = radi_solve(p, opts)
     assert rep1.numeric_content() == rep2.numeric_content()

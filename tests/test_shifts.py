@@ -148,7 +148,7 @@ def test_gamma_floor_clamps():
     cache = projection_shifts(
         np.eye(2), p, np.zeros((1, 2)), gamma_floor=1e-6
     )
-    assert all(g >= 1e-6 for g in cache.pending)
+    assert cache.pending == [1e-6]  # both clamped shifts collapse into one
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +218,15 @@ def test_next_shift_pops_cache():
 def test_next_shift_per_iteration_ignores_cache():
     p = random_standard_problem(n=15, m=2, l=2, r=2, seed=12)
     st = init_state(p)
+    st, _ = step_once(p, st, 1.0)
     cfg = ShiftConfig("hamiltonian", 1, "per_iteration")
-    sentinel = ShiftCache(pending=[123.0])
-    g, _ = next_shift(cfg, sentinel, p, st)
-    assert g != 123.0
+    stale = ShiftCache(pending=[123.0], source_iteration=st.k - 1)
+    g, cache = next_shift(cfg, stale, p, st)
+    assert g != 123.0 and cache.source_iteration == st.k
+    # a cache from the current iteration holds the retry candidates
+    current = ShiftCache(pending=[123.0, 45.0], source_iteration=st.k)
+    g, cache = next_shift(cfg, current, p, st)
+    assert g == 123.0 and cache is current and cache.pending == [45.0]
 
 
 def test_next_shift_recomputes_when_exhausted():
