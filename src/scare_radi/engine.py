@@ -5,7 +5,8 @@ current residual factor and the accumulated feedback through one sparse
 factorization of A - gamma*E (sharing it via the low-rank SMW correction),
 append a rank-l block to the solution factor, refresh the residual factor and
 the feedback/accumulator pair, compress the stacked residual factor by a
-truncated SVD, and account the discarded energy exactly.  The trace-norm
+truncated SVD taken through its smaller Gram (`kernels.trunc_svd`), and
+account the discarded energy exactly.  The trace-norm
 residual is then available for free as the squared Frobenius norm of the
 kept factor plus the accumulated discard.
 
@@ -273,6 +274,7 @@ def step_once(
         t_ltimes=t_ltimes,
         t_svd=t_svd,
         t_other=max(t_total - t_solve - t_ltimes - t_svd, 0.0),
+        svd_route=trunc.route,
     )
 
 
@@ -284,7 +286,8 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     budget runs out, when the stall rule fires, or when the solution factor
     hits its width budget.  A rejected shift is retried with the next pending
     candidate of the current projection (see :func:`next_shift`) up to a small
-    budget before aborting, and a residual above ``MAX_NRES`` raises
+    budget, and the solve aborts with :class:`NoProgressError` once that
+    budget or the candidates run out; a residual above ``MAX_NRES`` raises
     :class:`NumericalBreakdownError`.  The returned state holds Xi as a
     C-contiguous array.
     """

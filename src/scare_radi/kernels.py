@@ -217,12 +217,15 @@ class TruncationResult:
 
     ``discarded_sq_trace`` is the sum of the squared discarded singular
     values, so the Frobenius energy of the input splits exactly into
-    ``|sigma|_2^2 + discarded_sq_trace``.
+    ``|sigma|_2^2 + discarded_sq_trace``.  ``route`` names the computation
+    that ran: ``"gram"`` (eigh of C C^T), ``"tall-gram"`` (eigh of C^T C) or
+    ``"svd"`` (one-sided SVD of C).
     """
 
     sigma: np.ndarray
     vt: np.ndarray
     discarded_sq_trace: float
+    route: str
 
     @property
     def rank(self) -> int:
@@ -243,16 +246,31 @@ def _select_retained(sq_desc: np.ndarray, tau_abs: float, cap: int) -> int:
     return keep
 
 
+def _eigh_desc(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Gram matrix, eigenvalues descending and clamped at 0."""
+    w, v = np.linalg.eigh(gram)
+    return np.maximum(w[::-1], 0.0), v[:, ::-1]
+
+
 def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
-    """Truncated SVD of a wide factor with exact discard accounting.
+    """Truncated SVD of a p x n factor with exact discard accounting.
 
     Retains the minimal leading singular values such that the discarded Gram
     trace satisfies ``sum sigma_i^2 <= tau_abs``, then enforces the row cap,
-    moving any overflow into ``discarded_sq_trace``.  The default route
-    eigendecomposes the small Gram C C^T and recovers V^T as Sigma^-1 U^T C;
-    it falls back to a one-sided SVD when the smallest retained sigma^2 drops
-    below 1e-8 of the largest, where the cross product has lost half the
-    significant digits.
+    moving any overflow into ``discarded_sq_trace``.
+
+    Two Gram routes avoid the full SVD.  A tall factor (p > n)
+    eigendecomposes the n x n Gram C^T C = V Lambda V^T and keeps
+    sqrt(Lambda) V^T, whose left singular vectors are never formed: callers
+    use the factor only through its Gram, which is invariant under C -> Q C.
+    Nothing is divided by sigma, so the retained factor's Gram matches C^T C
+    to about eps |C|^2 however graded the spectrum, and this route needs no
+    fallback.  A wide factor (p <= n) eigendecomposes the small Gram C C^T
+    and recovers V^T as Sigma^-1 U^T C.  That division amplifies the Gram's
+    rounding by 1/sigma^2, so when the smallest retained sigma^2 drops below
+    1e-8 of the largest (the cross product has lost half the significant
+    digits) it falls back to a one-sided SVD, the only case in which the full
+    SVD runs.
     """
     c = np.ascontiguousarray(np.atleast_2d(c), dtype=float)
     if tau_abs < 0:
@@ -261,23 +279,27 @@ def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
         raise ValueError("cap must be positive")
     p, n = c.shape
     if p == 0 or not np.any(c):
-        return TruncationResult(np.zeros(0), np.zeros((0, n)), 0.0)
+        route = "tall-gram" if p > n else "gram"
+        return TruncationResult(np.zeros(0), np.zeros((0, n)), 0.0, route)
 
-    if p <= n:
-        gram = c @ c.T
-        w, u = np.linalg.eigh(gram)
-        sq = np.maximum(w[::-1], 0.0)
-        u = u[:, ::-1]
+    if p > n:
+        sq, v = _eigh_desc(c.T @ c)
         keep = _select_retained(sq, tau_abs, cap)
-        if keep == 0 or sq[keep - 1] >= 1e-8 * sq[0]:
-            sigma = np.sqrt(sq[:keep])
-            vt = (u[:, :keep].T @ c) / sigma[:, None] if keep else np.zeros((0, n))
-            disc = float(np.sum(sq[keep:]))
-            return TruncationResult(sigma, vt, disc)
+        return TruncationResult(
+            np.sqrt(sq[:keep]), np.ascontiguousarray(v[:, :keep].T),
+            float(np.sum(sq[keep:])), "tall-gram",
+        )
+
+    sq, u = _eigh_desc(c @ c.T)
+    keep = _select_retained(sq, tau_abs, cap)
+    if keep == 0 or sq[keep - 1] >= 1e-8 * sq[0]:
+        sigma = np.sqrt(sq[:keep])
+        vt = (u[:, :keep].T @ c) / sigma[:, None] if keep else np.zeros((0, n))
+        return TruncationResult(sigma, vt, float(np.sum(sq[keep:])), "gram")
 
     sv = np.linalg.svd(c, full_matrices=False)
     sq = sv.S**2
     keep = _select_retained(sq, tau_abs, cap)
     return TruncationResult(
-        sv.S[:keep].copy(), sv.Vh[:keep].copy(), float(np.sum(sq[keep:]))
+        sv.S[:keep].copy(), sv.Vh[:keep].copy(), float(np.sum(sq[keep:])), "svd"
     )

@@ -20,6 +20,7 @@ CSV_COLUMNS = [
     "t_ltimes",
     "t_svd",
     "t_other",
+    "svd_route",
 ]
 
 TIMING_FIELDS = ("t_shift", "t_solve", "t_ltimes", "t_svd", "t_other")
@@ -38,6 +39,7 @@ class IterationRecord:
     t_ltimes: float = 0.0
     t_svd: float = 0.0
     t_other: float = 0.0
+    svd_route: str = ""  # the truncation's route; empty on the initial row
 
     def csv_row(self):
         return [
@@ -52,6 +54,7 @@ class IterationRecord:
             f"{self.t_ltimes:.6f}",
             f"{self.t_svd:.6f}",
             f"{self.t_other:.6f}",
+            self.svd_route,
         ]
 
 

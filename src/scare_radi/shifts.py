@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import splu
 
-from .errors import BasisFailureError, ShiftFailureError
+from .errors import BasisFailureError, NoProgressError, ShiftFailureError
 
 __all__ = [
     "ShiftConfig",
@@ -57,11 +57,16 @@ class ShiftCache:
 
     ``source_iteration`` is the iteration count the projection was computed
     at; while the solver is still at that count, the pending shifts are the
-    retry candidates for a rejected step.
+    retry candidates for a rejected step.  ``issued`` holds the shifts handed
+    out while the solver stayed at iteration ``issued_at``: a step that
+    succeeds moves the count on, so when asked again at that iteration every
+    one of them was rejected.
     """
 
     pending: list = field(default_factory=list)
     source_iteration: int = 0
+    issued: list = field(default_factory=list)
+    issued_at: int = -1
 
 
 def build_basis(s_history, s: int, fallback: np.ndarray) -> np.ndarray:
@@ -171,10 +176,20 @@ def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state):
     dry.  Per-iteration mode recomputes once the iteration count has moved
     past the cache's ``source_iteration``.  A rejected step leaves the count
     unchanged, so in both modes a retry takes the projection's next pending
-    candidate, a shift different from the rejected one, while any remain.
+    candidate, a shift different from the rejected one, while any remain.  A
+    recompute at that same count reproduces the projection, so it drops the
+    shifts already rejected there, and raises :class:`NoProgressError` when
+    none is left.
     """
+    rejected = cache.issued if cache and cache.issued_at == state.k else []
     if not (cache and cache.pending
             and (cfg.mode == "cached" or cache.source_iteration == state.k)):
         cache = _compute(cfg, p, state)
+        cache.pending = [g for g in cache.pending if g not in rejected]
+        if not cache.pending:
+            raise NoProgressError(
+                f"every candidate shift at iteration {state.k} was rejected: {rejected}"
+            )
     gamma = cache.pending.pop(0)
+    cache.issued, cache.issued_at = rejected + [gamma], state.k
     return gamma, cache

@@ -19,6 +19,7 @@ from scare_radi.bench import (
     with_noise_blocks,
 )
 from scare_radi.cli import main
+from scare_radi.engine import SolveOptions
 from scare_radi.errors import ProblemLoadError
 from scare_radi.problems import OriginalProblem, StandardProblem
 from scare_radi.report import CSV_COLUMNS
@@ -222,6 +223,24 @@ def test_grid_writes_outputs(tmp_path):
     assert len(csvs) == len(reports)
     header = csvs[0].read_text().splitlines()[0].split(",")
     assert header == CSV_COLUMNS
+
+
+@pytest.mark.parametrize("r", [1, 5])
+def test_csv_last_column_names_truncation_route(tmp_path, r):
+    # The stochastic stack has 5x the rows of the residual factor and turns
+    # tall once the factor passes n/5 rows; the r=1 factor never outgrows l.
+    base = gen_heat_problem(40, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = base if r == 1 else with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    run_single(p, SolveOptions(cap_cols=1500), "unit", tmp_path)
+    lines = (tmp_path / "unit.csv").read_text().splitlines()
+    assert lines[0].split(",") == CSV_COLUMNS and CSV_COLUMNS[-1] == "svd_route"
+    column = [line.split(",")[-1] for line in lines[1:]]
+    assert column[0] == ""  # the initial row precedes any truncation
+    routes = set(column[1:])
+    if r == 1:
+        assert routes == {"gram"}
+    else:
+        assert "tall-gram" in routes and routes <= {"gram", "tall-gram", "svd"}
 
 
 def test_report_nres_history_matches_rows(tmp_path):

@@ -111,6 +111,26 @@ def test_retry_takes_next_candidate(monkeypatch, mode):
     assert computed_at.count(1) <= 1  # the retry reads the pending list, no new projection
 
 
+@pytest.mark.parametrize("mode", ["cached", "per_iteration"])
+def test_same_iteration_recompute_drops_rejected_shifts(monkeypatch, mode):
+    # One candidate per projection: once it is rejected, a recompute at the
+    # same iteration has nothing new to offer, so the solve stops at once.
+    p = random_standard_problem(n=30, m=2, l=2, r=2, seed=20)
+    attempts = {}
+
+    def rejecting_step(p, st, gamma, opts=None):
+        attempts.setdefault(st.k, []).append(gamma)
+        raise ShiftRejectionError("rejected for the test")
+
+    monkeypatch.setattr(engine, "step_once", rejecting_step)
+    monkeypatch.setattr(
+        shifts, "hamiltonian_shifts", lambda *a, **k: shifts.ShiftCache(pending=[0.5])
+    )
+    with pytest.raises(NoProgressError):
+        radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, mode)))
+    assert attempts == {0: [0.5]}
+
+
 def test_cached_solve_factors_e_once(monkeypatch):
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=13, with_e=True)
     factored, projections = [], []

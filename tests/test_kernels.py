@@ -311,12 +311,49 @@ def test_trunc_svd_gram_residual_matches_discard():
     )
 
 
-def test_trunc_svd_tall_input_uses_one_sided_route():
+def test_trunc_svd_tall_input_conserves_energy():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((50, 8))
     res = trunc_svd(c, tau_abs=0.0, cap=50)
     total = np.linalg.norm(c) ** 2
     assert abs(total - np.sum(res.sigma**2)) <= 1e-12 * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 40),
+    st.sampled_from([2, 5]),
+    st.floats(12.0, 16.0),
+)
+def test_trunc_svd_tall_gram_route_on_graded_factors(seed, n, ratio, decades):
+    # A tall factor goes through eigh of C^T C and divides by no sigma, so the
+    # kept Gram is accurate to eps |C|^2 even where the spectrum spans 12-16
+    # decades (a Sigma^-1 U^T C recovery would lose the small directions).
+    rng = np.random.default_rng(seed)
+    p = ratio * n
+    q1, _ = np.linalg.qr(rng.standard_normal((p, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    c = (q1 * 10.0 ** -np.linspace(0.0, decades, n)) @ q2.T
+    total = np.linalg.norm(c) ** 2
+    eps = np.finfo(float).eps
+
+    res = trunc_svd(c, tau_abs=0.0, cap=p)
+    assert res.route == "tall-gram"
+    kept_gram = res.vt.T @ (res.sigma[:, None] ** 2 * res.vt)
+    assert np.linalg.norm(c.T @ c - kept_gram) <= 50 * eps * total
+    assert abs(total - (np.sum(res.sigma**2) + res.discarded_sq_trace)) <= 1e-12 * total
+    np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(res.rank), rtol=0, atol=1e-13)
+
+    # With a threshold between two of the SVD's tail sums, both routes drop
+    # the same directions.
+    sq = np.linalg.svd(c, compute_uv=False) ** 2
+    tails = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+    cut = int(rng.integers(1, n))
+    tau = np.sqrt(tails[cut] * tails[cut - 1])
+    svd_tail = tails[tails <= tau].max()
+    cut_res = trunc_svd(c, tau_abs=tau, cap=p)
+    assert abs(cut_res.discarded_sq_trace - svd_tail) <= 10 * eps * total
 
 
 def test_trunc_svd_graded_spectrum_accuracy():
@@ -329,6 +366,7 @@ def test_trunc_svd_graded_spectrum_accuracy():
     q2, _ = np.linalg.qr(rng.standard_normal((n, 8)))
     c = q1 @ (svals[:, None] * q2.T)
     res = trunc_svd(c, tau_abs=0.0, cap=8)
+    assert res.route == "svd"
     np.testing.assert_allclose(res.sigma, svals, rtol=1e-6)
 
 

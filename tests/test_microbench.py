@@ -1,4 +1,4 @@
-"""Kernel micro-benchmarks (pytest-benchmark) at the size of the det-mass workload.
+"""Kernel micro-benchmarks (pytest-benchmark) at the sizes of the benchmark workloads.
 
 Few rounds keep them cheap inside the full suite; run them alone with
 ``pytest tests/test_microbench.py`` to read the timing table, or with
@@ -9,7 +9,7 @@ import numpy as np
 
 from scare_radi.bench import gen_heat_problem
 from scare_radi.engine import init_state
-from scare_radi.kernels import factor_shifted
+from scare_radi.kernels import factor_shifted, trunc_svd
 
 N = 5000
 
@@ -45,3 +45,15 @@ def test_xi_append_75_steps(benchmark):
     state = benchmark.pedantic(append_all, setup=fresh_state, rounds=5, warmup_rounds=1)
     assert state.xi.flags["C_CONTIGUOUS"]
     assert state.xi.tobytes() == np.hstack([s.T for s in blocks]).tobytes()
+
+
+def test_trunc_svd_tall_c9_shape(benchmark):
+    # The c9 stochastic stack at n = 300: five blocks of a 300-row residual
+    # factor, truncated under the workload's row cap.
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((1500, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
+    res = benchmark.pedantic(trunc_svd, args=(c, 0.0, 1500), rounds=5, warmup_rounds=1)
+    total = np.linalg.norm(c) ** 2
+    kept_gram = res.vt.T @ (res.sigma[:, None] ** 2 * res.vt)
+    assert res.route == "tall-gram"
+    assert np.linalg.norm(c.T @ c - kept_gram) <= 50 * np.finfo(float).eps * total
