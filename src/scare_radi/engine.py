@@ -332,6 +332,8 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
             continue
         rejections = 0
         row.t_shift = t_shift
+        row.shift_src = "recompute" if cache.source_iteration == row.k - 1 else "cache"
+        row.basis_dim = cache.basis_dim
         report.rows.append(row)
 
         if row.nres <= opts.tol_nres:

@@ -21,6 +21,8 @@ CSV_COLUMNS = [
     "t_svd",
     "t_other",
     "svd_route",
+    "shift_src",
+    "basis_dim",
 ]
 
 TIMING_FIELDS = ("t_shift", "t_solve", "t_ltimes", "t_svd", "t_other")
@@ -40,6 +42,10 @@ class IterationRecord:
     t_svd: float = 0.0
     t_other: float = 0.0
     svd_route: str = ""  # the truncation's route; empty on the initial row
+    # "recompute" when the shift's projection was made at this iteration,
+    # "cache" when an earlier one supplied it; empty on the initial row
+    shift_src: str = ""
+    basis_dim: int = 0  # dimension of the basis of that projection
 
     def csv_row(self):
         return [
@@ -55,6 +61,8 @@ class IterationRecord:
             f"{self.t_svd:.6f}",
             f"{self.t_other:.6f}",
             self.svd_route,
+            self.shift_src,
+            self.basis_dim,
         ]
 
 

@@ -233,8 +233,9 @@ def test_csv_last_column_names_truncation_route(tmp_path, r):
     p = base if r == 1 else with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
     run_single(p, SolveOptions(cap_cols=1500), "unit", tmp_path)
     lines = (tmp_path / "unit.csv").read_text().splitlines()
-    assert lines[0].split(",") == CSV_COLUMNS and CSV_COLUMNS[-1] == "svd_route"
-    column = [line.split(",")[-1] for line in lines[1:]]
+    route = CSV_COLUMNS.index("svd_route")
+    assert lines[0].split(",") == CSV_COLUMNS and route == 11  # earlier columns stay put
+    column = [line.split(",")[route] for line in lines[1:]]
     assert column[0] == ""  # the initial row precedes any truncation
     routes = set(column[1:])
     if r == 1:

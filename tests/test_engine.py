@@ -131,6 +131,30 @@ def test_same_iteration_recompute_drops_rejected_shifts(monkeypatch, mode):
     assert attempts == {0: [0.5]}
 
 
+def test_stochastic_shift_basis_is_capped(monkeypatch, tmp_path):
+    # The criterion-9 solve at n = 300: its last solution block grows to
+    # hundreds of rows, while the shift basis keeps only l * s directions.
+    base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    cfg = ShiftConfig("hamiltonian", 1, "cached")
+    dims = []
+    real_shifts = shifts.hamiltonian_shifts
+
+    def recording_shifts(u, *args, **kwargs):
+        dims.append(u.shape[1])
+        return real_shifts(u, *args, **kwargs)
+
+    monkeypatch.setattr(shifts, "hamiltonian_shifts", recording_shifts)
+    _, report = radi_solve(p, SolveOptions(shift=cfg, cap_cols=1500))
+    assert report.converged and report.iterations <= 16
+    assert dims and max(dims) <= p.l * cfg.window_s
+    report.to_csv(tmp_path / "c9.csv")
+    lines = (tmp_path / "c9.csv").read_text().splitlines()
+    src = lines[0].split(",").index("shift_src")
+    sources = [line.split(",")[src] for line in lines[2:]]
+    assert {"recompute", "cache"} <= set(sources)
+
+
 def test_cached_solve_factors_e_once(monkeypatch):
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=13, with_e=True)
     factored, projections = [], []

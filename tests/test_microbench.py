@@ -7,9 +7,10 @@ Few rounds keep them cheap inside the full suite; run them alone with
 
 import numpy as np
 
-from scare_radi.bench import gen_heat_problem
+from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import init_state
 from scare_radi.kernels import factor_shifted, trunc_svd
+from scare_radi.shifts import build_basis, hamiltonian_shifts
 
 N = 5000
 
@@ -57,3 +58,24 @@ def test_trunc_svd_tall_c9_shape(benchmark):
     kept_gram = res.vt.T @ (res.sigma[:, None] ** 2 * res.vt)
     assert res.route == "tall-gram"
     assert np.linalg.norm(c.T @ c - kept_gram) <= 50 * np.finfo(float).eps * total
+
+
+def test_capped_basis_and_hamiltonian_shifts_c9_shape(benchmark):
+    # One shift recompute of the c9 stochastic solve at n = 300: a 300-row
+    # last solution block and residual factor, projected onto q = l * s = 6
+    # leading directions.
+    base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    st = init_state(p)
+    rng = np.random.default_rng(0)
+    grade = 10.0 ** -np.linspace(0.0, 12.0, 300)[:, None]
+    block = rng.standard_normal((300, 300)) * grade
+    ccur = rng.standard_normal((300, 300)) * grade
+
+    def recompute():
+        u = build_basis([block], 1, ccur, q=6)
+        return u, hamiltonian_shifts(u, p, st.f, st.kpi, ccur, gamma_floor=1e-14, ops=st.ops)
+
+    u, cache = benchmark.pedantic(recompute, rounds=5, warmup_rounds=1)
+    assert u.shape == (300, 6)
+    assert cache.pending and all(g > 0 for g in cache.pending)

@@ -65,6 +65,23 @@ def test_basis_all_zero_fails():
         build_basis([np.zeros((2, 6))], 1, None)
 
 
+def test_basis_cap_keeps_leading_pivoted_directions():
+    # A 20-row window stack (two blocks of 10) with row norms graded over six
+    # decades in shuffled order, as a stochastic solve's blocks are.
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((20, 60)) * rng.permutation(10.0 ** -np.linspace(0, 6, 20))[:, None]
+    hist = [rows[:10], rows[10:]]
+    u = build_basis(hist, 2, None, q=4)
+    assert u.shape == (60, 4)
+    assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-13
+    largest = rows[np.argmax(np.linalg.norm(rows, axis=1))]
+    assert np.linalg.norm(largest - u @ (u.T @ largest)) <= 1e-12 * np.linalg.norm(largest)
+    full = build_basis(hist, 2, None)
+    assert full.shape[1] == 20
+    for q in (20, 25):
+        np.testing.assert_array_equal(build_basis(hist, 2, None, q=q), full)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 5000), st.integers(1, 3))
 def test_basis_property(seed, s):
