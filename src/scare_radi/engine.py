@@ -4,11 +4,11 @@ One iteration of the practical engine: draw a positive shift, push the
 current residual factor and the accumulated feedback through one sparse
 factorization of A - gamma*E (sharing it via the low-rank SMW correction),
 append a rank-l block to the solution factor, refresh the residual factor and
-the feedback/accumulator pair, compress the stacked residual factor by a
-truncated SVD taken through its smaller Gram (`kernels.trunc_svd`), and
-account the discarded energy exactly.  The trace-norm
-residual is then available for free as the squared Frobenius norm of the
-kept factor plus the accumulated discard.
+the feedback/accumulator pair through identity-plus-rank-m scalings (no
+factor beyond m x m), compress the stacked residual factor by a truncated SVD
+taken through its smaller Gram (`kernels.trunc_svd`), and account the
+discarded energy exactly.  The trace-norm residual is then available for free
+as the squared Frobenius norm of the kept factor plus the accumulated discard.
 
 The dense prototype this iteration is checked against (`alg1_init`/
 `alg1_step`) lives in :mod:`scare_radi.oracles`.
@@ -159,6 +159,18 @@ def _right_tri_solve(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(t, x.T, trans="T", lower=False).T
 
 
+def _inv_sqrt_gram(z: np.ndarray):
+    """The map x -> (I + Z Z^T)^-1/2 x for any p x k Z, in O(p k) per column of x.
+
+    It is x + U (Lambda^-1/2 - I) U^T x for Z = Q R (thin QR), eigh(I + R R^T) =
+    V Lambda V^T (Lambda >= 1) and U = Q V.  x may be a stack (..., p, cols).
+    """
+    q, rz = np.linalg.qr(z)
+    lam, v = np.linalg.eigh(np.eye(rz.shape[0]) + rz @ rz.T)
+    u, shrink = q @ v, (lam**-0.5 - 1.0)[:, None]
+    return lambda x: x + u @ (shrink * (u.T @ x))
+
+
 def step_once(
     p: StandardProblem,
     state: SolverState,
@@ -170,10 +182,10 @@ def step_once(
     Returns the state and the iteration's trace row; its ``t_shift`` is left
     to the caller, who picked the shift.  Raises :class:`ShiftRejectionError`
     (recoverable with another shift) when the shifted factorization or the
-    small SMW core fails, :class:`SpdViolationError` when one of the Gram
-    factorizations loses definiteness, and :class:`NumericalBreakdownError`
-    when the new residual or feedback is not finite (the iteration has
-    diverged).
+    small SMW core fails, :class:`SpdViolationError` when the m x m
+    accumulator Gram, the only matrix the step factors, loses definiteness,
+    and :class:`NumericalBreakdownError` when the new residual or feedback is
+    not finite (the iteration has diverged).
     """
     if gamma <= 0:
         raise ValueError("shift must be positive")
@@ -199,40 +211,28 @@ def step_once(
     yhat = ltimes(c_gamma, p.bhat)
     t_ltimes = time.perf_counter() - t0
 
-    n_factor = chol_spd(np.eye(ell) + y @ y.T).T  # lower, N N^T = I + Y Y^T
-    s = sla.solve_triangular(n_factor, c_gamma, lower=True)
-
-    # Residual-factor and feedback updates share sqrt(2g) N^-T S (times E).
-    w8 = sqrt2g * sla.solve_triangular(n_factor, s, trans="T", lower=True)
+    # W = (I + Y Y^T)^-1/2 = Q N^-1 for N N^T = I + Y Y^T and an orthogonal Q, so
+    # s^T s, w8 and the stacked Grams are those N^-1 gives.  The residual-factor
+    # and feedback updates share sqrt(2g) W S (times E).
+    w = _inv_sqrt_gram(y)
+    s = w(c_gamma)
+    w8 = sqrt2g * w(s)
     w8e = w8 if e is None else np.asarray((e.T @ w8.T).T)
     c_top = state.ccur + w8e
     f_mid = state.f - sla.solve_triangular(state.kpi, y.T @ w8e, lower=False)
 
     if r > 1:
-        # Z = (I (x) N)^-1 Yhat Kpi^-1 and X = (I (x) N)^-1 Cm, one N-solve per
-        # block.  I + Z^T Z = K^T K is the accumulator Gram, and X has Gram
-        # Cm^T (I (x) (I + Y Y^T) + Yhat Yhat^T)^-1 Cm through (I + Z Z^T)^-1.
-        z_mat = materialize_stack(
-            [sla.solve_triangular(n_factor, _right_tri_solve(state.kpi, yh), lower=True)
-             for yh in yhat.blocks], m,
-        )
-        x_mat = materialize_stack(
-            [sla.solve_triangular(n_factor, blk + yh @ f_mid, lower=True)
-             for blk, yh in zip(cm.blocks, yhat.blocks)], n,
-        )
+        # Z = (I (x) W) Yhat Kpi^-1, X = (I (x) W)(Cm + Yhat F); I + Z^T Z = K^T K.
+        yh = materialize_stack(yhat.blocks, m)
+        z_mat = w(_right_tri_solve(state.kpi, yh).reshape(r - 1, ell, m)).reshape(-1, m)
+        x_mat = materialize_stack(cm.blocks, n) + yh @ f_mid
+        x_mat = w(x_mat.reshape(r - 1, ell, n)).reshape(-1, n)
         k_factor = chol_spd(np.eye(m) + z_mat.T @ z_mat)
         kpi_new = k_factor @ state.kpi
         f_new = f_mid - sla.solve_triangular(
-            kpi_new,
-            sla.solve_triangular(k_factor, z_mat.T @ x_mat, trans="T", lower=False),
-            lower=False,
+            kpi_new, sla.solve_triangular(k_factor, z_mat.T @ x_mat, trans="T")
         )
-
-        # (I + Z Z^T)^-1/2 X = X + Q ((I + R R^T)^-1/2 - I) Q^T X for Z = Q R.
-        q, rz = np.linalg.qr(z_mat)
-        lam, v = np.linalg.eigh(np.eye(rz.shape[0]) + rz @ rz.T)
-        qv = q @ v
-        bottom = x_mat + qv @ ((lam**-0.5 - 1.0)[:, None] * (qv.T @ x_mat))
+        bottom = _inv_sqrt_gram(z_mat)(x_mat)  # Gram X^T (I + Z Z^T)^-1 X
         stacked = np.vstack([c_top, bottom])
     else:
         # No stochastic blocks: the accumulator Gram is I, so its factor is I

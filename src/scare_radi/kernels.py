@@ -162,15 +162,15 @@ def factor_shifted(a, gamma: float, e=None) -> ShiftedFactorization:
     return ShiftedFactorization(gamma=float(gamma), n=n, _lu=lu)
 
 
-def _solve_core(core: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the small SMW core, rejecting numerically singular cores."""
+def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows @ core^-1 for the small SMW core, rejecting numerically singular cores."""
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(core)
     diag = np.abs(np.diag(lu))
     if diag.size and diag.min() <= 1e3 * _MACHEPS * max(diag.max(), 1.0):
         raise ShiftRejectionError("SMW core matrix I + F A_gamma^-1 B is numerically singular")
-    return sla.lu_solve((lu, piv), rhs)
+    return sla.lu_solve((lu, piv), rows.T, trans=1).T
 
 
 def smw_row_solve(
@@ -188,7 +188,7 @@ def smw_row_solve(
     both = fac.row_solve(np.vstack([rows, np.atleast_2d(f)]))
     ra, fa = both[: rows.shape[0]], both[rows.shape[0]:]
     core = np.eye(b.shape[1]) + fa @ b
-    return ra - (ra @ b) @ _solve_core(core, fa)
+    return ra - _solve_core(core, ra @ b) @ fa
 
 
 def chol_spd(m: np.ndarray) -> np.ndarray:

@@ -240,6 +240,52 @@ def test_step_rejects_nonpositive_shift():
         step_once(p, init_state(p), -1.0)
 
 
+@pytest.mark.parametrize(
+    "rows,cols,decades",
+    [(3, 7, 0.0), (7, 7, 0.0), (40, 7, 0.0), (40, 7, None), (30, 7, 8.0), (5, 7, 8.0)],
+    ids=["wide", "square", "tall", "zero", "tall-graded", "wide-graded"],
+)
+def test_inv_sqrt_gram_matches_dense_eigh(rows, cols, decades):
+    rng = np.random.default_rng(rows + cols)
+    if decades is None:
+        z = np.zeros((rows, cols))
+    else:
+        z = rng.standard_normal((rows, cols)) * 10.0 ** -np.linspace(0.0, decades, cols)
+    gram = np.eye(rows) + z @ z.T
+    lam, v = np.linalg.eigh(gram)
+    dense = (v * lam**-0.5) @ v.T
+    scale = engine._inv_sqrt_gram(z)
+    w = scale(np.eye(rows))
+    assert np.linalg.norm(w - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert np.linalg.norm(w @ w @ gram - np.eye(rows)) <= 1e-12 * np.sqrt(rows)
+    x = rng.standard_normal((3, rows, 4))  # a stack of blocks is scaled block by block
+    np.testing.assert_allclose(scale(x), dense @ x, rtol=0, atol=1e-12)
+
+
+def test_stochastic_step_factors_only_the_accumulator(monkeypatch):
+    # The residual factor grows to tens of rows at n = 40 and r = 5, while the
+    # only matrix a step factors is the m x m accumulator Gram.
+    base = gen_heat_problem(40, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    dims, rows = [], []
+    real_chol, real_step = engine.chol_spd, engine.step_once
+
+    def recording_chol(mat):
+        dims.append(mat.shape[0])
+        return real_chol(mat)
+
+    def recording_step(p, state, *args, **kwargs):
+        rows.append(state.ccur.shape[0])
+        return real_step(p, state, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "chol_spd", recording_chol)
+    monkeypatch.setattr(engine, "step_once", recording_step)
+    _, report = radi_solve(p, SolveOptions(cap_cols=1500))
+    assert report.converged
+    assert max(rows) > p.m
+    assert dims and max(dims) <= p.m
+
+
 # ---------------------------------------------------------------------------
 # exact bookkeeping
 

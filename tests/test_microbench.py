@@ -8,7 +8,7 @@ Few rounds keep them cheap inside the full suite; run them alone with
 import numpy as np
 
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
-from scare_radi.engine import init_state
+from scare_radi.engine import SolveOptions, init_state, step_once
 from scare_radi.kernels import factor_shifted, trunc_svd
 from scare_radi.shifts import build_basis, hamiltonian_shifts
 
@@ -79,3 +79,23 @@ def test_capped_basis_and_hamiltonian_shifts_c9_shape(benchmark):
     u, cache = benchmark.pedantic(recompute, rounds=5, warmup_rounds=1)
     assert u.shape == (300, 6)
     assert cache.pending and all(g > 0 for g in cache.pending)
+
+
+def test_step_once_c9_shape(benchmark):
+    # One step of the c9 stochastic solve at n = 300 once its residual factor
+    # has grown to ell = n = 300 rows: r = 5, m = 7.
+    base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    rng = np.random.default_rng(0)
+    ccur = rng.standard_normal((300, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)[:, None]
+    opts = SolveOptions(cap_cols=1500)
+
+    def fresh_state():
+        st = init_state(p)
+        st.ccur = ccur
+        st.nu0 = float(np.linalg.norm(ccur) ** 2)
+        return (p, st, 200.0, opts), {}
+
+    st, row = benchmark.pedantic(step_once, setup=fresh_state, rounds=5, warmup_rounds=1)
+    assert (st.k, st.xi_width) == (1, 300)
+    assert 0 < st.ccur.shape[0] <= 1500 and np.isfinite(row.nres)
