@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -255,7 +255,7 @@ def step_once(
 
     # Commit.
     state.append_xi(s)
-    state.ccur = trunc.factor()
+    state.ccur = trunc.factor
     state.f = f_new
     state.kpi = kpi_new
     state.nu_omega += trunc.discarded_sq_trace
@@ -294,7 +294,7 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     opts = opts or SolveOptions()
     wall0 = time.perf_counter()
     state = init_state(p, window_s=opts.shift.window_s)
-    report = RunReport(config=_echo_options(opts))
+    report = RunReport(config=asdict(opts))
     report.rows.append(
         IterationRecord(
             k=0,
@@ -358,18 +358,3 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     report.wall_time = time.perf_counter() - wall0
     return state, report
 
-
-def _echo_options(opts: SolveOptions) -> dict:
-    return {
-        "tol_nres": opts.tol_nres,
-        "max_iter": opts.max_iter,
-        "trunc_rel": opts.trunc_rel,
-        "cap_cols": opts.cap_cols,
-        "max_cols_xi": opts.max_cols_xi,
-        "stop_on_stall": opts.stop_on_stall,
-        "shift": {
-            "strategy": opts.shift.strategy,
-            "window_s": opts.shift.window_s,
-            "mode": opts.shift.mode,
-        },
-    }

@@ -1,7 +1,8 @@
 """Block linear-algebra kernels.
 
 The left semi-tensor product on vertically stacked blocks, SMW-corrected
-shifted row solves, small SPD Cholesky factorization, and truncated SVD with
+shifted row solves, small SPD Cholesky factorization, and a truncated SVD
+taken through the smaller Gram, with no division by the singular values and
 exact accounting of the discarded energy.  Everything here is a pure function
 of its inputs; factorization handles may be shared read-only across threads.
 """
@@ -76,14 +77,6 @@ class StackedMat:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def materialize(self) -> np.ndarray:
-        """Dense (k*p) x q matrix [M_1; ...; M_k]."""
-        return materialize_stack(
-            [np.asarray(b.toarray() if sp.issparse(b) else b, dtype=float)
-             for b in self.blocks],
-            self.block_cols,
-        )
 
 
 def materialize_stack(blocks, ncols: int) -> np.ndarray:
@@ -213,27 +206,25 @@ def chol_spd(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TruncationResult:
-    """Retained factor Sigma V^T of a truncated SVD plus the discarded energy.
+    """Retained rows of a truncated factor plus the discarded energy.
 
+    ``factor`` is a k x n matrix with the Gram of the rank-k truncated SVD,
+    Sigma_k V_k^T up to an orthogonal factor on the left (callers use it only
+    through its Gram), and ``sigma`` holds the k retained singular values.
     ``discarded_sq_trace`` is the sum of the squared discarded singular
     values, so the Frobenius energy of the input splits exactly into
-    ``|sigma|_2^2 + discarded_sq_trace``.  ``route`` names the computation
-    that ran: ``"gram"`` (eigh of C C^T), ``"tall-gram"`` (eigh of C^T C) or
-    ``"svd"`` (one-sided SVD of C).
+    ``|sigma|_2^2 + discarded_sq_trace``.  ``route`` names the Gram that was
+    eigendecomposed: ``"gram"`` (C C^T) or ``"tall-gram"`` (C^T C).
     """
 
     sigma: np.ndarray
-    vt: np.ndarray
+    factor: np.ndarray
     discarded_sq_trace: float
     route: str
 
     @property
     def rank(self) -> int:
         return int(self.sigma.size)
-
-    def factor(self) -> np.ndarray:
-        """The retained rows Sigma V^T."""
-        return self.sigma[:, None] * self.vt
 
 
 def _select_retained(sq_desc: np.ndarray, tau_abs: float, cap: int) -> int:
@@ -246,12 +237,6 @@ def _select_retained(sq_desc: np.ndarray, tau_abs: float, cap: int) -> int:
     return keep
 
 
-def _eigh_desc(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Gram matrix, eigenvalues descending and clamped at 0."""
-    w, v = np.linalg.eigh(gram)
-    return np.maximum(w[::-1], 0.0), v[:, ::-1]
-
-
 def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     """Truncated SVD of a p x n factor with exact discard accounting.
 
@@ -259,47 +244,24 @@ def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     trace satisfies ``sum sigma_i^2 <= tau_abs``, then enforces the row cap,
     moving any overflow into ``discarded_sq_trace``.
 
-    Two Gram routes avoid the full SVD.  A tall factor (p > n)
-    eigendecomposes the n x n Gram C^T C = V Lambda V^T and keeps
-    sqrt(Lambda) V^T, whose left singular vectors are never formed: callers
-    use the factor only through its Gram, which is invariant under C -> Q C.
-    Nothing is divided by sigma, so the retained factor's Gram matches C^T C
-    to about eps |C|^2 however graded the spectrum, and this route needs no
-    fallback.  A wide factor (p <= n) eigendecomposes the small Gram C C^T
-    and recovers V^T as Sigma^-1 U^T C.  That division amplifies the Gram's
-    rounding by 1/sigma^2, so when the smallest retained sigma^2 drops below
-    1e-8 of the largest (the cross product has lost half the significant
-    digits) it falls back to a one-sided SVD, the only case in which the full
-    SVD runs.
+    The singular values come from eigh of the smaller Gram, and the retained
+    rows are formed without dividing by sigma: a tall factor (p > n) keeps
+    sqrt(Lambda_k) V_k^T from C^T C = V Lambda V^T, a wide one keeps U_k^T C
+    (= Sigma_k V_k^T) from C C^T = U Lambda U^T.  Either way the retained
+    Gram matches the truncated Gram of C to about eps |C|^2 however graded
+    the spectrum, so no full SVD is needed.
     """
     c = np.ascontiguousarray(np.atleast_2d(c), dtype=float)
     if tau_abs < 0:
         raise ValueError("tau_abs must be nonnegative")
     if cap < 1:
         raise ValueError("cap must be positive")
-    p, n = c.shape
-    if p == 0 or not np.any(c):
-        route = "tall-gram" if p > n else "gram"
-        return TruncationResult(np.zeros(0), np.zeros((0, n)), 0.0, route)
-
-    if p > n:
-        sq, v = _eigh_desc(c.T @ c)
-        keep = _select_retained(sq, tau_abs, cap)
-        return TruncationResult(
-            np.sqrt(sq[:keep]), np.ascontiguousarray(v[:, :keep].T),
-            float(np.sum(sq[keep:])), "tall-gram",
-        )
-
-    sq, u = _eigh_desc(c @ c.T)
+    tall = c.shape[0] > c.shape[1]
+    w, v = np.linalg.eigh(c.T @ c if tall else c @ c.T)
+    sq, v = np.maximum(w[::-1], 0.0), v[:, ::-1]
     keep = _select_retained(sq, tau_abs, cap)
-    if keep == 0 or sq[keep - 1] >= 1e-8 * sq[0]:
-        sigma = np.sqrt(sq[:keep])
-        vt = (u[:, :keep].T @ c) / sigma[:, None] if keep else np.zeros((0, n))
-        return TruncationResult(sigma, vt, float(np.sum(sq[keep:])), "gram")
-
-    sv = np.linalg.svd(c, full_matrices=False)
-    sq = sv.S**2
-    keep = _select_retained(sq, tau_abs, cap)
+    sigma, vk = np.sqrt(sq[:keep]), np.ascontiguousarray(v[:, :keep].T)
+    factor = sigma[:, None] * vk if tall else vk @ c
     return TruncationResult(
-        sv.S[:keep].copy(), sv.Vh[:keep].copy(), float(np.sum(sq[keep:])), "svd"
+        sigma, factor, float(np.sum(sq[keep:])), "tall-gram" if tall else "gram"
     )

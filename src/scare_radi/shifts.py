@@ -143,9 +143,10 @@ def hamiltonian_shifts(
     Builds Abar = U^T (A + B F) E^-1 U, Gbar = (U^T B_k)(U^T B_k)^T with
     B_k = B Kpi^-1, and Qbar from the projected residual factor, then selects
     stable eigenvalues ordered by descending lower-block eigenvector norm.
-    Ties prefer real eigenvalues, then real parts closest to zero.  With no
-    stable eigenpair available it degrades to the projection strategy.
-    ``ops`` is as for :func:`projection_shifts`.
+    Norms at the rounding floor (2d eps) count as zero.  Ties prefer real
+    eigenvalues, then real parts closest to zero.  With no stable eigenpair
+    available it degrades to the projection strategy.  ``ops`` is as for
+    :func:`projection_shifts`.
     """
     ops = ops or p.operators()
     abar, w = _projected_closed_loop(u, p, f, ops)
@@ -158,6 +159,9 @@ def hamiltonian_shifts(
     ham = np.block([[abar, gbar], [qbar, -abar.T]])
     lam, vecs = np.linalg.eig(ham)
     qnorm = np.linalg.norm(vecs[d:, :], axis=0)
+    # Lower-block norms at the rounding floor are ties, so that rounding
+    # cannot reorder them; the secondary keys decide.
+    qnorm[qnorm <= ham.shape[0] * np.finfo(float).eps] = 0.0
 
     stable = lam.real < 0
     if not np.any(stable):

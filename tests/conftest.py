@@ -31,8 +31,11 @@ def _recording_omega():
 
     def recording(stacked, *args, **kwargs):
         trunc = kernels.trunc_svd(stacked, *args, **kwargs)
-        kept = stacked @ trunc.vt.T  # Omega = stacked (I - V V^T)
-        omegas.append(stacked - kept @ trunc.vt)
+        # Omega = Sigma_tail V_tail^T from an SVD of its own, independent of the
+        # implementation; only its Gram is used.
+        sv = np.linalg.svd(stacked, full_matrices=False)
+        k = trunc.rank
+        omegas.append(sv.S[k:, None] * sv.Vh[k:])
         return trunc
 
     with pytest.MonkeyPatch.context() as mp:

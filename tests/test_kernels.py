@@ -14,6 +14,7 @@ from scare_radi.kernels import (
     chol_spd,
     factor_shifted,
     ltimes,
+    materialize_stack,
     smw_row_solve,
     trunc_svd,
 )
@@ -78,7 +79,7 @@ def test_ltimes_empty_stack_passthrough():
     m = StackedMat.from_blocks([], block_rows=4, block_cols=2)
     out = ltimes(np.zeros((3, 4)), m)
     assert out.block_count == 0
-    assert out.materialize().shape == (0, 2)
+    assert materialize_stack(out.blocks, 2).shape == (0, 2)
 
 
 def test_stackedmat_rejects_ragged_blocks():
@@ -265,9 +266,11 @@ def test_chol_property_reconstruction(seed, k):
 
 
 def test_trunc_svd_zero_input():
-    res = trunc_svd(np.zeros((3, 5)), 1.0, cap=3)
-    assert res.rank == 0
-    assert res.discarded_sq_trace == 0.0
+    # Wide, empty and tall zero factors keep nothing through either Gram.
+    for p in (3, 0, 7):
+        res = trunc_svd(np.zeros((p, 5)), 1.0, cap=3)
+        assert res.rank == 0 and res.factor.shape == (0, 5)
+        assert res.discarded_sq_trace == 0.0
 
 
 def test_trunc_svd_diagonal_example():
@@ -286,8 +289,8 @@ def test_trunc_svd_full_energy_conservation():
     total = np.linalg.norm(c) ** 2
     assert abs(total - np.sum(res.sigma**2)) <= 1e-12 * total
     assert res.discarded_sq_trace <= 1e-12 * total
-    # Retained factor reproduces the row space: C^T C = V Sigma^2 V^T.
-    recon = res.vt.T @ (res.sigma[:, None] ** 2 * res.vt)
+    # The retained factor reproduces the Gram: C^T C = V Sigma^2 V^T.
+    recon = res.factor.T @ res.factor
     assert np.linalg.norm(c.T @ c - recon) <= 1e-10 * total
 
 
@@ -304,7 +307,7 @@ def test_trunc_svd_gram_residual_matches_discard():
     rng = np.random.default_rng(12)
     c = rng.standard_normal((10, 60))
     res = trunc_svd(c, tau_abs=0.5, cap=10)
-    gram_residual = c.T @ c - res.vt.T @ (res.sigma[:, None] ** 2 * res.vt)
+    gram_residual = c.T @ c - res.factor.T @ res.factor
     assert (
         abs(np.trace(gram_residual) - res.discarded_sq_trace)
         <= 1e-12 * np.linalg.norm(c) ** 2
@@ -325,49 +328,37 @@ def test_trunc_svd_tall_input_conserves_energy():
     st.integers(2, 40),
     st.sampled_from([2, 5]),
     st.floats(12.0, 16.0),
+    st.booleans(),
 )
-def test_trunc_svd_tall_gram_route_on_graded_factors(seed, n, ratio, decades):
-    # A tall factor goes through eigh of C^T C and divides by no sigma, so the
-    # kept Gram is accurate to eps |C|^2 even where the spectrum spans 12-16
-    # decades (a Sigma^-1 U^T C recovery would lose the small directions).
+def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
+    # Both routes go through eigh of the smaller Gram and divide by no sigma,
+    # so the kept Gram is accurate to eps |C|^2 even where the spectrum spans
+    # 12-16 decades (a Sigma^-1 U^T C recovery would lose the small directions).
     rng = np.random.default_rng(seed)
-    p = ratio * n
-    q1, _ = np.linalg.qr(rng.standard_normal((p, n)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    c = (q1 * 10.0 ** -np.linspace(0.0, decades, n)) @ q2.T
+    q1, _ = np.linalg.qr(rng.standard_normal((ratio * k, k)))
+    q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    c = (q1 * 10.0 ** -np.linspace(0.0, decades, k)) @ q2.T
+    if not tall:
+        c = np.ascontiguousarray(c.T)
+    p = c.shape[0]
     total = np.linalg.norm(c) ** 2
     eps = np.finfo(float).eps
 
     res = trunc_svd(c, tau_abs=0.0, cap=p)
-    assert res.route == "tall-gram"
-    kept_gram = res.vt.T @ (res.sigma[:, None] ** 2 * res.vt)
-    assert np.linalg.norm(c.T @ c - kept_gram) <= 50 * eps * total
+    assert res.route == ("tall-gram" if tall else "gram")
+    assert res.factor.shape == (res.rank, c.shape[1])
+    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * eps * total
     assert abs(total - (np.sum(res.sigma**2) + res.discarded_sq_trace)) <= 1e-12 * total
-    np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(res.rank), rtol=0, atol=1e-13)
 
-    # With a threshold between two of the SVD's tail sums, both routes drop
-    # the same directions.
+    # With a threshold between two of the SVD's tail sums, both drop the
+    # same directions.
     sq = np.linalg.svd(c, compute_uv=False) ** 2
     tails = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
-    cut = int(rng.integers(1, n))
+    cut = int(rng.integers(1, k))
     tau = np.sqrt(tails[cut] * tails[cut - 1])
     svd_tail = tails[tails <= tau].max()
     cut_res = trunc_svd(c, tau_abs=tau, cap=p)
     assert abs(cut_res.discarded_sq_trace - svd_tail) <= 10 * eps * total
-
-
-def test_trunc_svd_graded_spectrum_accuracy():
-    # Singular values spanning 14 orders of magnitude: the cross-product route
-    # must hand over to the one-sided SVD for the tiny ones to stay accurate.
-    rng = np.random.default_rng(8)
-    n = 200
-    svals = 10.0 ** -np.arange(8.0)
-    q1, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, 8)))
-    c = q1 @ (svals[:, None] * q2.T)
-    res = trunc_svd(c, tau_abs=0.0, cap=8)
-    assert res.route == "svd"
-    np.testing.assert_allclose(res.sigma, svals, rtol=1e-6)
 
 
 @settings(max_examples=60, deadline=None)

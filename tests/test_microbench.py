@@ -6,6 +6,7 @@ Few rounds keep them cheap inside the full suite; run them alone with
 """
 
 import numpy as np
+import pytest
 
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, step_once
@@ -48,16 +49,20 @@ def test_xi_append_75_steps(benchmark):
     assert state.xi.tobytes() == np.hstack([s.T for s in blocks]).tobytes()
 
 
-def test_trunc_svd_tall_c9_shape(benchmark):
-    # The c9 stochastic stack at n = 300: five blocks of a 300-row residual
-    # factor, truncated under the workload's row cap.
+@pytest.mark.parametrize("route", ["tall-gram", "gram"], ids=["tall", "wide"])
+def test_trunc_svd_c9_shape(benchmark, route):
+    # Graded c9 stacks at n = 300.  Tall: five blocks of a 300-row residual
+    # factor, truncated under the workload's row cap.  Wide: the 150-row
+    # stack of step 2, whose spectrum spans 12 decades.
     rng = np.random.default_rng(0)
-    c = rng.standard_normal((1500, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
+    if route == "tall-gram":
+        c = rng.standard_normal((1500, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
+    else:
+        c = 10.0 ** -np.linspace(0.0, 12.0, 150)[:, None] * rng.standard_normal((150, 300))
     res = benchmark.pedantic(trunc_svd, args=(c, 0.0, 1500), rounds=5, warmup_rounds=1)
     total = np.linalg.norm(c) ** 2
-    kept_gram = res.vt.T @ (res.sigma[:, None] ** 2 * res.vt)
-    assert res.route == "tall-gram"
-    assert np.linalg.norm(c.T @ c - kept_gram) <= 50 * np.finfo(float).eps * total
+    assert res.route == route
+    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * np.finfo(float).eps * total
 
 
 def test_capped_basis_and_hamiltonian_shifts_c9_shape(benchmark):

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from scare_radi import engine, kernels
+from scare_radi.bench import gen_heat_problem
 from scare_radi.engine import SolveOptions, init_state, radi_solve, step_once
 from scare_radi.errors import BasisFailureError, ShiftFailureError
 from scare_radi.kernels import StackedMat
@@ -254,6 +258,31 @@ def test_next_shift_recomputes_when_exhausted():
     g, cache = next_shift(cfg, ShiftCache(pending=[]), p, st)
     assert g > 0
     assert cache.source_iteration == st.k
+
+
+def test_shift_order_ignores_rounding_level_priorities(monkeypatch):
+    # Cached Hamiltonian shifts whose lower-block norms sit at the rounding
+    # floor (here ~1e-16) must not be reordered by rounding of the residual
+    # factor.  Perturb every wide-route factor by a sigma round trip: the
+    # solve keeps its iteration count and shift sequence.
+    p = gen_heat_problem(5000, 7, 6, seed=10, mass_matrix=True)
+    opts = SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached"))
+    _, ref = radi_solve(p, opts)
+
+    def round_trip(stacked, *args, **kwargs):
+        trunc = kernels.trunc_svd(stacked, *args, **kwargs)
+        if trunc.route != "gram":
+            return trunc
+        sigma = trunc.sigma[:, None]
+        return dataclasses.replace(trunc, factor=sigma * (trunc.factor / sigma))
+
+    monkeypatch.setattr(engine, "trunc_svd", round_trip)
+    _, got = radi_solve(p, opts)
+    assert ref.converged and got.converged
+    assert got.iterations == ref.iterations
+    np.testing.assert_allclose(
+        [r.gamma for r in got.rows[1:]], [r.gamma for r in ref.rows[1:]], rtol=1e-6
+    )
 
 
 def test_all_twelve_variants_converge_small():
