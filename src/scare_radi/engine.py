@@ -199,7 +199,7 @@ def step_once(
     # Rows of C through A + B F - gamma*E, from one sparse factorization of
     # A - gamma*E and the SMW correction for the feedback.
     t0 = time.perf_counter()
-    fac = factor_shifted(state.ops.a, gamma, e=e)
+    fac = factor_shifted(state.ops, gamma)
     c_f = smw_row_solve(fac, p.b, state.f, state.ccur)
     c_gamma = sqrt2g * c_f
     t_solve = time.perf_counter() - t0
@@ -219,7 +219,7 @@ def step_once(
     w8 = sqrt2g * w(s)
     w8e = w8 if e is None else np.asarray((e.T @ w8.T).T)
     c_top = state.ccur + w8e
-    f_mid = state.f - sla.solve_triangular(state.kpi, y.T @ w8e, lower=False)
+    f_mid = state.f - sla.solve_triangular(state.kpi, y.T, lower=False) @ w8e
 
     if r > 1:
         # Z = (I (x) W) Yhat Kpi^-1, X = (I (x) W)(Cm + Yhat F); I + Z^T Z = K^T K.

@@ -26,6 +26,7 @@ __all__ = [
     "TruncationResult",
     "ltimes",
     "factor_shifted",
+    "sparse_lu",
     "smw_row_solve",
     "chol_spd",
     "trunc_svd",
@@ -113,12 +114,25 @@ def ltimes(x: np.ndarray, m: StackedMat) -> StackedMat:
     )
 
 
+def sparse_lu(m: sp.csc_matrix):
+    """SuperLU factorization of a square CSC matrix.
+
+    Every sparse factorization of the solver goes through here, with one
+    column ordering: minimum degree on the pattern of M^T + M, which suits
+    the structurally symmetric PDE operators the solver targets (on a 2-D
+    5-point operator it leaves far less fill than SuperLU's default COLAMD).
+    """
+    return splu(m, permc_spec="MMD_AT_PLUS_A")
+
+
 @dataclass
 class ShiftedFactorization:
-    """Sparse LU of A - gamma*E, reusable for many row solves.
+    """Sparse LU of (A - gamma*E)^T, reusable for many row solves.
 
-    The handle is read-only after construction and safe to share across
-    threads for simultaneous solves.
+    Factoring the transpose turns every row solve rows @ (A - gamma*E)^-1
+    into a plain (non-transposed) SuperLU solve.  The handle is read-only
+    after construction, holds no reference to the assembled matrix, and is
+    safe to share across threads for simultaneous solves.
     """
 
     gamma: float
@@ -126,7 +140,7 @@ class ShiftedFactorization:
     _lu: object = field(repr=False)
 
     def row_solve(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ (A - gamma*E)^-1 via one transposed sparse solve."""
+        """rows @ (A - gamma*E)^-1 as the sparse solve (A - gamma*E)^-T rows^T."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.shape[1] != self.n:
             raise ConformabilityError(
@@ -134,25 +148,24 @@ class ShiftedFactorization:
             )
         if rows.shape[0] == 0:
             return rows.copy()
-        return self._lu.solve(rows.T, trans="T").T
+        return self._lu.solve(rows.T).T
 
 
-def _csc(m):
-    """m in CSC format; a CSC input is returned as it is, not rebuilt."""
-    return m.tocsc() if sp.issparse(m) else sp.csc_matrix(m)
+def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
+    """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
 
-
-def factor_shifted(a, gamma: float, e=None) -> ShiftedFactorization:
-    """Factor A - gamma*E with sparse LU (partial pivoting, fill-reducing ordering)."""
-    n = a.shape[0]
-    shifted = _csc(a) - gamma * (sp.identity(n, format="csc") if e is None else _csc(e))
+    ``ops`` is a :class:`scare_radi.problems.OperatorForms`; the shifted
+    matrix is assembled on its fixed pattern (overwriting the previous
+    shift's values) and factored by :func:`sparse_lu` with partial pivoting.
+    An exactly singular shifted matrix raises :class:`ShiftRejectionError`.
+    """
     try:
-        lu = splu(shifted.tocsc())
+        lu = sparse_lu(ops.shifted_transpose(gamma))
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise ShiftRejectionError(
             f"factorization of A - {gamma}*E failed: {exc}"
         ) from exc
-    return ShiftedFactorization(gamma=float(gamma), n=n, _lu=lu)
+    return ShiftedFactorization(gamma=float(gamma), n=ops.a.shape[0], _lu=lu)
 
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:

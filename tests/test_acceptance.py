@@ -25,6 +25,7 @@ from scare_radi.engine import (
     step_once,
 )
 from scare_radi.kernels import smw_row_solve, factor_shifted
+from scare_radi.problems import OperatorForms
 from scare_radi.oracles import (
     alg1_init,
     alg1_step,
@@ -214,7 +215,7 @@ def test_criterion_07_smw_vs_dense():
         f = rng.standard_normal((m, n)) / n
         rows = rng.standard_normal((4, n))
         gamma = float(rng.uniform(0.1, 5.0))
-        out = smw_row_solve(factor_shifted(a, gamma), b, f, rows)
+        out = smw_row_solve(factor_shifted(OperatorForms.of(a), gamma), b, f, rows)
         oracle = sla.solve((a.toarray() + b @ f - gamma * np.eye(n)).T, rows.T).T
         worst = max(worst, np.linalg.norm(out - oracle) / np.linalg.norm(oracle))
     elapsed = time.perf_counter() - t0

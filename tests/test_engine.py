@@ -57,7 +57,7 @@ def test_scalar_one_step_at_optimal_shift(scalar_problem):
 def test_zero_feedback_step_reduces_to_plain_shifted_solve():
     p = random_standard_problem(n=20, m=2, l=2, r=2, seed=0)
     gamma = 1.7
-    got = smw_row_solve(factor_shifted(p.a, gamma), p.b, np.zeros((p.m, p.n)), p.c)
+    got = smw_row_solve(factor_shifted(p.operators(), gamma), p.b, np.zeros((p.m, p.n)), p.c)
     a = p.a_sparse().toarray()
     expected = np.linalg.solve((a - gamma * np.eye(20)).T, p.c.T).T
     np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -158,17 +158,17 @@ def test_stochastic_shift_basis_is_capped(monkeypatch, tmp_path):
 def test_cached_solve_factors_e_once(monkeypatch):
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=13, with_e=True)
     factored, projections = [], []
-    real_splu, real_hami = shifts.splu, shifts.hamiltonian_shifts
+    real_lu, real_hami = shifts.sparse_lu, shifts.hamiltonian_shifts
 
-    def counting_splu(m, *args, **kwargs):
+    def counting_lu(m):
         factored.append(m.shape)
-        return real_splu(m, *args, **kwargs)
+        return real_lu(m)
 
     def counting_hami(*args, **kwargs):
         projections.append(1)
         return real_hami(*args, **kwargs)
 
-    monkeypatch.setattr(shifts, "splu", counting_splu)
+    monkeypatch.setattr(shifts, "sparse_lu", counting_lu)
     monkeypatch.setattr(shifts, "hamiltonian_shifts", counting_hami)
     _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
     assert report.converged

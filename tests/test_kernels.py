@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from scare_radi.errors import (
     ConformabilityError,
@@ -16,9 +17,11 @@ from scare_radi.kernels import (
     ltimes,
     materialize_stack,
     smw_row_solve,
+    sparse_lu,
     trunc_svd,
 )
 from scare_radi.oracles import ltimes_dense, ltimes_identities_check
+from scare_radi.problems import OperatorForms
 
 
 def random_conformable_pair(rng):
@@ -136,7 +139,7 @@ def test_smw_zero_feedback_is_plain_solve():
     rng = np.random.default_rng(0)
     a = sp.csc_matrix(np.diag(-np.arange(1.0, n + 1)) + 0.1 * rng.standard_normal((n, n)))
     gamma = 0.7
-    fac = factor_shifted(a, gamma)
+    fac = factor_shifted(OperatorForms.of(a), gamma)
     shifted = a.toarray() - gamma * np.eye(n)
     rows = np.eye(n)[2:3] @ shifted
     out = smw_row_solve(fac, np.zeros((n, 2)), np.zeros((2, n)), rows)
@@ -148,7 +151,7 @@ def test_smw_rank_one_against_dense_inverse():
     gamma = 1.0
     b = np.array([[1.0], [0.0], [0.0]])
     f = np.array([[0.0, 1.0, 0.0]])
-    fac = factor_shifted(a, gamma, e=sp.identity(3, format="csc"))
+    fac = factor_shifted(OperatorForms.of(a, sp.identity(3, format="csc")), gamma)
     out = smw_row_solve(fac, b, f, np.eye(3))
     dense = np.linalg.inv(a.toarray() + b @ f - np.eye(3))
     np.testing.assert_allclose(out, dense, atol=1e-13)
@@ -163,7 +166,7 @@ def test_smw_matches_dense_lu_n200():
     f = rng.standard_normal((m, n)) / n
     rows = rng.standard_normal((5, n))
     gamma = 2.3
-    fac = factor_shifted(a, gamma)
+    fac = factor_shifted(OperatorForms.of(a), gamma)
     out = smw_row_solve(fac, b, f, rows)
     oracle = sla.solve((a.toarray() + b @ f - gamma * np.eye(n)).T, rows.T).T
     assert np.linalg.norm(out - oracle) <= 1e-11 * np.linalg.norm(oracle)
@@ -180,7 +183,7 @@ def test_smw_property_random_stable_instances():
         f = rng.standard_normal((m, n)) / n
         rows = rng.standard_normal((4, n))
         gamma = float(rng.uniform(0.1, 5.0))
-        fac = factor_shifted(a, gamma)
+        fac = factor_shifted(OperatorForms.of(a), gamma)
         out = smw_row_solve(fac, b, f, rows)
         oracle = sla.solve((a.toarray() + b @ f - gamma * np.eye(n)).T, rows.T).T
         worst = max(worst, np.linalg.norm(out - oracle) / np.linalg.norm(oracle))
@@ -193,7 +196,7 @@ def test_smw_singular_core_rejected():
     gamma = 2.0  # A - 2I = -I
     b = np.array([[1.0], [0.0]])
     f = np.array([[1.0, 0.0]])  # I + F(-I)B = 0
-    fac = factor_shifted(a, gamma)
+    fac = factor_shifted(OperatorForms.of(a), gamma)
     with pytest.raises(ShiftRejectionError):
         smw_row_solve(fac, b, f, np.eye(2))
 
@@ -201,7 +204,7 @@ def test_smw_singular_core_rejected():
 def test_factor_shifted_singular_matrix_rejected():
     a = sp.csc_matrix(np.eye(3))
     with pytest.raises(ShiftRejectionError):
-        factor_shifted(a, 1.0)  # A - I = 0
+        factor_shifted(OperatorForms.of(a), 1.0)  # A - I = 0
 
 
 def test_factorization_shared_across_threads():
@@ -211,13 +214,81 @@ def test_factorization_shared_across_threads():
     n = 120
     a = sp.random(n, n, density=0.05, random_state=3)
     a = sp.csc_matrix(a - sp.diags(np.abs(a).sum(axis=1).A1 + 1.0))
-    fac = factor_shifted(a, 0.8)
+    fac = factor_shifted(OperatorForms.of(a), 0.8)
     rows = [rng.standard_normal((3, n)) for _ in range(16)]
     serial = [fac.row_solve(r) for r in rows]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(fac.row_solve, rows))
     for s, t in zip(serial, threaded):
         np.testing.assert_array_equal(s, t)
+
+
+def test_row_solves_on_nonsymmetric_a_and_e():
+    # A and E nonsymmetric, and E has entries outside A's pattern, so a slip
+    # in the transposed layout or solve cannot cancel out.
+    rng = np.random.default_rng(21)
+    n, m, gamma = 80, 3, 1.3
+    a = sp.random(n, n, density=0.05, random_state=21)
+    a = sp.csc_matrix(a - sp.diags(np.abs(a).sum(axis=1).A1 + 1.0))
+    e = sp.csc_matrix(sp.identity(n) + 0.2 * sp.random(n, n, density=0.04, random_state=22))
+    assert (abs(e) > abs(a)).nnz > n  # part of E's pattern lies outside A's
+    a_d, e_d = a.toarray(), e.toarray()
+    assert not np.allclose(a_d, a_d.T) and not np.allclose(e_d, e_d.T)
+    b = rng.standard_normal((n, m))
+    f = rng.standard_normal((m, n)) / n
+    rows = rng.standard_normal((5, n))
+    fac = factor_shifted(OperatorForms.of(a, e), gamma)
+    checks = (
+        (fac.row_solve(rows), a_d - gamma * e_d),
+        (smw_row_solve(fac, b, f, rows), a_d + b @ f - gamma * e_d),
+    )
+    for out, shifted in checks:
+        oracle = sla.solve(shifted.T, rows.T).T
+        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("case", ["identity", "disjoint", "cancelling"])
+def test_fixed_pattern_assembly_is_the_shifted_transpose(case):
+    rng = np.random.default_rng(5)
+    n, gamma = 12, 0.5  # a power of two, so gamma * (A / gamma) is exactly A
+    a_d = np.triu(rng.standard_normal((n, n)), 1) + np.diag(-np.arange(2.0, n + 2))
+    if case == "identity":
+        e_d = None
+    elif case == "disjoint":  # strictly lower: no entry shared with A
+        e_d = np.tril(rng.standard_normal((n, n)), -1)
+    else:  # A = gamma*E on the whole upper triangle, so those entries cancel
+        e_d = np.triu(a_d, 1) / gamma + np.eye(n)
+    ops = OperatorForms.of(sp.csc_matrix(a_d), None if e_d is None else sp.csc_matrix(e_d))
+    shifted = ops.shifted_transpose(gamma)
+    dense_e = np.eye(n) if e_d is None else e_d
+    np.testing.assert_array_equal(shifted.toarray(), (a_d - gamma * dense_e).T)
+    # The pattern is the union of both patterns whatever the values cancel to.
+    assert shifted.nnz == np.count_nonzero((a_d != 0) | (dense_e != 0))
+    if case == "cancelling":
+        assert np.count_nonzero(shifted.data == 0.0) == n * (n - 1) // 2
+
+
+def test_factorization_survives_reassembly_at_another_shift():
+    rng = np.random.default_rng(8)
+    n = 60
+    a = sp.random(n, n, density=0.08, random_state=8)
+    a = sp.csc_matrix(a - sp.diags(np.abs(a).sum(axis=1).A1 + 1.0))
+    e = sp.csc_matrix(sp.identity(n) + 0.1 * sp.random(n, n, density=0.05, random_state=9))
+    ops = OperatorForms.of(a, e)
+    rows = rng.standard_normal((4, n))
+    first = factor_shifted(ops, 0.5)
+    second = factor_shifted(ops, 7.0)  # reuses the buffer the first was assembled in
+    for fac in (first, second):
+        oracle = sla.solve((a.toarray() - fac.gamma * e.toarray()).T, rows.T).T
+        assert np.linalg.norm(fac.row_solve(rows) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_minimum_degree_ordering_fills_less_than_colamd_on_2d_stencil():
+    k = 60  # 5-point Laplacian on a 60 x 60 grid, n = 3600
+    t = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(k, k))
+    shifted = OperatorForms.of(sp.kronsum(t, t, format="csc")).shifted_transpose(10.0)
+    chosen, colamd = sparse_lu(shifted), splu(shifted, permc_spec="COLAMD")
+    assert chosen.L.nnz + chosen.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
 
 # ---------------------------------------------------------------------------
