@@ -26,7 +26,6 @@ __all__ = [
     "TruncationResult",
     "ltimes",
     "factor_shifted",
-    "sparse_lu",
     "smw_row_solve",
     "chol_spd",
     "trunc_svd",
@@ -114,25 +113,14 @@ def ltimes(x: np.ndarray, m: StackedMat) -> StackedMat:
     )
 
 
-def sparse_lu(m: sp.csc_matrix):
-    """SuperLU factorization of a square CSC matrix.
-
-    Every sparse factorization of the solver goes through here, with one
-    column ordering: minimum degree on the pattern of M^T + M, which suits
-    the structurally symmetric PDE operators the solver targets (on a 2-D
-    5-point operator it leaves far less fill than SuperLU's default COLAMD).
-    """
-    return splu(m, permc_spec="MMD_AT_PLUS_A")
-
-
 @dataclass
 class ShiftedFactorization:
     """Sparse LU of (A - gamma*E)^T, reusable for many row solves.
 
     Factoring the transpose turns every row solve rows @ (A - gamma*E)^-1
     into a plain (non-transposed) SuperLU solve.  The handle is read-only
-    after construction, holds no reference to the assembled matrix, and is
-    safe to share across threads for simultaneous solves.
+    after construction and safe to share across threads for simultaneous
+    solves.
     """
 
     gamma: float
@@ -155,12 +143,12 @@ def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
     """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
 
     ``ops`` is a :class:`scare_radi.problems.OperatorForms`; the shifted
-    matrix is assembled on its fixed pattern (overwriting the previous
-    shift's values) and factored by :func:`sparse_lu` with partial pivoting.
-    An exactly singular shifted matrix raises :class:`ShiftRejectionError`.
+    matrix is ``ops.at - gamma*ops.et``, factored by SuperLU with partial
+    pivoting and its default fill-reducing ordering.  An exactly singular
+    shifted matrix raises :class:`ShiftRejectionError`.
     """
     try:
-        lu = sparse_lu(ops.shifted_transpose(gamma))
+        lu = splu(ops.at - gamma * ops.et)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise ShiftRejectionError(
             f"factorization of A - {gamma}*E failed: {exc}"

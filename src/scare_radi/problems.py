@@ -215,25 +215,22 @@ class StandardProblem:
 class OperatorForms:
     """The fixed operators of one solve, in the forms its iterations use.
 
-    Converting A and E to CSC, taking ||A||_1, laying out the shifted matrix
-    and factoring E are the same work at every step, so a solve does them
-    once.  The shifted matrix is kept transposed, (A - gamma*E)^T in CSC, on
-    the union of the patterns of A^T and E^T (I when E is None); ``a_vals``
-    and ``e_vals`` hold the values of A^T and E^T on that pattern, so a shift
-    is assembled by one subtraction into ``shifted_t.data``
-    (:meth:`shifted_transpose`).  Build instances with :meth:`of`.
+    Converting A and E to CSC, taking ||A||_1, transposing them for the
+    shifted solve and factoring E are the same work at every step, so a
+    solve does them once.  ``at`` and ``et`` are A^T and E^T (I when E is
+    None) in CSC, so each step factors (A - gamma*E)^T as ``at - gamma*et``.
+    Build instances with :meth:`of`.
 
     ``e_lu`` is filled by the shift layer on first use.  An instance belongs
     to one solve: problems are shared read-only across grid threads, while
-    ``e_lu`` and ``shifted_t`` are written.
+    ``e_lu`` is written.
     """
 
     a: sp.csc_matrix
     e: sp.csc_matrix | None
     a_norm1: float
-    shifted_t: sp.csc_matrix
-    a_vals: np.ndarray
-    e_vals: np.ndarray
+    at: sp.csc_matrix
+    et: sp.csc_matrix
     e_lu: object = None
 
     @classmethod
@@ -241,34 +238,13 @@ class OperatorForms:
         """Operator forms of a sparse or dense A and an optional E (None is I)."""
         a = sp.csc_matrix(a, dtype=float)
         e = None if e is None else sp.csc_matrix(e, dtype=float)
-        n = a.shape[0]
-        # Entry (i, j) of M is entry (j, i) of M^T, whose CSC position sorts
-        # by the key i*n + j; duplicate entries sum, as in scipy.
-        coos = [m.tocoo() for m in (a, sp.identity(n) if e is None else e)]
-        entry_keys = [c.row.astype(np.int64) * n + c.col for c in coos]
-        keys = np.union1d(*entry_keys)
-        a_vals, e_vals = (
-            np.bincount(np.searchsorted(keys, k), c.data, minlength=keys.size)
-            for k, c in zip(entry_keys, coos)
-        )
-        col, row = np.divmod(keys, n)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
-        shifted_t = sp.csc_matrix(
-            (a_vals.copy(), row.astype(np.intc), indptr.astype(np.intc)), shape=(n, n)
-        )
         return cls(
             a=a,
             e=e,
             a_norm1=float(np.max(np.asarray(abs(a).sum(axis=0)).ravel())),
-            shifted_t=shifted_t,
-            a_vals=a_vals,
-            e_vals=e_vals,
+            at=a.T.tocsc(),
+            et=sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc(),
         )
-
-    def shifted_transpose(self, gamma: float) -> sp.csc_matrix:
-        """(A - gamma*E)^T, assembled into ``shifted_t`` (overwriting the last shift)."""
-        np.subtract(self.a_vals, gamma * self.e_vals, out=self.shifted_t.data)
-        return self.shifted_t
 
 
 @dataclass

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.linalg import splu
 
 from .errors import BasisFailureError, NoProgressError, ShiftFailureError
-from .kernels import sparse_lu
 
 __all__ = [
     "ShiftConfig",
@@ -108,7 +108,7 @@ def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
         w = u
     else:
         if ops.e_lu is None:
-            ops.e_lu = sparse_lu(ops.e)
+            ops.e_lu = splu(ops.e)
         w = ops.e_lu.solve(np.ascontiguousarray(u))
     aw = ops.a @ w
     abar = u.T @ aw + (u.T @ p.b) @ (f @ w)

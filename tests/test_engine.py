@@ -158,17 +158,17 @@ def test_stochastic_shift_basis_is_capped(monkeypatch, tmp_path):
 def test_cached_solve_factors_e_once(monkeypatch):
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=13, with_e=True)
     factored, projections = [], []
-    real_lu, real_hami = shifts.sparse_lu, shifts.hamiltonian_shifts
+    real_splu, real_hami = shifts.splu, shifts.hamiltonian_shifts
 
-    def counting_lu(m):
+    def counting_splu(m, *args, **kwargs):
         factored.append(m.shape)
-        return real_lu(m)
+        return real_splu(m, *args, **kwargs)
 
     def counting_hami(*args, **kwargs):
         projections.append(1)
         return real_hami(*args, **kwargs)
 
-    monkeypatch.setattr(shifts, "sparse_lu", counting_lu)
+    monkeypatch.setattr(shifts, "splu", counting_splu)
     monkeypatch.setattr(shifts, "hamiltonian_shifts", counting_hami)
     _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
     assert report.converged

@@ -7,12 +7,10 @@ Few rounds keep them cheap inside the full suite; run them alone with
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, step_once
 from scare_radi.kernels import factor_shifted, trunc_svd
-from scare_radi.problems import OperatorForms
 from scare_radi.shifts import build_basis, hamiltonian_shifts
 
 N = 5000
@@ -29,24 +27,6 @@ def test_factor_shifted_and_row_solve(benchmark):
 
     out = benchmark.pedantic(factor_and_solve, rounds=5, iterations=1, warmup_rounds=1)
     back = np.asarray((ops.a - gamma * ops.e).T @ out.T).T
-    assert np.linalg.norm(back - rows) <= 1e-10 * np.linalg.norm(rows)
-
-
-def test_factor_shifted_2d_stencil(benchmark):
-    # A 5-point Laplacian on a 100 x 100 grid (n = 10^4): unlike the
-    # tridiagonal workloads, its sparse LU has fill that the ordering decides.
-    k = 100
-    t = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(k, k))
-    a = sp.kronsum(t, t, format="csc")
-    ops = OperatorForms.of(a)
-    rows = np.random.default_rng(0).standard_normal((13, k * k))
-    gamma = 10.0
-
-    def factor_and_solve():
-        return factor_shifted(ops, gamma).row_solve(rows)
-
-    out = benchmark.pedantic(factor_and_solve, rounds=5, iterations=1, warmup_rounds=1)
-    back = np.asarray((a - gamma * sp.identity(k * k)).T @ out.T).T
     assert np.linalg.norm(back - rows) <= 1e-10 * np.linalg.norm(rows)
 
 
