@@ -35,7 +35,8 @@ from .kernels import (
     factor_shifted,
     kron_gram,  # unused here, but perfbench/tracing.py wraps engine.kron_gram by name
     ltimes,
-    materialize_stack,
+    materialize_stack,  # unused here too, for the same reason
+    right_tri_solve,
     smw_row_solve,
     trunc_svd,
 )
@@ -154,11 +155,6 @@ def nres_trace(state: SolverState) -> float:
     return (float(np.linalg.norm(state.ccur) ** 2) + state.nu_omega) / state.nu0
 
 
-def _right_tri_solve(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x @ t^-1 for upper-triangular t."""
-    return sla.solve_triangular(t, x.T, trans="T", lower=False).T
-
-
 def _inv_sqrt_gram(z: np.ndarray):
     """The map x -> (I + Z Z^T)^-1/2 x for any p x k Z, in O(p k) per column of x.
 
@@ -192,7 +188,6 @@ def step_once(
     opts = opts or SolveOptions()
     t_start = time.perf_counter()
     n, m, r = p.n, p.m, p.r
-    ell = state.ccur.shape[0]
     e = state.ops.e
     sqrt2g = np.sqrt(2.0 * gamma)
 
@@ -204,9 +199,10 @@ def step_once(
     c_gamma = sqrt2g * c_f
     t_solve = time.perf_counter() - t0
 
-    # Stochastic couplings of the fresh residual factor.
+    # Stochastic couplings of the fresh residual factor, block-major
+    # (r - 1, ell, .): Cm = C_gamma lt Ahat and Yhat = C_gamma lt Bhat.
     t0 = time.perf_counter()
-    y = _right_tri_solve(state.kpi, c_f @ p.b)
+    y = right_tri_solve(state.kpi, c_f @ p.b)
     cm = ltimes(c_gamma, p.ahat)
     yhat = ltimes(c_gamma, p.bhat)
     t_ltimes = time.perf_counter() - t0
@@ -223,10 +219,11 @@ def step_once(
 
     if r > 1:
         # Z = (I (x) W) Yhat Kpi^-1, X = (I (x) W)(Cm + Yhat F); I + Z^T Z = K^T K.
-        yh = materialize_stack(yhat.blocks, m)
-        z_mat = w(_right_tri_solve(state.kpi, yh).reshape(r - 1, ell, m)).reshape(-1, m)
-        x_mat = materialize_stack(cm.blocks, n) + yh @ f_mid
-        x_mat = w(x_mat.reshape(r - 1, ell, n)).reshape(-1, n)
+        yh = yhat.reshape(-1, m)
+        z_mat = w(right_tri_solve(state.kpi, yh).reshape(yhat.shape)).reshape(-1, m)
+        x_mat = (yh @ f_mid).reshape(cm.shape)
+        x_mat += cm
+        x_mat = w(x_mat).reshape(-1, n)
         k_factor = chol_spd(np.eye(m) + z_mat.T @ z_mat)
         kpi_new = k_factor @ state.kpi
         f_new = f_mid - sla.solve_triangular(

@@ -1,10 +1,11 @@
 """Block linear-algebra kernels.
 
-The left semi-tensor product on vertically stacked blocks, SMW-corrected
-shifted row solves, small SPD Cholesky factorization, and a truncated SVD
-taken through the smaller Gram, with no division by the singular values and
-exact accounting of the discarded energy.  Everything here is a pure function
-of its inputs; factorization handles may be shared read-only across threads.
+The left semi-tensor product with vertically stacked blocks as one product,
+SMW-corrected shifted row solves, right triangular solves, small SPD Cholesky
+factorization, and a truncated SVD taken through the smaller Gram, with no
+division by the singular values and exact accounting of the discarded energy.
+Everything here is a pure function of its inputs; factorization handles may be
+shared read-only across threads.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "ShiftedFactorization",
     "TruncationResult",
     "ltimes",
+    "right_tri_solve",
     "factor_shifted",
     "smw_row_solve",
     "chol_spd",
@@ -36,26 +38,22 @@ __all__ = [
 _MACHEPS = np.finfo(float).eps
 
 
-def _left_mul(x: np.ndarray, block) -> np.ndarray:
-    """x @ block for dense x and a dense or sparse block, always dense output."""
-    if sp.issparse(block):
-        return np.asarray((block.T @ x.T).T)
-    return x @ block
-
-
 @dataclass(frozen=True)
 class StackedMat:
-    """A vertically stacked matrix [M_1; ...; M_k] kept as its list of blocks.
+    """A vertically stacked matrix [M_1; ...; M_k] of equal-shape blocks.
 
-    All blocks share the same shape ``block_rows x block_cols``.  A stack with
-    zero blocks is legal and represents the absent stochastic part of a
+    All blocks share the shape ``block_rows x block_cols``.  A stack with zero
+    blocks is legal and represents the absent stochastic part of a
     deterministic problem; the explicit block dimensions keep downstream
-    shapes well defined in that case.
+    shapes well defined in that case.  ``stacked`` holds [M_1^T; ...; M_k^T],
+    built at construction in the form :func:`ltimes` applies: CSR when the
+    blocks are sparse, dense otherwise (0 x block_rows when there are none).
     """
 
     blocks: tuple
     block_rows: int
     block_cols: int
+    stacked: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for blk in self.blocks:
@@ -64,6 +62,11 @@ class StackedMat:
                     f"stacked block of shape {blk.shape} does not match "
                     f"({self.block_rows}, {self.block_cols})"
                 )
+        if any(map(sp.issparse, self.blocks)):
+            stacked = sp.vstack([blk.T for blk in self.blocks], format="csr", dtype=float)
+        else:  # the transpose of C-ordered [M_1, ..., M_k]: BLAS sees x @ M_i's operands
+            stacked = np.hstack([np.zeros((self.block_rows, 0)), *self.blocks]).T
+        object.__setattr__(self, "stacked", stacked)
 
     @classmethod
     def from_blocks(cls, blocks, block_rows=None, block_cols=None) -> "StackedMat":
@@ -92,13 +95,15 @@ def kron_gram(base: np.ndarray, k: int) -> np.ndarray:
     return np.kron(np.eye(k), base)
 
 
-def ltimes(x: np.ndarray, m: StackedMat) -> StackedMat:
+def ltimes(x: np.ndarray, m: StackedMat) -> np.ndarray:
     """Left semi-tensor product of a dense matrix with a stacked matrix.
 
-    For the stacked operand this reduces to the blockwise product: block i of
-    the result is ``x @ m.blocks[i]``.  Only the row-compatible case used by
-    the iteration is supported here; the general divisibility-based product
-    lives in :func:`scare_radi.oracles.ltimes_dense`.
+    For the stacked operand this is the blockwise product, taken for all k
+    blocks as the one product ``m.stacked @ x^T`` and returned as the
+    block-major k x rows(x) x block_cols array whose slice i is ``x @ M_i``
+    (a transposed view, so reshaping it copies).  Only the row-compatible case
+    used by the iteration is supported here; the general divisibility-based
+    product lives in :func:`scare_radi.oracles.ltimes_dense`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != m.block_rows:
@@ -106,11 +111,13 @@ def ltimes(x: np.ndarray, m: StackedMat) -> StackedMat:
             f"left operand has shape {x.shape} but stacked blocks are "
             f"{m.block_rows} x {m.block_cols}"
         )
-    return StackedMat.from_blocks(
-        [_left_mul(x, b) for b in m.blocks],
-        block_rows=x.shape[0],
-        block_cols=m.block_cols,
-    )
+    prod = np.asarray(m.stacked @ x.T)
+    return prod.reshape(m.block_count, m.block_cols, x.shape[0]).transpose(0, 2, 1)
+
+
+def right_tri_solve(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x @ t^-1 for upper-triangular t."""
+    return sla.solve_triangular(t, x.T, trans="T", lower=False).T
 
 
 @dataclass

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .engine import _right_tri_solve
 from .errors import ConformabilityError, OracleFailureError
-from .kernels import chol_spd, kron_gram, materialize_stack
+from .kernels import chol_spd, kron_gram, materialize_stack, right_tri_solve
 from .problems import (
     DenseCoefficients,
     DenseSolution,
@@ -388,8 +387,8 @@ def alg1_step(st: Alg1State, gamma: float) -> Alg1State:
         acc += z.T @ sla.solve_triangular(n_factor, cm, lower=True)
     lt = lt + sla.solve_triangular(k_factor, acc, trans="T", lower=False)
 
-    b_new = _right_tri_solve(k_factor, st.b)
-    bhat_new = [_right_tri_solve(k_factor, bh) for bh in st.bhat]
+    b_new = right_tri_solve(k_factor, st.b)
+    bhat_new = [right_tri_solve(k_factor, bh) for bh in st.bhat]
     a_new = st.a - b_new @ lt
     ahat_new = [ah - bh @ lt for ah, bh in zip(st.ahat, bhat_new)]
 

@@ -1,11 +1,11 @@
 """Problem containers and dense reference operators.
 
 Holds the original, standard-form, and generalized (mass-matrix) quadratic
-matrix equations with sparse coefficients and low-rank factors, the two
-transforms between the original and standard forms, and brute-force dense
-evaluators for the residual, the feedback, and the defect-correction
-("incorporation") residual.  The dense evaluators exist for verification and
-are guarded to moderate dimensions.
+matrix equations with sparse coefficients and low-rank factors, a solve's
+operator forms, the two transforms between the original and standard forms,
+and brute-force dense evaluators for the residual, the feedback, and the
+defect-correction ("incorporation") residual.  The dense evaluators exist for
+verification and are guarded to moderate dimensions.
 
 Problem directory layout consumed by the benchmark loader: Matrix Market
 files ``A.mtx``, ``B.mtx``, ``C.mtx``, optional ``E.mtx``, optional
@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import (
     AssumptionViolationError,
     ConformabilityError,
     DefinitenessError,
 )
-from .kernels import StackedMat, chol_spd
+from .kernels import StackedMat, chol_spd, right_tri_solve
 
 __all__ = [
     "OriginalProblem",
@@ -196,13 +197,10 @@ class StandardProblem:
         has_init = np.any(self.f0) or not np.allclose(self.kpi0, np.eye(self.m))
         if has_init:
             a = a + b @ self.f0
-            b_eff = sla.solve_triangular(self.kpi0, b.T, trans="T", lower=False).T
+            b_eff = right_tri_solve(self.kpi0, b)
             ahat = [_as_dense(blk) + _as_dense(bb) @ self.f0
                     for blk, bb in zip(self.ahat.blocks, self.bhat.blocks)]
-            bhat = [
-                sla.solve_triangular(self.kpi0, _as_dense(bb).T, trans="T", lower=False).T
-                for bb in self.bhat.blocks
-            ]
+            bhat = [right_tri_solve(self.kpi0, _as_dense(bb)) for bb in self.bhat.blocks]
         else:
             b_eff = b
             ahat = [_as_dense(blk) for blk in self.ahat.blocks]
@@ -211,19 +209,17 @@ class StandardProblem:
         return DenseCoefficients(a, b_eff, self.c.copy(), ahat, bhat, e)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorForms:
     """The fixed operators of one solve, in the forms its iterations use.
 
     Converting A and E to CSC, taking ||A||_1, transposing them for the
-    shifted solve and factoring E are the same work at every step, so a
-    solve does them once.  ``at`` and ``et`` are A^T and E^T (I when E is
-    None) in CSC, so each step factors (A - gamma*E)^T as ``at - gamma*et``.
-    Build instances with :meth:`of`.
-
-    ``e_lu`` is filled by the shift layer on first use.  An instance belongs
-    to one solve: problems are shared read-only across grid threads, while
-    ``e_lu`` is written.
+    shifted solve and factoring E are the same work at every step, so
+    :meth:`of` does them once, and the instance is immutable after that.
+    ``at`` and ``et`` are A^T and E^T (I when E is None) in CSC, so each step
+    factors (A - gamma*E)^T as ``at - gamma*et``; ``e_lu`` is the sparse LU
+    of E the shift layer solves with (None when E is None).  A singular E
+    raises :class:`AssumptionViolationError` in :meth:`of`.
     """
 
     a: sp.csc_matrix
@@ -231,19 +227,24 @@ class OperatorForms:
     a_norm1: float
     at: sp.csc_matrix
     et: sp.csc_matrix
-    e_lu: object = None
+    e_lu: object
 
     @classmethod
     def of(cls, a, e=None) -> "OperatorForms":
         """Operator forms of a sparse or dense A and an optional E (None is I)."""
         a = sp.csc_matrix(a, dtype=float)
         e = None if e is None else sp.csc_matrix(e, dtype=float)
+        try:
+            e_lu = None if e is None else splu(e)
+        except RuntimeError as exc:  # SuperLU signals exact singularity this way
+            raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
         return cls(
             a=a,
             e=e,
             a_norm1=float(np.max(np.asarray(abs(a).sum(axis=0)).ravel())),
             at=a.T.tocsc(),
             et=sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc(),
+            e_lu=e_lu,
         )
 
 
@@ -304,19 +305,14 @@ def standardize(orig: OriginalProblem) -> StandardProblem:
             return a
         return sp.csc_matrix(_as_dense(a) - _as_dense(b) @ rinv_lt)
 
-    def scale_b(b):
-        return sla.solve_triangular(p, _as_dense(b).T, trans="T", lower=False).T
-
     a = absorb(orig.a_list[0], orig.b_list[0])
-    b = scale_b(orig.b_list[0])
+    b, *bhat_blocks = [right_tri_solve(p, _as_dense(bi)) for bi in orig.b_list]
     ahat = StackedMat.from_blocks(
         [sp.csc_matrix(absorb(ai, bi)) for ai, bi in zip(orig.a_list[1:], orig.b_list[1:])],
         block_rows=n,
         block_cols=n,
     )
-    bhat = StackedMat.from_blocks(
-        [scale_b(bi) for bi in orig.b_list[1:]], block_rows=n, block_cols=orig.m
-    )
+    bhat = StackedMat.from_blocks(bhat_blocks, block_rows=n, block_cols=orig.m)
     return StandardProblem(
         a=sp.csc_matrix(a),
         b=b,
@@ -421,11 +417,8 @@ def incorporation_coefficients(p: StandardProblem | DenseCoefficients, x: np.nda
     except Exception as exc:
         raise DefinitenessError("R_X = I + Bhat' X Bhat is not positive definite") from exc
 
-    def right_scale(b):
-        return sla.solve_triangular(p_x, b.T, trans="T", lower=False).T
-
-    b_x = right_scale(co.b)
-    bhat_x = [right_scale(bh) for bh in co.bhat]
+    b_x = right_tri_solve(p_x, co.b)
+    bhat_x = [right_tri_solve(p_x, bh) for bh in co.bhat]
     xe = x if co.e is None else x @ co.e
     lt = b_x.T @ xe
     for bhx, ah in zip(bhat_x, co.ahat):

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import splu
 
 from .errors import BasisFailureError, NoProgressError, ShiftFailureError
+from .kernels import right_tri_solve
 
 __all__ = [
     "ShiftConfig",
@@ -103,28 +103,23 @@ def build_basis(s_history, s: int, fallback: np.ndarray, q: int | None = None) -
 
 
 def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
-    """U^T (A + B F) E^-1 U together with the E^-1 U workspace."""
-    if ops.e is None:
-        w = u
-    else:
-        if ops.e_lu is None:
-            ops.e_lu = splu(ops.e)
-        w = ops.e_lu.solve(np.ascontiguousarray(u))
+    """U^T (A + B F) E^-1 U and E^-1 U, solved with ``ops.e_lu`` (U itself when E is I)."""
+    w = u if ops.e_lu is None else ops.e_lu.solve(np.ascontiguousarray(u))
     aw = ops.a @ w
     abar = u.T @ aw + (u.T @ p.b) @ (f @ w)
     return abar, w
 
 
 def projection_shifts(
-    u: np.ndarray, p, f: np.ndarray, *, gamma_floor: float, ops=None
+    u: np.ndarray, p, f: np.ndarray, *, gamma_floor: float, ops
 ) -> ShiftCache:
     """Shifts from the stable spectrum of the projected closed-loop matrix.
 
     Returns the negated real parts of every stable eigenvalue, most negative
-    first; the first is the primary shift.  ``ops`` carries the solve's
-    operator forms (``p.operators()``, built afresh when omitted).
+    first; the first is the primary shift.  ``ops`` is the solve's
+    :class:`~scare_radi.problems.OperatorForms`, holding A and the factored E.
     """
-    abar, _ = _projected_closed_loop(u, p, f, ops or p.operators())
+    abar, _ = _projected_closed_loop(u, p, f, ops)
     lam = np.linalg.eigvals(abar)
     stable = lam[lam.real < 0]
     if stable.size == 0:
@@ -136,7 +131,7 @@ def projection_shifts(
 
 def hamiltonian_shifts(
     u: np.ndarray, p, f: np.ndarray, kpi: np.ndarray, ccur: np.ndarray, *,
-    gamma_floor: float, ops=None,
+    gamma_floor: float, ops,
 ) -> ShiftCache:
     """Shifts from the eigenpairs of the projected 2d x 2d Hamiltonian matrix.
 
@@ -145,12 +140,11 @@ def hamiltonian_shifts(
     stable eigenvalues ordered by descending lower-block eigenvector norm.
     Norms at the rounding floor (2d eps) count as zero.  Ties prefer real
     eigenvalues, then real parts closest to zero.  With no stable eigenpair
-    available it degrades to the projection strategy.  ``ops`` is as for
-    :func:`projection_shifts`.
+    available it degrades to the projection strategy.  ``ops`` is the solve's
+    operator forms, as for :func:`projection_shifts`.
     """
-    ops = ops or p.operators()
     abar, w = _projected_closed_loop(u, p, f, ops)
-    bk = sla.solve_triangular(kpi, p.b.T, trans="T", lower=False).T
+    bk = right_tri_solve(kpi, p.b)
     ub = u.T @ bk
     gbar = ub @ ub.T
     cu = np.atleast_2d(ccur) @ w

@@ -1,11 +1,13 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_h
 
-from scare_radi import engine, shifts
+from scare_radi import engine, problems, shifts
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import (
     SolveOptions,
@@ -15,6 +17,7 @@ from scare_radi.engine import (
     step_once,
 )
 from scare_radi.errors import (
+    AssumptionViolationError,
     DegenerateProblemError,
     NoProgressError,
     NumericalBreakdownError,
@@ -156,9 +159,11 @@ def test_stochastic_shift_basis_is_capped(monkeypatch, tmp_path):
 
 
 def test_cached_solve_factors_e_once(monkeypatch):
+    # E is factored where the solve's operator forms are built, once per
+    # solve however many projections solve with it.
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=13, with_e=True)
     factored, projections = [], []
-    real_splu, real_hami = shifts.splu, shifts.hamiltonian_shifts
+    real_splu, real_hami = problems.splu, shifts.hamiltonian_shifts
 
     def counting_splu(m, *args, **kwargs):
         factored.append(m.shape)
@@ -168,12 +173,25 @@ def test_cached_solve_factors_e_once(monkeypatch):
         projections.append(1)
         return real_hami(*args, **kwargs)
 
-    monkeypatch.setattr(shifts, "splu", counting_splu)
+    monkeypatch.setattr(problems, "splu", counting_splu)
     monkeypatch.setattr(shifts, "hamiltonian_shifts", counting_hami)
     _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
     assert report.converged
     assert len(projections) >= 2
-    assert len(factored) == 1
+    assert factored == [(p.n, p.n)]
+
+
+def test_singular_mass_matrix_raises_before_any_step(monkeypatch):
+    base = gen_heat_problem(30, 2, 2, mass_matrix=True)
+    e = base.e.tolil()
+    e[5, :] = 0.0
+    e[:, 5] = 0.0
+    p = dataclasses.replace(base, e=sp.csc_matrix(e))
+    steps = []
+    monkeypatch.setattr(engine, "step_once", lambda *a, **k: steps.append(1))
+    with pytest.raises(AssumptionViolationError, match="singular"):
+        radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
+    assert steps == []
 
 
 def test_overflowing_solve_raises_breakdown():

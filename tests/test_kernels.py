@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,7 +16,6 @@ from scare_radi.kernels import (
     chol_spd,
     factor_shifted,
     ltimes,
-    materialize_stack,
     smw_row_solve,
     trunc_svd,
 )
@@ -39,7 +40,7 @@ def random_conformable_pair(rng):
 def test_ltimes_identity_left_factor():
     m = StackedMat.from_blocks([np.array([[1.0, 2.0], [3.0, 4.0]])])
     out = ltimes(np.eye(2), m)
-    np.testing.assert_allclose(out.blocks[0], [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_allclose(out[0], [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_ltimes_single_block_is_matrix_product():
@@ -47,8 +48,8 @@ def test_ltimes_single_block_is_matrix_product():
     a = rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2))
     out = ltimes(a, StackedMat.from_blocks([b]))
-    assert out.block_count == 1
-    np.testing.assert_allclose(out.blocks[0], a @ b)
+    assert out.shape == (1, 2, 2)
+    np.testing.assert_allclose(out[0], a @ b)
 
 
 def test_ltimes_dense_kron_expansion():
@@ -65,9 +66,56 @@ def test_ltimes_matches_dense_oracle_on_stacks():
     # The dense definition with interleaved stacking gives the same blocks.
     stacked = np.stack(blocks, axis=1).reshape(15, 4)
     dense = ltimes_dense(x, stacked)
-    np.testing.assert_allclose(
-        np.stack(out.blocks, axis=1).reshape(9, 4), dense, atol=1e-13
-    )
+    np.testing.assert_allclose(out.transpose(1, 0, 2).reshape(9, 4), dense, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_ltimes_stacked_product_matches_blockwise(k):
+    # Nonsymmetric sparse Ahat_i (n x n) and dense Bhat_i (n x m) with
+    # ell != n != m, so a transposed block or a reshape in the wrong order
+    # shows up as a wrong entry or shape.
+    rng = np.random.default_rng(11 + k)
+    ell, n, m = 3, 7, 2
+    x = rng.standard_normal((ell, n))
+    ahat = [sp.random(n, n, density=0.4, format="csc", random_state=rng) + sp.eye(n, k=1)
+            for _ in range(k)]
+    bhat = [rng.standard_normal((n, m)) for _ in range(k)]
+    for blocks, cols in ((ahat, n), (bhat, m)):
+        stack = StackedMat.from_blocks(blocks, block_rows=n, block_cols=cols)
+        out = ltimes(x, stack)
+        assert out.shape == (k, ell, cols)
+        dense = [blk.toarray() if sp.issparse(blk) else blk for blk in blocks]
+        for i, blk in enumerate(dense):
+            np.testing.assert_allclose(out[i], x @ blk, rtol=1e-14, atol=1e-14)
+        if k:
+            # interleaved row stacking is the dense semi-tensor product's order
+            interleaved = np.stack(dense, axis=1).reshape(k * n, cols)
+            np.testing.assert_allclose(
+                out.transpose(1, 0, 2).reshape(k * ell, cols),
+                ltimes_dense(x, interleaved),
+                rtol=1e-13, atol=1e-13,
+            )
+
+
+def test_stacked_mat_holds_transposed_blocks():
+    rng = np.random.default_rng(5)
+    a1 = sp.random(4, 4, density=0.5, format="csc", random_state=rng)
+    b1 = rng.standard_normal((4, 2))
+    sparse = StackedMat.from_blocks([a1, 2 * a1])
+    assert sp.issparse(sparse.stacked) and sparse.stacked.format == "csr"
+    expected = np.vstack([a1.T.toarray(), 2 * a1.T.toarray()])
+    np.testing.assert_array_equal(sparse.stacked.toarray(), expected)
+    dense = StackedMat.from_blocks([b1])
+    np.testing.assert_array_equal(dense.stacked, b1.T)
+    assert StackedMat.from_blocks([], block_rows=4, block_cols=2).stacked.shape == (0, 4)
+
+
+def test_stacked_mat_and_operator_forms_are_immutable():
+    stack = StackedMat.from_blocks([np.eye(2)])
+    ops = OperatorForms.of(sp.identity(3, format="csc"), sp.identity(3, format="csc"))
+    for obj, name in ((stack, "blocks"), (stack, "stacked"), (ops, "e_lu"), (ops, "a")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
 
 
 def test_ltimes_dimension_mismatch_names_shapes():
@@ -79,8 +127,7 @@ def test_ltimes_dimension_mismatch_names_shapes():
 def test_ltimes_empty_stack_passthrough():
     m = StackedMat.from_blocks([], block_rows=4, block_cols=2)
     out = ltimes(np.zeros((3, 4)), m)
-    assert out.block_count == 0
-    assert materialize_stack(out.blocks, 2).shape == (0, 2)
+    assert out.shape == (0, 3, 2)
 
 
 def test_stackedmat_rejects_ragged_blocks():

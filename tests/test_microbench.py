@@ -10,7 +10,7 @@ import pytest
 
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, step_once
-from scare_radi.kernels import factor_shifted, trunc_svd
+from scare_radi.kernels import factor_shifted, ltimes, trunc_svd
 from scare_radi.shifts import build_basis, hamiltonian_shifts
 
 N = 5000
@@ -63,6 +63,24 @@ def test_trunc_svd_c9_shape(benchmark, route):
     total = np.linalg.norm(c) ** 2
     assert res.route == route
     assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * np.finfo(float).eps * total
+
+
+def test_ltimes_couplings_c9_shape(benchmark):
+    # Cm = C_gamma lt Ahat and Yhat = C_gamma lt Bhat of one c9 step at n = 300
+    # once the residual factor has ell = 300 rows: k = 4 sparse Ahat_i (the
+    # stencil's pattern) and dense 300 x 7 Bhat_i, one stacked product each.
+    base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    c_gamma = np.random.default_rng(0).standard_normal((300, 300))
+
+    def couplings():
+        return ltimes(c_gamma, p.ahat), ltimes(c_gamma, p.bhat)
+
+    cm, yhat = benchmark.pedantic(couplings, rounds=5, warmup_rounds=1)
+    assert cm.shape == (4, 300, 300) and yhat.shape == (4, 300, 7)
+    tol = dict(rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(cm[3], c_gamma @ p.ahat.blocks[3].toarray(), **tol)
+    np.testing.assert_allclose(yhat[3], c_gamma @ p.bhat.blocks[3], **tol)
 
 
 def test_capped_basis_and_hamiltonian_shifts_c9_shape(benchmark):

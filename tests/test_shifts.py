@@ -104,7 +104,7 @@ def test_basis_property(seed, s):
 def test_hamiltonian_scalar_closed_form(scalar_problem):
     p = scalar_problem()
     cache = hamiltonian_shifts(
-        np.eye(1), p, np.zeros((1, 1)), np.eye(1), p.c, gamma_floor=1e-12
+        np.eye(1), p, np.zeros((1, 1)), np.eye(1), p.c, gamma_floor=1e-12, ops=p.operators()
     )
     np.testing.assert_allclose(cache.pending, [np.sqrt(2.0)], atol=1e-12)
 
@@ -113,7 +113,7 @@ def test_hamiltonian_degenerate_blocks_pick_mildest_stable():
     p = diag_problem([-1.0, -3.0, -2.0])
     cache = hamiltonian_shifts(
         np.eye(3), p, np.zeros((1, 3)), np.eye(1), np.zeros((1, 3)),
-        gamma_floor=1e-12,
+        gamma_floor=1e-12, ops=p.operators(),
     )
     np.testing.assert_allclose(cache.pending[0], 1.0, atol=1e-12)
 
@@ -123,7 +123,7 @@ def test_hamiltonian_matches_dense_oracle_selection():
     st = init_state(p)
     u = build_basis([], 1, st.ccur)
     got = hamiltonian_shifts(
-        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14
+        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
     ).pending[0]
 
     # independent dense reconstruction of the same selection rule
@@ -145,7 +145,7 @@ def test_hamiltonian_cached_returns_ordered_distinct_shifts():
     st = init_state(p)
     u = build_basis([], 1, st.ccur)
     cache = hamiltonian_shifts(
-        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14
+        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
     )
     gammas = cache.pending
     assert len(gammas) >= 2
@@ -157,9 +157,9 @@ def test_hamiltonian_selection_invariant_under_basis_permutation():
     p = random_standard_problem(n=40, m=2, l=3, r=2, seed=9)
     st = init_state(p)
     u = build_basis([], 1, st.ccur)
-    g1 = hamiltonian_shifts(u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14).pending[0]
+    g1 = hamiltonian_shifts(u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops).pending[0]
     g2 = hamiltonian_shifts(
-        u[:, [2, 0, 1]], p, st.f, st.kpi, st.ccur, gamma_floor=1e-14
+        u[:, [2, 0, 1]], p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
     ).pending[0]
     assert abs(g1 - g2) <= 1e-10 * abs(g1)
 
@@ -167,7 +167,7 @@ def test_hamiltonian_selection_invariant_under_basis_permutation():
 def test_gamma_floor_clamps():
     p = diag_problem([-1e-15, -2e-15])
     cache = projection_shifts(
-        np.eye(2), p, np.zeros((1, 2)), gamma_floor=1e-6
+        np.eye(2), p, np.zeros((1, 2)), gamma_floor=1e-6, ops=p.operators()
     )
     assert cache.pending == [1e-6]  # both clamped shifts collapse into one
 
@@ -179,21 +179,21 @@ def test_gamma_floor_clamps():
 def test_projection_reads_diagonal():
     p = diag_problem([-1.0, -3.0, -2.0])
     cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)),
-                              gamma_floor=1e-12)
+                              gamma_floor=1e-12, ops=p.operators())
     np.testing.assert_allclose(cache.pending[0], 3.0)
 
 
 def test_projection_scalar(scalar_problem):
     p = scalar_problem()
     cache = projection_shifts(np.eye(1), p, np.zeros((1, 1)),
-                              gamma_floor=1e-12)
+                              gamma_floor=1e-12, ops=p.operators())
     np.testing.assert_allclose(cache.pending, [1.0])
 
 
 def test_projection_cached_order():
     p = diag_problem([-1.0, -3.0, -2.0])
     cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)),
-                              gamma_floor=1e-12)
+                              gamma_floor=1e-12, ops=p.operators())
     np.testing.assert_allclose(cache.pending, [3.0, 2.0, 1.0])
 
 
@@ -201,7 +201,7 @@ def test_projection_matches_dense_eigs():
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=10)
     st = init_state(p)
     u = build_basis([], 1, st.ccur)
-    got = projection_shifts(u, p, st.f, gamma_floor=1e-14).pending[0]
+    got = projection_shifts(u, p, st.f, gamma_floor=1e-14, ops=st.ops).pending[0]
     a = p.a_sparse().toarray()
     lam = np.linalg.eigvals(u.T @ (a + p.b @ st.f) @ u)
     assert abs(got - (-lam.real.min())) <= 1e-10 * got
@@ -211,7 +211,7 @@ def test_projection_unstable_projection_fails():
     p = diag_problem([1.0, 2.0])
     with pytest.raises(ShiftFailureError):
         projection_shifts(np.eye(2), p, np.zeros((1, 2)),
-                          gamma_floor=1e-12)
+                          gamma_floor=1e-12, ops=p.operators())
 
 
 # ---------------------------------------------------------------------------
