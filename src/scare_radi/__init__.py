@@ -21,26 +21,26 @@ from .kernels import (  # noqa: F401
     trunc_svd,
 )
 from .oracles import (  # noqa: F401
+    DenseSolution,
     NewtonOptions,
     alg1_init,
     alg1_step,
     care_schur_solve,
+    feedback_original,
+    incorporation_residual_dense,
     ltimes_dense,
     ltimes_identities_check,
     newton_ref_solve,
     residual_formula_check,
     run_validation,
+    standardize,
 )
 from .problems import (  # noqa: F401
-    DenseSolution,
     OriginalProblem,
     StandardProblem,
     adapt_in_place,
     feedback_dense,
-    feedback_original,
-    incorporation_residual_dense,
     residual_dense,
-    standardize,
 )
 from .report import RunReport  # noqa: F401
 from .shifts import (  # noqa: F401

@@ -113,8 +113,11 @@ def load_problem(dir_path) -> StandardProblem | OriginalProblem:
     if has_l:
         l = _read_mtx(dir_path / "L.mtx", want_sparse=False)
         r_weight = _read_mtx(dir_path / "R.mtx", want_sparse=False)
+        # The adapter factors R itself, so it must be the symmetric weight.
+        if np.linalg.norm(r_weight - r_weight.T) > 1e-12 * np.linalg.norm(r_weight):
+            raise ProblemLoadError("R.mtx is not symmetric")
         try:
-            chol_spd(0.5 * (r_weight + r_weight.T))
+            chol_spd(r_weight)
         except Exception as exc:
             raise ProblemLoadError(f"R.mtx is not positive definite: {exc}") from exc
         return OriginalProblem(

@@ -262,7 +262,7 @@ def step_once(
     t_total = time.perf_counter() - t_start
     return state, IterationRecord(
         k=state.k,
-        gamma=gamma,
+        gamma=float(gamma),
         nres=nres_trace(state),
         cols_c=state.ccur.shape[0],
         cols_xi=state.xi_width,

@@ -1,13 +1,17 @@
-"""Independent small-scale reference solvers and identity validators.
+"""Independent small-scale reference solvers, transforms and identity validators.
 
 A flattened-system Newton iteration and a Hamiltonian-Schur CARE solver give
-two routes to the exact dense solution; the residual-formula validator checks
-the low-rank residual factorization that drives the iteration engine; the
-dense prototype (`alg1_init`/`alg1_step`) rewrites the full coefficient
-matrices every iteration and is the engine's equivalence oracle; the general
-semi-tensor product (`ltimes_dense`) validates the blockwise kernels and the
-product identities.  These are verification tools: simplicity beats speed,
-and all of them are guarded to dense-friendly sizes.
+two routes to the exact dense solution; the explicit standardizing transform
+(`standardize`), the original-coordinates feedback and the defect-correction
+("incorporation") coefficients and residual are the dense references the
+production adapter and residual tracking are checked against; the dense
+prototype (`alg1_init`/`alg1_step`) rewrites the full coefficient matrices
+every iteration and is the engine's equivalence oracle, and its first step
+is what the residual-formula validator checks; the general semi-tensor
+product (`ltimes_dense`) validates the blockwise kernels and the product
+identities.  These are verification tools: simplicity beats speed, and all
+of them are guarded to dense-friendly sizes.  The dense residual and feedback
+they build on live in :mod:`scare_radi.problems`.
 """
 
 from __future__ import annotations
@@ -16,22 +20,30 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from .errors import ConformabilityError, OracleFailureError
-from .kernels import chol_spd, kron_gram, materialize_stack, right_tri_solve
+from .errors import ConformabilityError, DefinitenessError, OracleFailureError, SpdViolationError
+from .kernels import StackedMat, chol_spd, kron_gram, materialize_stack, right_tri_solve
 from .problems import (
     DenseCoefficients,
-    DenseSolution,
+    OriginalProblem,
     StandardProblem,
+    _as_dense,
+    _check_shape,
+    _middle_and_cross,
+    _r_inv_lt,
     feedback_dense,
-    incorporation_coefficients,
     residual_dense,
 )
 
 __all__ = [
     "Alg1State",
+    "DenseSolution",
     "alg1_init",
     "alg1_step",
+    "feedback_original",
+    "incorporation_coefficients",
+    "incorporation_residual_dense",
     "ltimes_dense",
     "ltimes_identities_check",
     "NewtonOptions",
@@ -39,6 +51,7 @@ __all__ = [
     "care_schur_solve",
     "residual_formula_check",
     "run_validation",
+    "standardize",
 ]
 
 NEWTON_GUARD = 80
@@ -49,6 +62,114 @@ class NewtonOptions:
     tol: float = 1e-13
     max_iter: int = 50
     x0: np.ndarray = None
+
+
+@dataclass
+class DenseSolution:
+    """Dense symmetric solution with solver metadata."""
+
+    x: np.ndarray
+    iterations: int = 0
+    residual: float = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Explicit transform and dense references of the original problem
+
+
+def standardize(orig: OriginalProblem) -> StandardProblem:
+    """Explicit transform of the original problem to standard form.
+
+    Absorbs the cross/input weights into the coefficients: A = A0 - B0 R^-1 L^T,
+    B = B0 P^-1 with P^T P = R, and the same on every stochastic block.  This
+    densifies the drift when L is nonzero, so it is the oracle-scale route;
+    production solves of original data use :func:`~scare_radi.problems.adapt_in_place`.
+    """
+    rinv_lt, p = _r_inv_lt(orig.r_weight, orig.l)
+    n = orig.n
+
+    def absorb(a, b):
+        if not np.any(orig.l):
+            return a
+        return sp.csc_matrix(_as_dense(a) - _as_dense(b) @ rinv_lt)
+
+    a = absorb(orig.a_list[0], orig.b_list[0])
+    b, *bhat_blocks = [right_tri_solve(p, _as_dense(bi)) for bi in orig.b_list]
+    ahat = StackedMat.from_blocks(
+        [sp.csc_matrix(absorb(ai, bi)) for ai, bi in zip(orig.a_list[1:], orig.b_list[1:])],
+        block_rows=n,
+        block_cols=n,
+    )
+    bhat = StackedMat.from_blocks(bhat_blocks, block_rows=n, block_cols=orig.m)
+    return StandardProblem(
+        a=sp.csc_matrix(a),
+        b=b,
+        c=orig.c0.copy(),
+        ahat=ahat,
+        bhat=bhat,
+        e=orig.e,
+    )
+
+
+def feedback_original(p: StandardProblem, x: np.ndarray) -> np.ndarray:
+    """Original-coordinates feedback F0 + Kpi0^-1 Fhat_X (equals Fhat when standard)."""
+    fhat = feedback_dense(p, x)
+    return p.f0 + sla.solve_triangular(p.kpi0, fhat, lower=False)
+
+
+def incorporation_coefficients(p: StandardProblem | DenseCoefficients, x: np.ndarray):
+    """Shifted coefficients (A_X, B_X, Ahat_X, Bhat_X, L_X^T) of the defect equation.
+
+    With R_X = I + Bhat' lt X lt Bhat = P_X^T P_X and the cross factor of the
+    residual, B_X = B P_X^-1 (the same on every Bhat block) and
+    L_X^T = P_X^-T cross^T; A_X = A - B_X L_X^T and likewise every Ahat block.
+    """
+    co = p.dense_coefficients()
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    r_x, cross = _middle_and_cross(co, x)
+    try:
+        p_x = chol_spd(0.5 * (r_x + r_x.T))
+    except SpdViolationError as exc:
+        raise DefinitenessError("R_X = I + Bhat' X Bhat is not positive definite") from exc
+
+    b_x = right_tri_solve(p_x, co.b)
+    bhat_x = [right_tri_solve(p_x, bh) for bh in co.bhat]
+    lt = sla.solve_triangular(p_x, cross.T, trans="T", lower=False)
+    a_x = co.a - b_x @ lt
+    ahat_x = [ah - bhx @ lt for ah, bhx in zip(co.ahat, bhat_x)]
+    return DenseCoefficients(a_x, b_x, co.c, ahat_x, bhat_x, co.e), lt
+
+
+def incorporation_residual_dense(
+    p: StandardProblem | DenseCoefficients, x: np.ndarray, delta: np.ndarray
+) -> np.ndarray:
+    """Residual of the defect-correction equation at increment ``delta``.
+
+    Built from the shifted coefficients with the base value anchored at the
+    plain residual of ``x``; by construction it equals
+    ``residual_dense(p, x + delta)``.
+    """
+    co = p.dense_coefficients()
+    delta = np.atleast_2d(np.asarray(delta, dtype=float))
+    _check_shape("Delta", delta, (co.n, co.n))
+    shifted, _ = incorporation_coefficients(co, x)
+    base = residual_dense(co, x)
+    inner = residual_dense(
+        DenseCoefficients(
+            shifted.a,
+            shifted.b,
+            np.zeros((0, co.n)),
+            shifted.ahat,
+            shifted.bhat,
+            shifted.e,
+        ),
+        delta,
+    )
+    return base + inner
+
+
+# ---------------------------------------------------------------------------
+# Reference solvers
 
 
 def _frechet_matrix(co: DenseCoefficients, x: np.ndarray) -> np.ndarray:
@@ -72,7 +193,7 @@ def newton_ref_solve(
     zero matrix is an admissible start.
     """
     opts = opts or NewtonOptions()
-    co = p.dense_coefficients() if isinstance(p, StandardProblem) else p
+    co = p.dense_coefficients()
     n = co.n
     if n > NEWTON_GUARD:
         raise ConformabilityError(f"Newton reference is guarded to n <= {NEWTON_GUARD}")
@@ -137,8 +258,9 @@ def care_schur_solve(a, b, c) -> DenseSolution:
 def one_step_approximant(co: DenseCoefficients, gamma: float):
     """The rank-l one-step approximant X and its ingredients at shift gamma.
 
-    Returns (x, c_gamma, y, yhat_blocks) where x = C_g^T (I + Y Y^T)^-1 C_g
-    with C_g = sqrt(2 gamma) C (A - gamma I)^-1 and Y = C (A - gamma I)^-1 B.
+    Returns (x, c_gamma, y) where x = C_g^T (I + Y Y^T)^-1 C_g with
+    C_g = sqrt(2 gamma) C (A - gamma I)^-1 and Y = C (A - gamma I)^-1 B; the
+    closed form the first iteration step is checked against.
     """
     n = co.n
     a_g = co.a - gamma * np.eye(n)
@@ -147,67 +269,28 @@ def one_step_approximant(co: DenseCoefficients, gamma: float):
     y = ca @ co.b
     m_small = np.eye(co.c.shape[0]) + y @ y.T
     x = c_g.T @ sla.solve(m_small, c_g, assume_a="pos")
-    yhat = [c_g @ bh for bh in co.bhat]
-    return 0.5 * (x + x.T), c_g, y, yhat
+    return 0.5 * (x + x.T), c_g, y
 
 
 def residual_formula_check(p: StandardProblem | DenseCoefficients, gamma: float) -> float:
     """Validate the low-rank residual factorization at the one-step approximant.
 
-    Builds X from the shifted solve, forms the predicted residual factor
-    (top block C + sqrt(2 gamma)(I + Y Y^T)^-1 C_gamma, bottom block through
-    the stacked Gram factor), and returns the max relative deviation between
-    the dense residual and the factor Gram, together with the closed-form
-    cross-term row L_X^T checked against the feedback operator.
+    Runs one dense prototype step (:func:`alg1_step`) from X = 0 at shift
+    gamma and returns the max relative deviation of three identities at the
+    step's X: the Gram of its residual factor against the dense residual, its
+    cross-term row L_X^T against that of :func:`incorporation_coefficients`,
+    and its closed-loop input term B_X L_X^T against -B Fhat_X from the
+    feedback operator.  The prototype handles the E = I form only.
     """
-    co = p.dense_coefficients() if isinstance(p, StandardProblem) else p
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if co.e is not None:
-        raise ConformabilityError("formula check expects a standard (E = I) problem")
-    if not np.any(co.c):
-        return 0.0
-    n = co.n
-    ell = co.c.shape[0]
-    k = len(co.ahat)
-
-    x, c_g, y, yhat = one_step_approximant(co, gamma)
-    iyy = np.eye(ell) + y @ y.T
-    top = co.c + np.sqrt(2.0 * gamma) * sla.solve(iyy, c_g, assume_a="pos")
-
-    bx = co.b.T @ x
-    cm_blocks = [c_g @ ah - yh @ bx for ah, yh in zip(co.ahat, yhat)]
-    if k:
-        yh_mat = materialize_stack(yhat, co.m)
-        cm_mat = materialize_stack(cm_blocks, n)
-        gram = kron_gram(iyy, k) + yh_mat @ yh_mat.T
-        mt = chol_spd(0.5 * (gram + gram.T)).T
-        bottom = sla.solve_triangular(mt, cm_mat, lower=True)
-        ctilde = np.vstack([top, bottom])
-    else:
-        ctilde = top
-
-    res = residual_dense(co, x)
-    den = np.linalg.norm(res)
-    dev_res = np.linalg.norm(res - ctilde.T @ ctilde) / den
-
-    # Cross-term row of the shifted coefficients, two ways.
-    _, lt_direct = incorporation_coefficients(co, x)
-    r_x = np.eye(co.m)
-    for bh in co.bhat:
-        r_x = r_x + bh.T @ x @ bh
-    p_x = chol_spd(0.5 * (r_x + r_x.T))
-    acc = np.zeros((co.m, n))
-    for yh, cm in zip(yhat, cm_blocks):
-        acc += yh.T @ sla.solve(iyy, cm, assume_a="pos")
-    lt_formula = sla.solve_triangular(p_x, acc, trans="T", lower=False) + p_x @ bx
-    dev_lt = np.linalg.norm(lt_formula - lt_direct) / max(np.linalg.norm(lt_direct), 1e-300)
-
-    # The same row must also reproduce the feedback operator: L_X^T = -P_X Fhat_X.
-    fhat = feedback_dense(co, x)
-    dev_fb = np.linalg.norm(lt_direct + p_x @ fhat) / max(np.linalg.norm(lt_direct), 1e-300)
-
-    return float(max(dev_res, dev_lt, dev_fb))
+    co = p.dense_coefficients()
+    st = alg1_step(alg1_init(co), gamma)
+    x = st.x
+    _, lt = incorporation_coefficients(co, x)
+    return max(
+        _rel_dev(residual_dense(co, x), st.c.T @ st.c),
+        _rel_dev(lt, st.lt),
+        _rel_dev(-co.b @ feedback_dense(co, x), st.b @ st.lt),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +395,11 @@ def ltimes_identities_check(u, v, seed: int = 0, m=None, d=None) -> float:
 
 @dataclass
 class Alg1State:
-    """Dense prototype state: coefficients are rewritten every iteration."""
+    """Dense prototype state: coefficients are rewritten every iteration.
+
+    ``lt`` is the cross-term row L^T of the last step (the row that rewrote
+    A and the Ahat blocks); it is zero before the first step.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -320,15 +407,16 @@ class Alg1State:
     ahat: list
     bhat: list
     xi: np.ndarray
+    lt: np.ndarray
 
     @property
     def x(self) -> np.ndarray:
         return self.xi @ self.xi.T
 
 
-def alg1_init(p: StandardProblem) -> Alg1State:
+def alg1_init(p: StandardProblem | DenseCoefficients) -> Alg1State:
     """Dense starting state from the effective standard-form coefficients."""
-    if p.is_generalized:
+    if p.e is not None:
         raise ValueError("the dense prototype handles the E = I form only")
     if p.n > 200:
         raise ValueError("dense prototype is guarded to n <= 200")
@@ -340,6 +428,7 @@ def alg1_init(p: StandardProblem) -> Alg1State:
         ahat=[blk.copy() for blk in co.ahat],
         bhat=[blk.copy() for blk in co.bhat],
         xi=np.zeros((p.n, 0)),
+        lt=np.zeros((co.m, co.n)),
     )
 
 
@@ -392,13 +481,11 @@ def alg1_step(st: Alg1State, gamma: float) -> Alg1State:
     a_new = st.a - b_new @ lt
     ahat_new = [ah - bh @ lt for ah, bh in zip(st.ahat, bhat_new)]
 
-    return Alg1State(a=a_new, b=b_new, c=c_new, ahat=ahat_new, bhat=bhat_new, xi=xi)
+    return Alg1State(a=a_new, b=b_new, c=c_new, ahat=ahat_new, bhat=bhat_new, xi=xi, lt=lt)
 
 
 def validation_corpus():
     """The 100 seeded dense instances used by the formula-check gate."""
-    from .testing import random_dense_coefficients
-
     sizes = [5, 20, 80, 200]
     ranks = [1, 2, 3, 5]
     gammas = [0.1, 1.0, 10.0]

@@ -1,11 +1,13 @@
-"""Problem containers and dense reference operators.
+"""Problem containers, operator forms and the dense residual.
 
 Holds the original, standard-form, and generalized (mass-matrix) quadratic
 matrix equations with sparse coefficients and low-rank factors, a solve's
-operator forms, the two transforms between the original and standard forms,
-and brute-force dense evaluators for the residual, the feedback, and the
-defect-correction ("incorporation") residual.  The dense evaluators exist for
-verification and are guarded to moderate dimensions.
+operator forms, and the in-place adapter that lets the iteration run on
+unmodified original coefficients.  The dense residual and feedback
+evaluators (guarded to ``DENSE_GUARD``) stay here because the benchmark's
+correctness check uses them; every other dense, verification-only tool
+(the explicit standardizing transform, the original-coordinates feedback,
+the defect-correction coefficients) lives in :mod:`scare_radi.oracles`.
 
 Problem directory layout consumed by the benchmark loader: Matrix Market
 files ``A.mtx``, ``B.mtx``, ``C.mtx``, optional ``E.mtx``, optional
@@ -33,15 +35,11 @@ from .kernels import StackedMat, chol_spd, right_tri_solve
 __all__ = [
     "OriginalProblem",
     "StandardProblem",
-    "DenseSolution",
     "DenseCoefficients",
     "OperatorForms",
-    "standardize",
     "adapt_in_place",
     "residual_dense",
     "feedback_dense",
-    "feedback_original",
-    "incorporation_residual_dense",
 ]
 
 DENSE_GUARD = 2000
@@ -186,27 +184,23 @@ class StandardProblem:
         Folds the initialization into the matrices: A + B F0, B Kpi0^-1 and
         the same on every stochastic block, which is exactly the standard
         form regardless of whether the container was built by the explicit
-        transform or the in-place adapter.
+        transform or the in-place adapter (for F0 = 0, Kpi0 = I the fold is
+        exact).
         """
         if self.n > DENSE_GUARD:
             raise ConformabilityError(
                 f"dense oracle path is guarded to n <= {DENSE_GUARD}, got n = {self.n}"
             )
-        a = _as_dense(self.a)
         b = _as_dense(self.b)
-        has_init = np.any(self.f0) or not np.allclose(self.kpi0, np.eye(self.m))
-        if has_init:
-            a = a + b @ self.f0
-            b_eff = right_tri_solve(self.kpi0, b)
-            ahat = [_as_dense(blk) + _as_dense(bb) @ self.f0
-                    for blk, bb in zip(self.ahat.blocks, self.bhat.blocks)]
-            bhat = [right_tri_solve(self.kpi0, _as_dense(bb)) for bb in self.bhat.blocks]
-        else:
-            b_eff = b
-            ahat = [_as_dense(blk) for blk in self.ahat.blocks]
-            bhat = [_as_dense(blk) for blk in self.bhat.blocks]
-        e = None if self.e is None else _as_dense(self.e)
-        return DenseCoefficients(a, b_eff, self.c.copy(), ahat, bhat, e)
+        return DenseCoefficients(
+            a=_as_dense(self.a) + b @ self.f0,
+            b=right_tri_solve(self.kpi0, b),
+            c=self.c.copy(),
+            ahat=[_as_dense(blk) + _as_dense(bb) @ self.f0
+                  for blk, bb in zip(self.ahat.blocks, self.bhat.blocks)],
+            bhat=[right_tri_solve(self.kpi0, _as_dense(bb)) for bb in self.bhat.blocks],
+            e=None if self.e is None else _as_dense(self.e),
+        )
 
 
 @dataclass(frozen=True)
@@ -267,14 +261,9 @@ class DenseCoefficients:
     def m(self):
         return self.b.shape[1]
 
-
-@dataclass
-class DenseSolution:
-    """Dense symmetric solution with solver metadata."""
-
-    x: np.ndarray
-    iterations: int = 0
-    residual: float = 0.0
+    def dense_coefficients(self) -> "DenseCoefficients":
+        """These coefficients, so either container can be passed to the oracles."""
+        return self
 
 
 def _r_inv_lt(r_weight: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -287,40 +276,6 @@ def _r_inv_lt(r_weight: np.ndarray, l: np.ndarray) -> np.ndarray:
         ) from exc
     z = sla.solve_triangular(p, l.T, trans="T", lower=False)
     return sla.solve_triangular(p, z, lower=False), p
-
-
-def standardize(orig: OriginalProblem) -> StandardProblem:
-    """Explicit transform of the original problem to standard form.
-
-    Absorbs the cross/input weights into the coefficients: A = A0 - B0 R^-1 L^T,
-    B = B0 P^-1 with P^T P = R, and the same on every stochastic block.  This
-    densifies the drift when L is nonzero, so it is the oracle-scale route;
-    production solves of original data use :func:`adapt_in_place`.
-    """
-    rinv_lt, p = _r_inv_lt(orig.r_weight, orig.l)
-    n = orig.n
-
-    def absorb(a, b):
-        if not np.any(orig.l):
-            return a
-        return sp.csc_matrix(_as_dense(a) - _as_dense(b) @ rinv_lt)
-
-    a = absorb(orig.a_list[0], orig.b_list[0])
-    b, *bhat_blocks = [right_tri_solve(p, _as_dense(bi)) for bi in orig.b_list]
-    ahat = StackedMat.from_blocks(
-        [sp.csc_matrix(absorb(ai, bi)) for ai, bi in zip(orig.a_list[1:], orig.b_list[1:])],
-        block_rows=n,
-        block_cols=n,
-    )
-    bhat = StackedMat.from_blocks(bhat_blocks, block_rows=n, block_cols=orig.m)
-    return StandardProblem(
-        a=sp.csc_matrix(a),
-        b=b,
-        c=orig.c0.copy(),
-        ahat=ahat,
-        bhat=bhat,
-        e=orig.e,
-    )
 
 
 def adapt_in_place(orig: OriginalProblem) -> StandardProblem:
@@ -367,10 +322,12 @@ def residual_dense(p: StandardProblem | DenseCoefficients, x: np.ndarray) -> np.
 
     For a mass matrix E the drift terms pair with E (A^T X E + E^T X A and
     E^T X B in the cross factor); with E absent this is the plain standard
-    form.  A singular middle matrix I + Bhat^T lt X lt Bhat means X is far
-    outside the solution regime and raises :class:`DefinitenessError`.
+    form.  The quadratic correction is -cross Fhat_X with the feedback of
+    :func:`feedback_dense`, so a singular middle matrix
+    I + Bhat^T lt X lt Bhat (X far outside the solution regime) raises
+    :class:`DefinitenessError` there.
     """
-    co = p.dense_coefficients() if isinstance(p, StandardProblem) else p
+    co = p.dense_coefficients()
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _check_shape("X", x, (co.n, co.n))
     if co.e is None:
@@ -379,78 +336,18 @@ def residual_dense(p: StandardProblem | DenseCoefficients, x: np.ndarray) -> np.
         axe = co.a.T @ x @ co.e
         lin = axe + axe.T
     quad = sum((ah.T @ x @ ah for ah in co.ahat), start=np.zeros_like(x))
-    mid, cross = _middle_and_cross(co, x)
-    try:
-        corr = cross @ sla.solve(mid, cross.T, assume_a="sym")
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError("middle matrix I + Bhat' X Bhat is singular") from exc
+    _, cross = _middle_and_cross(co, x)
+    corr = -cross @ feedback_dense(co, x)
     res = co.c.T @ co.c + lin + quad - corr
     return 0.5 * (res + res.T)
 
 
 def feedback_dense(p: StandardProblem | DenseCoefficients, x: np.ndarray) -> np.ndarray:
     """Standard-form feedback -(I + Bhat' lt X lt Bhat)^-1 (X B + Ahat' lt X lt Bhat)^T."""
-    co = p.dense_coefficients() if isinstance(p, StandardProblem) else p
+    co = p.dense_coefficients()
     x = np.atleast_2d(np.asarray(x, dtype=float))
     mid, cross = _middle_and_cross(co, x)
     try:
         return -sla.solve(mid, cross.T, assume_a="sym")
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError("middle matrix I + Bhat' X Bhat is singular") from exc
-
-
-def feedback_original(p: StandardProblem, x: np.ndarray) -> np.ndarray:
-    """Original-coordinates feedback F0 + Kpi0^-1 Fhat_X (equals Fhat when standard)."""
-    fhat = feedback_dense(p, x)
-    return p.f0 + sla.solve_triangular(p.kpi0, fhat, lower=False)
-
-
-def incorporation_coefficients(p: StandardProblem | DenseCoefficients, x: np.ndarray):
-    """Shifted coefficients (A_X, B_X, Ahat_X, Bhat_X, L_X^T) of the defect equation."""
-    co = p.dense_coefficients() if isinstance(p, StandardProblem) else p
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r_x = np.eye(co.m)
-    for bh in co.bhat:
-        r_x = r_x + bh.T @ x @ bh
-    try:
-        p_x = chol_spd(0.5 * (r_x + r_x.T))
-    except Exception as exc:
-        raise DefinitenessError("R_X = I + Bhat' X Bhat is not positive definite") from exc
-
-    b_x = right_tri_solve(p_x, co.b)
-    bhat_x = [right_tri_solve(p_x, bh) for bh in co.bhat]
-    xe = x if co.e is None else x @ co.e
-    lt = b_x.T @ xe
-    for bhx, ah in zip(bhat_x, co.ahat):
-        lt = lt + bhx.T @ x @ ah
-    a_x = co.a - b_x @ lt
-    ahat_x = [ah - bhx @ lt for ah, bhx in zip(co.ahat, bhat_x)]
-    return DenseCoefficients(a_x, b_x, co.c, ahat_x, bhat_x, co.e), lt
-
-
-def incorporation_residual_dense(
-    p: StandardProblem | DenseCoefficients, x: np.ndarray, delta: np.ndarray
-) -> np.ndarray:
-    """Residual of the defect-correction equation at increment ``delta``.
-
-    Built from the shifted coefficients with the base value anchored at the
-    plain residual of ``x``; by construction it equals
-    ``residual_dense(p, x + delta)``.
-    """
-    co = p.dense_coefficients() if isinstance(p, StandardProblem) else p
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    _check_shape("Delta", delta, (co.n, co.n))
-    shifted, _ = incorporation_coefficients(co, x)
-    base = residual_dense(co, x)
-    inner = residual_dense(
-        DenseCoefficients(
-            shifted.a,
-            shifted.b,
-            np.zeros((0, co.n)),
-            shifted.ahat,
-            shifted.bhat,
-            shifted.e,
-        ),
-        delta,
-    )
-    return base + inner

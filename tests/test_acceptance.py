@@ -30,6 +30,7 @@ from scare_radi.oracles import (
     alg1_init,
     alg1_step,
     care_schur_solve,
+    incorporation_residual_dense,
     ltimes_identities_check,
     newton_ref_solve,
     residual_formula_check,
@@ -39,7 +40,6 @@ from scare_radi.problems import (
     DenseCoefficients,
     OriginalProblem,
     adapt_in_place,
-    incorporation_residual_dense,
     residual_dense,
 )
 from scare_radi.shifts import ShiftConfig
@@ -81,7 +81,7 @@ def test_criterion_02_residual_formula_corpus():
     )
     from scare_radi.oracles import one_step_approximant
 
-    x, _, _, _ = one_step_approximant(co, 1.0)
+    x, _, _ = one_step_approximant(co, 1.0)
     np.testing.assert_allclose(x, [[0.4]], atol=1e-15)
     np.testing.assert_allclose(residual_dense(co, x), [[1.0 / 25.0]], atol=1e-15)
     assert residual_formula_check(co, 1.0) <= 1e-13

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -104,6 +105,16 @@ def test_load_non_spd_weight(tmp_path):
     sio.mmwrite(tmp_path / "L.mtx", np.zeros((8, 2)))
     sio.mmwrite(tmp_path / "R.mtx", np.diag([1.0, -1.0]))
     with pytest.raises(ProblemLoadError, match="positive definite"):
+        load_problem(tmp_path)
+
+
+def test_load_rejects_nonsymmetric_weight(tmp_path):
+    # Its symmetric part is positive definite, but the adapter factors R itself.
+    p = random_standard_problem(n=8, m=2, l=1, r=1, seed=6)
+    write_problem_dir(tmp_path, p)
+    sio.mmwrite(tmp_path / "L.mtx", np.zeros((8, 2)))
+    sio.mmwrite(tmp_path / "R.mtx", np.array([[2.0, 1.5], [-1.5, 2.0]]))
+    with pytest.raises(ProblemLoadError, match="symmetric"):
         load_problem(tmp_path)
 
 
@@ -242,6 +253,18 @@ def test_csv_last_column_names_truncation_route(tmp_path, r):
         assert routes == {"gram"}
     else:
         assert "tall-gram" in routes and routes <= {"gram", "tall-gram"}
+
+
+def test_csv_numeric_cells_parse_as_floats(tmp_path):
+    run_single(gen_heat_problem(60, 3, 2, seed=3), SolveOptions(), "unit", tmp_path)
+    with open(tmp_path / "unit.csv", newline="") as fh:
+        _, *rows = list(csv.reader(fh))
+    text = {CSV_COLUMNS.index("svd_route"), CSV_COLUMNS.index("shift_src")}
+    assert len(rows) > 1
+    for row in rows:
+        for j, cell in enumerate(row):
+            if j not in text:
+                float(cell)
 
 
 def test_report_nres_history_matches_rows(tmp_path):

@@ -71,7 +71,7 @@ def test_first_step_gram_is_one_step_approximant():
     st = init_state(p)
     gamma = 1.3
     st, _ = step_once(p, st, gamma, SolveOptions(**NO_TRUNC))
-    x_ref, _, _, _ = one_step_approximant(p.dense_coefficients(), gamma)
+    x_ref, _, _ = one_step_approximant(p.dense_coefficients(), gamma)
     assert np.linalg.norm(x_of(st) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
@@ -417,7 +417,7 @@ def test_prototype_first_step_is_one_step_approximant():
     proto = alg1_init(p)
     gamma = 0.9
     proto = alg1_step(proto, gamma)
-    x_ref, _, _, _ = one_step_approximant(p.dense_coefficients(), gamma)
+    x_ref, _, _ = one_step_approximant(p.dense_coefficients(), gamma)
     assert np.linalg.norm(proto.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
@@ -434,7 +434,7 @@ def test_prototype_rejects_generalized_problems():
 def test_engine_feedback_tracks_original_coordinates():
     # The accumulated feedback equals the original-coordinates feedback at
     # the accumulated iterate: F = F0 + Kpi0^-1 Fhat(X).
-    from scare_radi.problems import adapt_in_place, feedback_original
+    from scare_radi.oracles import feedback_original
     from scare_radi.testing import random_original_problem
 
     orig = random_original_problem(n=25, m=2, l=2, r=3, seed=42)

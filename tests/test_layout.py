@@ -1,0 +1,44 @@
+"""Module boundaries: the solve path does not depend on verification code."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import scare_radi
+from scare_radi import problems
+
+PACKAGE = Path(scare_radi.__file__).parent
+
+
+def _imported_modules(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.split(".")[-1])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["engine", "kernels", "shifts", "problems"])
+def test_solve_path_imports_no_verification_module(module):
+    assert not _imported_modules(PACKAGE / f"{module}.py") & {"oracles", "testing"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "standardize",
+        "feedback_original",
+        "incorporation_coefficients",
+        "incorporation_residual_dense",
+        "DenseSolution",
+    ],
+)
+def test_dense_references_live_in_oracles(name):
+    assert not hasattr(problems, name)
+    assert hasattr(scare_radi.oracles, name)

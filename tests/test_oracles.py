@@ -131,7 +131,7 @@ def test_formula_zero_output_deviation_zero():
 def test_formula_scalar_hand_evaluation():
     # a=-1, b=c=1, gamma=1: X = 2/5, residual(2/5) = 1/25, factor = 1/5.
     co = scalar_coefficients()
-    x, c_g, y, _ = one_step_approximant(co, 1.0)
+    x, c_g, y = one_step_approximant(co, 1.0)
     np.testing.assert_allclose(x, [[0.4]], atol=1e-15)
     np.testing.assert_allclose(y, [[-0.5]], atol=1e-15)
     np.testing.assert_allclose(residual_dense(co, x), [[0.04]], atol=1e-15)

@@ -4,16 +4,18 @@ import scipy.sparse as sp
 
 from scare_radi.errors import AssumptionViolationError, ConformabilityError
 from scare_radi.kernels import StackedMat
-from scare_radi.oracles import newton_ref_solve
+from scare_radi.oracles import (
+    feedback_original,
+    incorporation_residual_dense,
+    newton_ref_solve,
+    standardize,
+)
 from scare_radi.problems import (
     OriginalProblem,
     StandardProblem,
     adapt_in_place,
     feedback_dense,
-    feedback_original,
-    incorporation_residual_dense,
     residual_dense,
-    standardize,
 )
 from scare_radi.testing import random_original_problem, random_standard_problem
 
@@ -97,6 +99,19 @@ def test_oracle_solution_zeroes_both_formulations():
     scale = np.linalg.norm(std.c.T @ std.c)
     assert np.linalg.norm(residual_dense(std, x)) <= 1e-10 * scale
     assert np.linalg.norm(residual_dense(adapt_in_place(orig), x)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-6])
+def test_routes_agree_for_near_identity_weight(eps):
+    # R = (1+eps)^2 I gives the adapter Kpi0 = (1+eps) I, which the dense
+    # evaluator must fold in even though it is within allclose of I.
+    orig = random_original_problem(n=12, m=2, l=2, r=2, seed=1, with_l=False)
+    orig.r_weight = (1.0 + eps) ** 2 * np.eye(2)
+    std = standardize(orig)
+    x = newton_ref_solve(std).x
+    scale = np.linalg.norm(std.c.T @ std.c)
+    dev = residual_dense(adapt_in_place(orig), x) - residual_dense(std, x)
+    assert np.linalg.norm(dev) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
