@@ -5,10 +5,11 @@ current residual factor and the accumulated feedback through one sparse
 factorization of A - gamma*E (sharing it via the low-rank SMW correction),
 append a rank-l block to the solution factor, refresh the residual factor and
 the feedback/accumulator pair through identity-plus-rank-m scalings (no
-factor beyond m x m), compress the stacked residual factor by a truncated SVD
-taken through its smaller Gram (`kernels.trunc_svd`), and account the
-discarded energy exactly.  The trace-norm residual is then available for free
-as the squared Frobenius norm of the kept factor plus the accumulated discard.
+factor beyond m x m), compress the stacked residual factor
+(`kernels.trunc_svd`: an SVD through C C^T when wide, a pivoted Cholesky of
+C^T C when tall), and account the discarded energy exactly.  The trace-norm
+residual is then available for free as the squared Frobenius norm of the kept
+factor plus the accumulated discard.
 
 The dense prototype this iteration is checked against (`alg1_init`/
 `alg1_step`) lives in :mod:`scare_radi.oracles`.
@@ -272,6 +273,7 @@ def step_once(
         t_svd=t_svd,
         t_other=max(t_total - t_solve - t_ltimes - t_svd, 0.0),
         svd_route=trunc.route,
+        cap_discard=trunc.cap_discard,
     )
 
 
@@ -327,7 +329,7 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
                     f"all candidate shifts rejected at iteration {state.k}: {exc}"
                 ) from exc
             continue
-        rejections = 0
+        row.rejections, rejections = rejections, 0
         row.t_shift = t_shift
         row.shift_src = "recompute" if cache.source_iteration == row.k - 1 else "cache"
         row.basis_dim = cache.basis_dim

@@ -2,8 +2,10 @@
 
 The left semi-tensor product with vertically stacked blocks as one product,
 SMW-corrected shifted row solves, right triangular solves, small SPD Cholesky
-factorization, and a truncated SVD taken through the smaller Gram, with no
-division by the singular values and exact accounting of the discarded energy.
+factorization, and the truncation of a residual factor with exact accounting
+of the discarded energy: a wide factor by an SVD taken through its Gram C C^T
+with no division by the singular values, a tall one by a pivoted Cholesky of
+C^T C.
 Everything here is a pure function of its inputs; factorization handles may be
 shared read-only across threads.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpstrf
 from scipy.sparse.linalg import splu
 
 from .errors import ConformabilityError, ShiftRejectionError, SpdViolationError
@@ -216,60 +218,92 @@ def chol_spd(m: np.ndarray) -> np.ndarray:
 class TruncationResult:
     """Retained rows of a truncated factor plus the discarded energy.
 
-    ``factor`` is a k x n matrix with the Gram of the rank-k truncated SVD,
-    Sigma_k V_k^T up to an orthogonal factor on the left (callers use it only
-    through its Gram), and ``sigma`` holds the k retained singular values.
-    ``discarded_sq_trace`` is the sum of the squared discarded singular
-    values, so the Frobenius energy of the input splits exactly into
-    ``|sigma|_2^2 + discarded_sq_trace``.  ``route`` names the Gram that was
-    eigendecomposed: ``"gram"`` (C C^T) or ``"tall-gram"`` (C^T C).
+    ``factor`` is a k x n matrix whose Gram is the kept part of C^T C (callers
+    use it only through its Gram), and ``rank`` is its row count.
+    ``discarded_sq_trace`` is the trace of the discarded part of that Gram, so
+    the Frobenius energy of the input splits exactly into
+    ``|factor|_F^2 + discarded_sq_trace``; ``cap_discard`` is the share of it
+    that the row cap moved there.  ``route`` names the decomposition:
+    ``"gram"`` (eigh of C C^T, an SVD truncation) or ``"tall-pchol"``
+    (pivoted Cholesky of C^T C).  ``sigma`` holds the k retained singular
+    values on the ``"gram"`` route only and is None on ``"tall-pchol"``,
+    whose rows are not singular directions.
     """
 
-    sigma: np.ndarray
+    sigma: np.ndarray | None
     factor: np.ndarray
     discarded_sq_trace: float
     route: str
+    cap_discard: float = 0.0
 
     @property
     def rank(self) -> int:
-        return int(self.sigma.size)
+        return int(self.factor.shape[0])
 
 
-def _select_retained(sq_desc: np.ndarray, tau_abs: float, cap: int) -> int:
-    """Smallest leading count whose discarded tail energy is <= tau_abs, capped."""
-    tail = np.concatenate([np.cumsum(sq_desc[::-1])[::-1], [0.0]])
+def _select_retained(sq: np.ndarray, tau_abs: float) -> int:
+    """Smallest leading count of rows, of energies ``sq``, whose tail energy is <= tau_abs.
+
+    The tail is summed from the back, so small tails do not cancel.
+    """
+    tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
     keep = int(np.argmax(tail <= tau_abs))
-    keep = min(keep, cap)
-    while keep > 0 and sq_desc[keep - 1] == 0.0:
+    while keep > 0 and sq[keep - 1] == 0.0:
         keep -= 1
     return keep
 
 
+def _pivoted_cholesky_rows(g: np.ndarray):
+    """Rows R P^T of the pivoted Cholesky P^T G P = R^T R, and their energies.
+
+    LAPACK ``dpstrf`` stops at its numerical rank; only the rows before it are
+    finished, so only those are returned.  The energies are the squared row
+    norms followed by the trace that the stop left unfactored, clamped at 0.
+    """
+    r, piv, rank, info = dpstrf(g)
+    if info < 0:
+        raise ValueError(f"illegal value in pivoted Cholesky argument {-info}")
+    rows = np.zeros((rank, g.shape[0]))
+    rows[:, piv - 1] = np.triu(r[:rank])
+    sq = np.einsum("ij,ij->i", rows, rows)
+    return rows, np.append(sq, max(float(np.trace(g)) - float(np.sum(sq)), 0.0))
+
+
 def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
-    """Truncated SVD of a p x n factor with exact discard accounting.
+    """Truncate a p x n factor to few rows with exact discard accounting.
 
-    Retains the minimal leading singular values such that the discarded Gram
-    trace satisfies ``sum sigma_i^2 <= tau_abs``, then enforces the row cap,
-    moving any overflow into ``discarded_sq_trace``.
+    Retains the fewest leading rows such that the trace of the discarded Gram
+    is <= ``tau_abs``, then enforces the row cap, moving any overflow into
+    ``discarded_sq_trace``.
 
-    The singular values come from eigh of the smaller Gram, and the retained
-    rows are formed without dividing by sigma: a tall factor (p > n) keeps
-    sqrt(Lambda_k) V_k^T from C^T C = V Lambda V^T, a wide one keeps U_k^T C
-    (= Sigma_k V_k^T) from C C^T = U Lambda U^T.  Either way the retained
-    Gram matches the truncated Gram of C to about eps |C|^2 however graded
-    the spectrum, so no full SVD is needed.
+    A wide factor (p <= n) is truncated as an SVD: the eigh of C C^T = U
+    Lambda U^T orders the directions, and U_k^T C (= Sigma_k V_k^T) is kept
+    without dividing by sigma.  A tall one (p > n) keeps the leading rows of
+    the pivoted Cholesky P^T C^T C P = R^T R, about n^3/3 flops against
+    several n^3 for an eigh: R[:k] P^T leaves the Schur complement S_k of
+    C^T C, whose exact trace |R[k:]|_F^2 (plus the rounding-level remainder
+    past the factorization's rank) is the discard (Harbrecht, Peters &
+    Schneider, Appl. Numer. Math. 2012).  Either way the kept Gram matches
+    C^T C minus the discard to about eps |C|^2 however graded the spectrum.
     """
     c = np.ascontiguousarray(np.atleast_2d(c), dtype=float)
     if tau_abs < 0:
         raise ValueError("tau_abs must be nonnegative")
     if cap < 1:
         raise ValueError("cap must be positive")
-    tall = c.shape[0] > c.shape[1]
-    w, v = np.linalg.eigh(c.T @ c if tall else c @ c.T)
-    sq, v = np.maximum(w[::-1], 0.0), v[:, ::-1]
-    keep = _select_retained(sq, tau_abs, cap)
-    sigma, vk = np.sqrt(sq[:keep]), np.ascontiguousarray(v[:, :keep].T)
-    factor = sigma[:, None] * vk if tall else vk @ c
+    if c.shape[0] > c.shape[1]:
+        rows, sq = _pivoted_cholesky_rows(c.T @ c)
+        # sq ends with the unfactored remainder, which has no row to keep.
+        keep = min(_select_retained(sq, tau_abs), rows.shape[0])
+        kept = min(keep, cap)
+        sigma, factor, route = None, rows[:kept], "tall-pchol"
+    else:
+        w, u = np.linalg.eigh(c @ c.T)
+        sq, u = np.maximum(w[::-1], 0.0), u[:, ::-1]
+        keep = _select_retained(sq, tau_abs)
+        kept = min(keep, cap)
+        sigma, route = np.sqrt(sq[:kept]), "gram"
+        factor = np.ascontiguousarray(u[:, :kept].T) @ c
     return TruncationResult(
-        sigma, factor, float(np.sum(sq[keep:])), "tall-gram" if tall else "gram"
+        sigma, factor, float(np.sum(sq[kept:])), route, float(np.sum(sq[kept:keep]))
     )

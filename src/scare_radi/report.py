@@ -23,6 +23,8 @@ CSV_COLUMNS = [
     "svd_route",
     "shift_src",
     "basis_dim",
+    "rejections",
+    "cap_discard",
 ]
 
 TIMING_FIELDS = ("t_shift", "t_solve", "t_ltimes", "t_svd", "t_other")
@@ -46,6 +48,8 @@ class IterationRecord:
     # "cache" when an earlier one supplied it; empty on the initial row
     shift_src: str = ""
     basis_dim: int = 0  # dimension of the basis of that projection
+    rejections: int = 0  # shifts rejected at this iteration before the accepted one
+    cap_discard: float = 0.0  # energy the row cap moved into the truncation's discard
 
     def csv_row(self):
         return [
@@ -63,6 +67,8 @@ class IterationRecord:
             self.svd_route,
             self.shift_src,
             self.basis_dim,
+            self.rejections,
+            repr(self.cap_discard),
         ]
 
 

@@ -31,11 +31,12 @@ def _recording_omega():
 
     def recording(stacked, *args, **kwargs):
         trunc = kernels.trunc_svd(stacked, *args, **kwargs)
-        # Omega = Sigma_tail V_tail^T from an SVD of its own, independent of the
-        # implementation; only its Gram is used.
-        sv = np.linalg.svd(stacked, full_matrices=False)
-        k = trunc.rank
-        omegas.append(sv.S[k:, None] * sv.Vh[k:])
+        # Omega is a square root of the exact discarded Gram C^T C - F^T F,
+        # whichever route truncated C; only its Gram is used.  Its rounding-level
+        # negative eigenvalues are clamped to 0.
+        gap = stacked.T @ stacked - trunc.factor.T @ trunc.factor
+        w, v = np.linalg.eigh(0.5 * (gap + gap.T))
+        omegas.append(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
         return trunc
 
     with pytest.MonkeyPatch.context() as mp:

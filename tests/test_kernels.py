@@ -334,15 +334,29 @@ def test_chol_property_reconstruction(seed, k):
 
 
 # ---------------------------------------------------------------------------
-# truncated SVD
+# truncation: SVD through C C^T (wide), pivoted Cholesky of C^T C (tall)
+
+EPS = np.finfo(float).eps
+
+
+def energy_gap(c, res):
+    """| |C|_F^2 - (|factor|_F^2 + discard) |: zero when the energy splits exactly."""
+    kept = np.linalg.norm(res.factor) ** 2
+    return abs(np.linalg.norm(c) ** 2 - (kept + res.discarded_sq_trace))
+
+
+def gram_gap_trace(c, res):
+    """trace(C^T C - F^T F), the energy the factor leaves out."""
+    return np.trace(c.T @ c - res.factor.T @ res.factor)
 
 
 def test_trunc_svd_zero_input():
-    # Wide, empty and tall zero factors keep nothing through either Gram.
+    # Wide, empty and tall zero factors keep nothing on either route.
     for p in (3, 0, 7):
         res = trunc_svd(np.zeros((p, 5)), 1.0, cap=3)
+        assert res.route == ("tall-pchol" if p > 5 else "gram")
         assert res.rank == 0 and res.factor.shape == (0, 5)
-        assert res.discarded_sq_trace == 0.0
+        assert res.discarded_sq_trace == 0.0 and res.cap_discard == 0.0
 
 
 def test_trunc_svd_diagonal_example():
@@ -359,7 +373,7 @@ def test_trunc_svd_full_energy_conservation():
     c = rng.standard_normal((40, 1000))
     res = trunc_svd(c, tau_abs=0.0, cap=40)
     total = np.linalg.norm(c) ** 2
-    assert abs(total - np.sum(res.sigma**2)) <= 1e-12 * total
+    assert energy_gap(c, res) <= 1e-12 * total
     assert res.discarded_sq_trace <= 1e-12 * total
     # The retained factor reproduces the Gram: C^T C = V Sigma^2 V^T.
     recon = res.factor.T @ res.factor
@@ -371,17 +385,16 @@ def test_trunc_svd_cap_moves_overflow_to_discard():
     c = rng.standard_normal((6, 30))
     res = trunc_svd(c, tau_abs=0.0, cap=2)
     assert res.rank == 2
-    total = np.linalg.norm(c) ** 2
-    assert abs(total - (np.sum(res.sigma**2) + res.discarded_sq_trace)) <= 1e-12 * total
+    assert energy_gap(c, res) <= 1e-12 * np.linalg.norm(c) ** 2
+    assert 0.0 < res.cap_discard <= res.discarded_sq_trace
 
 
 def test_trunc_svd_gram_residual_matches_discard():
     rng = np.random.default_rng(12)
     c = rng.standard_normal((10, 60))
     res = trunc_svd(c, tau_abs=0.5, cap=10)
-    gram_residual = c.T @ c - res.factor.T @ res.factor
     assert (
-        abs(np.trace(gram_residual) - res.discarded_sq_trace)
+        abs(gram_gap_trace(c, res) - res.discarded_sq_trace)
         <= 1e-12 * np.linalg.norm(c) ** 2
     )
 
@@ -390,8 +403,8 @@ def test_trunc_svd_tall_input_conserves_energy():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((50, 8))
     res = trunc_svd(c, tau_abs=0.0, cap=50)
-    total = np.linalg.norm(c) ** 2
-    assert abs(total - np.sum(res.sigma**2)) <= 1e-12 * total
+    assert res.route == "tall-pchol" and res.sigma is None and res.rank == 8
+    assert energy_gap(c, res) <= 1e-12 * np.linalg.norm(c) ** 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,9 +416,9 @@ def test_trunc_svd_tall_input_conserves_energy():
     st.booleans(),
 )
 def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
-    # Both routes go through eigh of the smaller Gram and divide by no sigma,
-    # so the kept Gram is accurate to eps |C|^2 even where the spectrum spans
-    # 12-16 decades (a Sigma^-1 U^T C recovery would lose the small directions).
+    # Neither route divides by a singular value, so the kept Gram is accurate
+    # to eps |C|^2 even where the spectrum spans 12-16 decades (a
+    # Sigma^-1 U^T C recovery would lose the small directions).
     rng = np.random.default_rng(seed)
     q1, _ = np.linalg.qr(rng.standard_normal((ratio * k, k)))
     q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -414,23 +427,24 @@ def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
         c = np.ascontiguousarray(c.T)
     p = c.shape[0]
     total = np.linalg.norm(c) ** 2
-    eps = np.finfo(float).eps
 
     res = trunc_svd(c, tau_abs=0.0, cap=p)
-    assert res.route == ("tall-gram" if tall else "gram")
+    assert res.route == ("tall-pchol" if tall else "gram")
     assert res.factor.shape == (res.rank, c.shape[1])
-    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * eps * total
-    assert abs(total - (np.sum(res.sigma**2) + res.discarded_sq_trace)) <= 1e-12 * total
+    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * EPS * total
+    assert energy_gap(c, res) <= 1e-12 * total
+    if tall:
+        return
 
-    # With a threshold between two of the SVD's tail sums, both drop the
-    # same directions.
+    # The wide route is an SVD truncation: with a threshold between two of
+    # the SVD's tail sums, both drop the same directions.
     sq = np.linalg.svd(c, compute_uv=False) ** 2
     tails = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
     cut = int(rng.integers(1, k))
     tau = np.sqrt(tails[cut] * tails[cut - 1])
     svd_tail = tails[tails <= tau].max()
     cut_res = trunc_svd(c, tau_abs=tau, cap=p)
-    assert abs(cut_res.discarded_sq_trace - svd_tail) <= 10 * eps * total
+    assert abs(cut_res.discarded_sq_trace - svd_tail) <= 10 * EPS * total
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,9 +459,64 @@ def test_trunc_svd_energy_property(seed, p, n, tau):
     c = rng.standard_normal((p, n))
     res = trunc_svd(c, tau_abs=tau, cap=p)
     total = np.linalg.norm(c) ** 2
-    assert np.all(np.diff(res.sigma) <= 0)
-    assert np.all(res.sigma > 0)
-    assert abs(total - (np.sum(res.sigma**2) + res.discarded_sq_trace)) <= 1e-12 * max(
-        total, 1.0
-    )
+    if res.route == "gram":  # singular values exist on the SVD route only
+        assert np.all(np.diff(res.sigma) <= 0)
+        assert np.all(res.sigma > 0)
+    assert energy_gap(c, res) <= 1e-12 * max(total, 1.0)
     assert res.discarded_sq_trace <= tau + 1e-12 * max(total, 1.0) or res.rank == p
+
+
+def tall_stack(seed, p, n):
+    """A p x n Gaussian stack with columns graded over 6 decades."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((p, n)) * 10.0 ** -np.linspace(0.0, 6.0, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.floats(-16.0, 0.0),
+    st.integers(1, 40),
+)
+def test_trunc_svd_tall_discard_is_the_gram_gap(seed, n, extra, log_frac, cap):
+    # The kept rows R[:k] P^T leave the Schur complement of C^T C, so the
+    # discard is the trace of C^T C - F^T F, and it stays within tau unless
+    # the row cap binds.
+    c = tall_stack(seed, n + extra * n, n)
+    total = np.linalg.norm(c) ** 2
+    tau = 10.0**log_frac * total
+    res = trunc_svd(c, tau_abs=tau, cap=cap)
+    assert res.route == "tall-pchol" and res.rank <= cap
+    assert abs(gram_gap_trace(c, res) - res.discarded_sq_trace) <= 1e-12 * total
+    assert energy_gap(c, res) <= 1e-12 * total
+    assert res.discarded_sq_trace <= tau + 1e-12 * total or res.rank == cap
+    assert res.cap_discard <= res.discarded_sq_trace + 1e-12 * total
+    assert res.cap_discard == 0.0 or res.rank == cap
+
+
+def test_trunc_svd_tall_cap_overflow_is_counted():
+    c = tall_stack(3, 200, 40)
+    free = trunc_svd(c, tau_abs=0.0, cap=200)
+    capped = trunc_svd(c, tau_abs=0.0, cap=10)
+    assert free.cap_discard == 0.0 and capped.rank == 10 < free.rank
+    # The capped factor is the free one's leading rows; the rest is counted.
+    np.testing.assert_array_equal(capped.factor, free.factor[:10])
+    assert capped.cap_discard > 0.0
+    total = np.linalg.norm(c) ** 2
+    overflow = capped.discarded_sq_trace - free.discarded_sq_trace
+    assert abs(overflow - capped.cap_discard) <= 1e-12 * total
+    assert abs(gram_gap_trace(c, capped) - capped.discarded_sq_trace) <= 1e-12 * total
+
+
+def test_trunc_svd_tall_rank_deficient_stack():
+    # A 1500 x 300 stack of rank 100 keeps about 100 rows, and they carry
+    # its whole Gram.
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((1500, 100)) @ rng.standard_normal((100, 300))
+    total = np.linalg.norm(c) ** 2
+    res = trunc_svd(c, tau_abs=3.33e-15 * total, cap=1500)
+    assert res.route == "tall-pchol" and abs(res.rank - 100) <= 2
+    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * EPS * total
+    assert energy_gap(c, res) <= 1e-12 * total

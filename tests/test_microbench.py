@@ -49,13 +49,13 @@ def test_xi_append_75_steps(benchmark):
     assert state.xi.tobytes() == np.hstack([s.T for s in blocks]).tobytes()
 
 
-@pytest.mark.parametrize("route", ["tall-gram", "gram"], ids=["tall", "wide"])
+@pytest.mark.parametrize("route", ["tall-pchol", "gram"], ids=["tall", "wide"])
 def test_trunc_svd_c9_shape(benchmark, route):
     # Graded c9 stacks at n = 300.  Tall: five blocks of a 300-row residual
     # factor, truncated under the workload's row cap.  Wide: the 150-row
     # stack of step 2, whose spectrum spans 12 decades.
     rng = np.random.default_rng(0)
-    if route == "tall-gram":
+    if route == "tall-pchol":
         c = rng.standard_normal((1500, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
     else:
         c = 10.0 ** -np.linspace(0.0, 12.0, 150)[:, None] * rng.standard_normal((150, 300))
