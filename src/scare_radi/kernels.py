@@ -1,24 +1,26 @@
 """Block linear-algebra kernels.
 
 The left semi-tensor product with vertically stacked blocks as one product,
-SMW-corrected shifted row solves, right triangular solves, small SPD Cholesky
-factorization, and the truncation of a residual factor with exact accounting
-of the discarded energy: a wide factor by an SVD taken through its Gram C C^T
-with no division by the singular values, a tall one by a pivoted Cholesky of
-C^T C.
+the shifted factorization (a LAPACK band LU for a narrow pattern, SuperLU
+otherwise) and its SMW-corrected row solves, right triangular solves, small
+SPD Cholesky factorization, and the truncation of a residual factor with
+exact accounting of the discarded energy: a wide factor by an SVD taken
+through its Gram C C^T with no division by the singular values, a tall one by
+a pivoted Cholesky of C^T C.
 Everything here is a pure function of its inputs; factorization handles may be
 shared read-only across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpstrf
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpstrf
 from scipy.sparse.linalg import splu
 
 from .errors import ConformabilityError, ShiftRejectionError, SpdViolationError
@@ -124,20 +126,21 @@ def right_tri_solve(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ShiftedFactorization:
-    """Sparse LU of (A - gamma*E)^T, reusable for many row solves.
+    """LU of (A - gamma*E)^T, reusable for many row solves.
 
     Factoring the transpose turns every row solve rows @ (A - gamma*E)^-1
-    into a plain (non-transposed) SuperLU solve.  The handle is read-only
-    after construction and safe to share across threads for simultaneous
-    solves.
+    into a plain (non-transposed) column solve ``_solve`` of the factors:
+    ``SuperLU.solve``, or LAPACK ``dgbtrs`` on a band LU.  The handle is
+    read-only after construction and safe to share across threads for
+    simultaneous solves.
     """
 
     gamma: float
     n: int
-    _lu: object = field(repr=False)
+    _solve: object = field(repr=False)
 
     def row_solve(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ (A - gamma*E)^-1 as the sparse solve (A - gamma*E)^-T rows^T."""
+        """rows @ (A - gamma*E)^-1 as the column solve (A - gamma*E)^-T rows^T."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.shape[1] != self.n:
             raise ConformabilityError(
@@ -145,31 +148,56 @@ class ShiftedFactorization:
             )
         if rows.shape[0] == 0:
             return rows.copy()
-        return self._lu.solve(rows.T).T
+        return self._solve(rows.T).T
+
+
+def _band_solve(lub, piv, kl, ku, cols):
+    x, info = dgbtrs(lub, kl, ku, cols, piv)
+    if info < 0:
+        raise ValueError(f"illegal value in band LU solve argument {-info}")
+    return x
 
 
 def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
     """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
 
-    ``ops`` is a :class:`scare_radi.problems.OperatorForms`; the shifted
-    matrix is ``ops.at - gamma*ops.et``, factored by SuperLU with partial
-    pivoting and its default fill-reducing ordering.  An exactly singular
-    shifted matrix raises :class:`ShiftRejectionError`.
+    ``ops`` is a :class:`scare_radi.problems.OperatorForms`.  When it holds
+    band forms (``ops.bandwidths`` is not None), ``ops.at_band -
+    gamma*ops.et_band`` is factored by LAPACK ``dgbtrf`` (band LU with
+    partial pivoting); otherwise ``ops.at - gamma*ops.et`` is factored by
+    SuperLU with partial pivoting and its default fill-reducing ordering.
+    An exactly singular shifted matrix (a zero pivot) raises
+    :class:`ShiftRejectionError` on either route.
     """
-    try:
-        lu = splu(ops.at - gamma * ops.et)
-    except RuntimeError as exc:  # SuperLU signals exact singularity this way
+    n = ops.a.shape[0]
+    if ops.bandwidths is None:
+        try:
+            lu = splu(ops.at - gamma * ops.et)
+        except RuntimeError as exc:  # SuperLU signals exact singularity this way
+            raise ShiftRejectionError(
+                f"factorization of A - {gamma}*E failed: {exc}"
+            ) from exc
+        return ShiftedFactorization(gamma=float(gamma), n=n, _solve=lu.solve)
+    kl, ku = ops.bandwidths
+    lub, piv, info = dgbtrf(ops.at_band - gamma * ops.et_band, kl, ku, overwrite_ab=1)
+    if info > 0:
         raise ShiftRejectionError(
-            f"factorization of A - {gamma}*E failed: {exc}"
-        ) from exc
-    return ShiftedFactorization(gamma=float(gamma), n=ops.a.shape[0], _lu=lu)
+            f"band factorization of A - {gamma}*E failed: zero pivot {info}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in band LU argument {-info}")
+    return ShiftedFactorization(
+        gamma=float(gamma), n=n, _solve=functools.partial(_band_solve, lub, piv, kl, ku)
+    )
 
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rows @ core^-1 for the small SMW core, rejecting numerically singular cores."""
+    """rows @ core^-1 for the small SMW core, rejecting non-finite or singular cores."""
+    if not np.all(np.isfinite(core)):
+        raise ShiftRejectionError("SMW core matrix I + F A_gamma^-1 B is not finite")
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(core)
+        lu, piv = sla.lu_factor(core, check_finite=False)
     diag = np.abs(np.diag(lu))
     if diag.size and diag.min() <= 1e3 * _MACHEPS * max(diag.max(), 1.0):
         raise ShiftRejectionError("SMW core matrix I + F A_gamma^-1 B is numerically singular")
@@ -253,14 +281,20 @@ def _select_retained(sq: np.ndarray, tau_abs: float) -> int:
     return keep
 
 
-def _pivoted_cholesky_rows(g: np.ndarray):
+def _pivoted_cholesky_rows(g: np.ndarray, tau_abs: float):
     """Rows R P^T of the pivoted Cholesky P^T G P = R^T R, and their energies.
 
-    LAPACK ``dpstrf`` stops at its numerical rank; only the rows before it are
-    finished, so only those are returned.  The energies are the squared row
-    norms followed by the trace that the stop left unfactored, clamped at 0.
+    LAPACK ``dpstrf`` stops at its numerical rank, the first pivot at or below
+    its tolerance; only the rows before it are finished, so only those are
+    returned.  The energies are the squared row norms followed by the trace
+    that the stop left unfactored, clamped at 0.  The tolerance is LAPACK's
+    default n eps max diag(G), lowered to tau_abs / n when that is smaller:
+    the at most n pivots left unfactored then sum to at most tau_abs, so the
+    unfactored trace alone never exceeds the allowed discard.
     """
-    r, piv, rank, info = dpstrf(g)
+    n = g.shape[0]
+    tol = min(n * _MACHEPS * float(np.max(np.diag(g), initial=0.0)), tau_abs / max(n, 1))
+    r, piv, rank, info = dpstrf(g, tol=tol)
     if info < 0:
         raise ValueError(f"illegal value in pivoted Cholesky argument {-info}")
     rows = np.zeros((rank, g.shape[0]))
@@ -292,7 +326,7 @@ def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     if cap < 1:
         raise ValueError("cap must be positive")
     if c.shape[0] > c.shape[1]:
-        rows, sq = _pivoted_cholesky_rows(c.T @ c)
+        rows, sq = _pivoted_cholesky_rows(c.T @ c, tau_abs)
         # sq ends with the unfactored remainder, which has no row to keep.
         keep = min(_select_retained(sq, tau_abs), rows.shape[0])
         kept = min(keep, cap)

@@ -203,6 +203,19 @@ class StandardProblem:
         )
 
 
+def _band_storage(m: sp.spmatrix, kl: int, ku: int) -> np.ndarray:
+    """M in LAPACK ``dgbtrf`` band storage: M[i, j] at row kl + ku + i - j of column j.
+
+    The leading kl rows are the room ``dgbtrf`` needs for the fill of its row
+    interchanges.  The array is read-only, so it can be shared across threads.
+    """
+    coo = m.tocoo()
+    ab = np.zeros((2 * kl + ku + 1, m.shape[1]))
+    np.add.at(ab, (kl + ku + coo.row - coo.col, coo.col), coo.data)
+    ab.flags.writeable = False
+    return ab
+
+
 @dataclass(frozen=True)
 class OperatorForms:
     """The fixed operators of one solve, in the forms its iterations use.
@@ -211,9 +224,15 @@ class OperatorForms:
     shifted solve and factoring E are the same work at every step, so
     :meth:`of` does them once, and the instance is immutable after that.
     ``at`` and ``et`` are A^T and E^T (I when E is None) in CSC, so each step
-    factors (A - gamma*E)^T as ``at - gamma*et``; ``e_lu`` is the sparse LU
-    of E the shift layer solves with (None when E is None).  A singular E
-    raises :class:`AssumptionViolationError` in :meth:`of`.
+    factors (A - gamma*E)^T as ``at - gamma*et``.  ``bandwidths`` is the
+    (lower, upper) bandwidth pair (kl, ku) of the pattern |A^T| + |E^T| when
+    its LAPACK band storage, (2 kl + ku + 1) n entries, is at most twice its
+    nonzeros; ``at_band`` and ``et_band`` then hold A^T and E^T in that
+    storage (see :func:`_band_storage`), and each step factors the band
+    ``at_band - gamma*et_band`` instead.  For any wider pattern (a 2-D stencil,
+    a general sparse A) all three are None.  ``e_lu`` is the sparse LU of E
+    the shift layer solves with (None when E is None).  A singular E raises
+    :class:`AssumptionViolationError` in :meth:`of`.
     """
 
     a: sp.csc_matrix
@@ -222,6 +241,9 @@ class OperatorForms:
     at: sp.csc_matrix
     et: sp.csc_matrix
     e_lu: object
+    bandwidths: tuple[int, int] | None
+    at_band: np.ndarray | None
+    et_band: np.ndarray | None
 
     @classmethod
     def of(cls, a, e=None) -> "OperatorForms":
@@ -232,13 +254,22 @@ class OperatorForms:
             e_lu = None if e is None else splu(e)
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
+        at = a.T.tocsc()
+        et = sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc()
+        pattern = (abs(at) + abs(et)).tocoo()
+        kl = int(np.max(pattern.row - pattern.col, initial=0))
+        ku = int(np.max(pattern.col - pattern.row, initial=0))
+        banded = (2 * kl + ku + 1) * a.shape[0] <= 2 * pattern.nnz
         return cls(
             a=a,
             e=e,
             a_norm1=float(np.max(np.asarray(abs(a).sum(axis=0)).ravel())),
-            at=a.T.tocsc(),
-            et=sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc(),
+            at=at,
+            et=et,
             e_lu=e_lu,
+            bandwidths=(kl, ku) if banded else None,
+            at_band=_band_storage(at, kl, ku) if banded else None,
+            et_band=_band_storage(et, kl, ku) if banded else None,
         )
 
 

@@ -179,6 +179,59 @@ def test_identities_property(seed):
 # shifted solves
 
 
+def random_stable(n, seed, density=0.05):
+    """A random sparse A, made diagonally dominant with a negative diagonal."""
+    a = sp.random(n, n, density=density, random_state=seed)
+    return sp.csc_matrix(a - sp.diags(np.abs(a).sum(axis=1).A1 + 1.0))
+
+
+def random_band(n, offsets, seed):
+    """A nonsymmetric band matrix with random diagonals at ``offsets`` (0 among them)."""
+    rng = np.random.default_rng(seed)
+    return sp.diags([rng.uniform(0.5, 1.5, n - abs(k)) for k in offsets], offsets,
+                    shape=(n, n), format="csc")
+
+
+def tridiagonal(n):
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csc")
+
+
+def stencil_2d(side):
+    """The 5-point Laplacian on a side x side grid, built with sp.kron."""
+    t, eye = tridiagonal(side), sp.identity(side)
+    return sp.csc_matrix(sp.kron(t, eye) + sp.kron(eye, t))
+
+
+@pytest.mark.parametrize(
+    "a, e, bandwidths",
+    [
+        (tridiagonal(50), None, (1, 1)),
+        (tridiagonal(50), sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(50, 50)), (1, 1)),
+        (sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(50, 50)), None, (2, 2)),
+        # A^T's bandwidths are A's swapped, (1, 3), and E^T widens the lower one.
+        (random_band(50, [-3, -1, 0, 1], 1), random_band(50, [0, 2], 2), (2, 3)),
+        (stencil_2d(10), None, None),
+        (random_stable(80, 3), None, None),
+    ],
+    ids=["tridiagonal", "tridiagonal-mass", "pentadiagonal", "nonsymmetric-band",
+         "stencil-2d", "random-sparse"],
+)
+def test_operator_forms_choose_band_route_for_narrow_patterns(a, e, bandwidths):
+    ops = OperatorForms.of(a, e)
+    assert ops.bandwidths == bandwidths
+    if bandwidths is None:
+        assert ops.at_band is None and ops.et_band is None
+        return
+    kl, ku = bandwidths
+    n = a.shape[0]
+    eye = np.eye(n) if e is None else e.toarray()
+    for band, dense in ((ops.at_band, a.toarray().T), (ops.et_band, eye.T)):
+        assert band.shape == (2 * kl + ku + 1, n) and not band.flags.writeable
+        for i, j in zip(*np.nonzero(dense)):
+            assert band[kl + ku + i - j, j] == dense[i, j]
+        assert np.count_nonzero(band) == np.count_nonzero(dense)
+
+
 def test_smw_zero_feedback_is_plain_solve():
     n = 6
     rng = np.random.default_rng(0)
@@ -236,29 +289,37 @@ def test_smw_property_random_stable_instances():
 
 
 def test_smw_singular_core_rejected():
-    # B F chosen so that I + F A_g^-1 B is exactly singular.
+    # B F chosen so that I + F A_g^-1 B is exactly singular (b0 = 1), or
+    # infinite (b0 = inf).
     a = sp.csc_matrix(np.eye(2))
     gamma = 2.0  # A - 2I = -I
-    b = np.array([[1.0], [0.0]])
-    f = np.array([[1.0, 0.0]])  # I + F(-I)B = 0
+    f = np.array([[1.0, 0.0]])  # I + F(-I)B = 1 - b0
     fac = factor_shifted(OperatorForms.of(a), gamma)
-    with pytest.raises(ShiftRejectionError):
-        smw_row_solve(fac, b, f, np.eye(2))
+    for b0 in (1.0, np.inf):
+        with pytest.raises(ShiftRejectionError), np.errstate(invalid="ignore"):
+            smw_row_solve(fac, np.array([[b0], [0.0]]), f, np.eye(2))
 
 
 def test_factor_shifted_singular_matrix_rejected():
-    a = sp.csc_matrix(np.eye(3))
-    with pytest.raises(ShiftRejectionError):
-        factor_shifted(OperatorForms.of(a), 1.0)  # A - I = 0
+    # A - I has a zero row: A = I takes the band route, a random sparse
+    # I + S whose row 0 is e_0 takes SuperLU.
+    s = random_stable(60, 4, density=0.1).tolil()
+    s[0, :] = 0.0
+    for a, banded in ((sp.identity(3), True), (sp.identity(60) + s, False)):
+        ops = OperatorForms.of(a)
+        assert (ops.bandwidths is not None) == banded
+        with pytest.raises(ShiftRejectionError):
+            factor_shifted(ops, 1.0)
 
 
-def test_factorization_shared_across_threads():
+@pytest.mark.parametrize(
+    "a", [random_stable(120, 3), tridiagonal(120)], ids=["superlu", "band"]
+)
+def test_factorization_shared_across_threads(a):
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(3)
-    n = 120
-    a = sp.random(n, n, density=0.05, random_state=3)
-    a = sp.csc_matrix(a - sp.diags(np.abs(a).sum(axis=1).A1 + 1.0))
+    n = a.shape[0]
     fac = factor_shifted(OperatorForms.of(a), 0.8)
     rows = [rng.standard_normal((3, n)) for _ in range(16)]
     serial = [fac.row_solve(r) for r in rows]
@@ -270,26 +331,36 @@ def test_factorization_shared_across_threads():
 
 def test_row_solves_on_nonsymmetric_a_and_e():
     # A and E nonsymmetric, and E has entries outside A's pattern, so a slip
-    # in transposing A or E, or in the solve, cannot cancel out.
+    # in transposing A or E, or in the solve, cannot cancel out.  The first
+    # pair takes SuperLU; the second is a band with kl != ku whose E has
+    # bandwidths other than A's.
     rng = np.random.default_rng(21)
     n, m, gamma = 80, 3, 1.3
-    a = sp.random(n, n, density=0.05, random_state=21)
-    a = sp.csc_matrix(a - sp.diags(np.abs(a).sum(axis=1).A1 + 1.0))
-    e = sp.csc_matrix(sp.identity(n) + 0.2 * sp.random(n, n, density=0.04, random_state=22))
-    assert (abs(e) > abs(a)).nnz > n  # part of E's pattern lies outside A's
-    a_d, e_d = a.toarray(), e.toarray()
-    assert not np.allclose(a_d, a_d.T) and not np.allclose(e_d, e_d.T)
-    b = rng.standard_normal((n, m))
-    f = rng.standard_normal((m, n)) / n
-    rows = rng.standard_normal((5, n))
-    fac = factor_shifted(OperatorForms.of(a, e), gamma)
-    checks = (
-        (fac.row_solve(rows), a_d - gamma * e_d),
-        (smw_row_solve(fac, b, f, rows), a_d + b @ f - gamma * e_d),
+    cases = (
+        (random_stable(n, 21),
+         sp.identity(n) + 0.2 * sp.random(n, n, density=0.04, random_state=22),
+         None),
+        (random_band(n, [-2, -1, 0, 1], 23) - 5.0 * sp.identity(n),
+         random_band(n, [0, 1, 3], 24) + sp.identity(n),
+         (3, 2)),
     )
-    for out, shifted in checks:
-        oracle = sla.solve(shifted.T, rows.T).T
-        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    for a, e, bandwidths in cases:
+        a_d, e_d = a.toarray(), e.toarray()
+        assert np.count_nonzero((e_d != 0) & (a_d == 0)) >= n // 2
+        assert not np.allclose(a_d, a_d.T) and not np.allclose(e_d, e_d.T)
+        b = rng.standard_normal((n, m))
+        f = rng.standard_normal((m, n)) / n
+        rows = rng.standard_normal((5, n))
+        ops = OperatorForms.of(a, e)
+        assert ops.bandwidths == bandwidths
+        fac = factor_shifted(ops, gamma)
+        checks = (
+            (fac.row_solve(rows), a_d - gamma * e_d),
+            (smw_row_solve(fac, b, f, rows), a_d + b @ f - gamma * e_d),
+        )
+        for out, shifted in checks:
+            oracle = sla.solve(shifted.T, rows.T).T
+            assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +591,16 @@ def test_trunc_svd_tall_rank_deficient_stack():
     assert res.route == "tall-pchol" and abs(res.rank - 100) <= 2
     assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * EPS * total
     assert energy_gap(c, res) <= 1e-12 * total
+
+
+def test_trunc_svd_tall_discard_within_tau_on_steep_grading():
+    # Column scales spanning 12 decades leave pivots below LAPACK's default
+    # tolerance whose trace alone is several times tau; they must be factored
+    # and counted, not discarded whole.
+    c = np.random.default_rng(0).standard_normal((1500, 300)) * np.logspace(0, -12, 300)
+    total = np.linalg.norm(c) ** 2
+    tau = 3.33e-15 * total
+    res = trunc_svd(c, tau_abs=tau, cap=1500)
+    assert res.route == "tall-pchol" and res.cap_discard == 0.0
+    assert res.discarded_sq_trace <= tau
+    assert abs(gram_gap_trace(c, res) - res.discarded_sq_trace) <= 1e-12 * total

@@ -7,26 +7,38 @@ Few rounds keep them cheap inside the full suite; run them alone with
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, step_once
 from scare_radi.kernels import factor_shifted, ltimes, trunc_svd
+from scare_radi.problems import OperatorForms
 from scare_radi.shifts import build_basis, hamiltonian_shifts
 
 N = 5000
 
 
-def test_factor_shifted_and_row_solve(benchmark):
-    p = gen_heat_problem(N, 7, 6, seed=0, mass_matrix=True)
-    ops = p.operators()
-    rows = np.vstack([p.c, p.b.T])  # the stacked [C; F] shape of one step
+@pytest.mark.parametrize("route", ["band", "superlu"])
+def test_factor_shifted_and_row_solve(benchmark, route):
+    # The band route on det-mass's n = 5000 tridiagonal A and E; SuperLU on a
+    # 70 x 70 5-point stencil (n = 4900), whose band storage would be ~40x
+    # its nonzeros.  Both solve the stacked [C; F] shape of one step, 13 rows.
+    if route == "band":
+        p = gen_heat_problem(N, 7, 6, seed=0, mass_matrix=True)
+        ops = p.operators()
+        rows = np.vstack([p.c, p.b.T])
+    else:
+        t = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(70, 70))
+        ops = OperatorForms.of(sp.kron(t, sp.identity(70)) + sp.kron(sp.identity(70), t))
+        rows = np.random.default_rng(0).standard_normal((13, 4900))
+    assert (ops.bandwidths is not None) == (route == "band")
     gamma = 1e3
 
     def factor_and_solve():
         return factor_shifted(ops, gamma).row_solve(rows)
 
     out = benchmark.pedantic(factor_and_solve, rounds=5, iterations=1, warmup_rounds=1)
-    back = np.asarray((ops.a - gamma * ops.e).T @ out.T).T
+    back = np.asarray((ops.at - gamma * ops.et) @ out.T).T
     assert np.linalg.norm(back - rows) <= 1e-10 * np.linalg.norm(rows)
 
 
