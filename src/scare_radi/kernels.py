@@ -1,8 +1,9 @@
 """Block linear-algebra kernels.
 
 The left semi-tensor product with vertically stacked blocks as one product,
-the shifted factorization (a LAPACK band LU for a narrow pattern, SuperLU
-otherwise) and its SMW-corrected row solves, right triangular solves, small
+the shifted factorization (a LAPACK LDL^T for a symmetric-definite
+tridiagonal pencil, a band LU for another narrow pattern, SuperLU otherwise)
+and its SMW-corrected row solves, right triangular solves, small
 SPD Cholesky factorization, and the truncation of a residual factor with
 exact accounting of the discarded energy: a wide factor by an SVD taken
 through its Gram C C^T with no division by the singular values, a tall one by
@@ -14,13 +15,14 @@ shared read-only across threads.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpstrf
+from scipy.linalg.lapack import (
+    dgbtrf, dgbtrs, dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs,
+)
 from scipy.sparse.linalg import splu
 
 from .errors import ConformabilityError, ShiftRejectionError, SpdViolationError
@@ -126,13 +128,14 @@ def right_tri_solve(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ShiftedFactorization:
-    """LU of (A - gamma*E)^T, reusable for many row solves.
+    """Factorization of (A - gamma*E)^T, reusable for many row solves.
 
     Factoring the transpose turns every row solve rows @ (A - gamma*E)^-1
     into a plain (non-transposed) column solve ``_solve`` of the factors:
-    ``SuperLU.solve``, or LAPACK ``dgbtrs`` on a band LU.  The handle is
-    read-only after construction and safe to share across threads for
-    simultaneous solves.
+    the negated LAPACK ``dpttrs`` on the LDL^T of gamma*E - A,
+    ``dgbtrs`` on a band LU, or ``SuperLU.solve``.  The handle is read-only
+    after construction and safe to share across threads for simultaneous
+    solves.
     """
 
     gamma: float
@@ -158,19 +161,39 @@ def _band_solve(lub, piv, kl, ku, cols):
     return x
 
 
+def _ldlt_solve(d, e, cols):
+    """(A - gamma*E)^-1 cols as -(gamma*E - A)^-1 cols from its LDL^T (d, e)."""
+    x = dpttrs(d, e, cols)[0]  # info < 0 (an illegal argument) cannot occur here
+    return np.negative(x, out=x)
+
+
 def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
     """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
 
-    ``ops`` is a :class:`scare_radi.problems.OperatorForms`.  When it holds
-    band forms (``ops.bandwidths`` is not None), ``ops.at_band -
-    gamma*ops.et_band`` is factored by LAPACK ``dgbtrf`` (band LU with
-    partial pivoting); otherwise ``ops.at - gamma*ops.et`` is factored by
-    SuperLU with partial pivoting and its default fill-reducing ordering.
-    An exactly singular shifted matrix (a zero pivot) raises
-    :class:`ShiftRejectionError` on either route.
+    ``ops`` is a :class:`scare_radi.problems.OperatorForms`; its ``route``
+    picks the factorization.  On ``"ldlt"`` (A and E symmetric tridiagonal,
+    -A and E positive definite) the SPD tridiagonal gamma*E - A, built from
+    ``ops.tridiag``, is factored by LAPACK ``dpttrf`` (LDL^T, no pivoting
+    needed) and every solve negates its ``dpttrs``.  On ``"band"``
+    ``ops.at_band - gamma*ops.et_band`` is factored by ``dgbtrf`` (band LU
+    with partial pivoting), and on ``"superlu"`` ``ops.at - gamma*ops.et``
+    by SuperLU with partial pivoting and its default fill-reducing ordering.
+    A shifted matrix that is exactly singular (a zero pivot), or on the LDL^T
+    route not numerically positive definite (a rounding-level near
+    singularity for gamma > 0), raises :class:`ShiftRejectionError`.
     """
     n = ops.a.shape[0]
-    if ops.bandwidths is None:
+    if ops.route == "ldlt":
+        a_d, a_o, e_d, e_o = ops.tridiag
+        d, e, info = dpttrf(gamma * e_d - a_d, gamma * e_o - a_o, overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise ShiftRejectionError(
+                f"LDL^T of {gamma}*E - A failed: pivot {info} is not positive"
+            )
+        return ShiftedFactorization(
+            gamma=float(gamma), n=n, _solve=functools.partial(_ldlt_solve, d, e)
+        )
+    if ops.route == "superlu":
         try:
             lu = splu(ops.at - gamma * ops.et)
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
@@ -193,15 +216,17 @@ def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """rows @ core^-1 for the small SMW core, rejecting non-finite or singular cores."""
+    if core.shape[0] == 0:
+        return rows
     if not np.all(np.isfinite(core)):
         raise ShiftRejectionError("SMW core matrix I + F A_gamma^-1 B is not finite")
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(core, check_finite=False)
+    # A zero pivot (info > 0) fails the pivot test; on a finite square core
+    # LAPACK reports no other error.
+    lu, piv, _ = dgetrf(core)
     diag = np.abs(np.diag(lu))
-    if diag.size and diag.min() <= 1e3 * _MACHEPS * max(diag.max(), 1.0):
+    if diag.min() <= 1e3 * _MACHEPS * max(diag.max(), 1.0):
         raise ShiftRejectionError("SMW core matrix I + F A_gamma^-1 B is numerically singular")
-    return sla.lu_solve((lu, piv), rows.T, trans=1).T
+    return dgetrs(lu, piv, rows.T, trans=1)[0].T
 
 
 def smw_row_solve(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -216,6 +217,29 @@ def _band_storage(m: sp.spmatrix, kl: int, ku: int) -> np.ndarray:
     return ab
 
 
+def _spd_tridiagonal(at: sp.spmatrix, et: sp.spmatrix):
+    """(a_d, a_o, e_d, e_o): diagonals and off-diagonals of A and E, or None.
+
+    ``at`` and ``et`` are A^T and E^T with a pattern inside the tridiagonal
+    band.  The diagonals are kept only when both are exactly symmetric and
+    -A and E are positive definite (LAPACK ``dpttrf`` completes); then
+    gamma*E - A is symmetric positive definite for every gamma > 0.  The
+    arrays are read-only, so they can be shared across threads.
+    """
+    diags = []
+    for m in (at, et):
+        off = m.diagonal(1)
+        if not np.array_equal(off, m.diagonal(-1)):
+            return None
+        diags += [m.diagonal(0), off]
+    a_d, a_o, e_d, e_o = diags
+    if dpttrf(-a_d, -a_o)[2] != 0 or dpttrf(e_d, e_o)[2] != 0:
+        return None
+    for d in diags:
+        d.flags.writeable = False
+    return tuple(diags)
+
+
 @dataclass(frozen=True)
 class OperatorForms:
     """The fixed operators of one solve, in the forms its iterations use.
@@ -224,15 +248,25 @@ class OperatorForms:
     shifted solve and factoring E are the same work at every step, so
     :meth:`of` does them once, and the instance is immutable after that.
     ``at`` and ``et`` are A^T and E^T (I when E is None) in CSC, so each step
-    factors (A - gamma*E)^T as ``at - gamma*et``.  ``bandwidths`` is the
-    (lower, upper) bandwidth pair (kl, ku) of the pattern |A^T| + |E^T| when
-    its LAPACK band storage, (2 kl + ku + 1) n entries, is at most twice its
-    nonzeros; ``at_band`` and ``et_band`` then hold A^T and E^T in that
-    storage (see :func:`_band_storage`), and each step factors the band
-    ``at_band - gamma*et_band`` instead.  For any wider pattern (a 2-D stencil,
-    a general sparse A) all three are None.  ``e_lu`` is the sparse LU of E
-    the shift layer solves with (None when E is None).  A singular E raises
-    :class:`AssumptionViolationError` in :meth:`of`.
+    factors (A - gamma*E)^T as ``at - gamma*et``, on one of three routes
+    (``route``) chosen from the pattern |A^T| + |E^T| and the values:
+
+    - ``"ldlt"``: the pattern is tridiagonal (n >= 2), A and E are exactly
+      symmetric, and -A and E are positive definite.  ``tridiag`` holds the
+      diagonals (a_d, a_o, e_d, e_o) (see :func:`_spd_tridiagonal`), and
+      each step factors the SPD tridiagonal gamma*E - A by LDL^T.
+    - ``"band"``: any other pattern whose LAPACK band storage, (2 kl + ku +
+      1) n entries for lower and upper bandwidths kl and ku, is at most
+      twice its nonzeros.  ``bandwidths`` is (kl, ku), ``at_band`` and
+      ``et_band`` hold A^T and E^T in that storage (see
+      :func:`_band_storage`), and each step factors the band
+      ``at_band - gamma*et_band``.
+    - ``"superlu"``: any wider pattern (a 2-D stencil, a general sparse A);
+      each step factors ``at - gamma*et`` by SuperLU.
+
+    The fields of the routes not taken are None.  ``e_lu`` is the sparse LU
+    of E the shift layer solves with (None when E is None).  A singular E
+    raises :class:`AssumptionViolationError` in :meth:`of`.
     """
 
     a: sp.csc_matrix
@@ -244,6 +278,14 @@ class OperatorForms:
     bandwidths: tuple[int, int] | None
     at_band: np.ndarray | None
     et_band: np.ndarray | None
+    tridiag: tuple | None
+
+    @property
+    def route(self) -> str:
+        """The shifted factorization's route: ``"ldlt"``, ``"band"`` or ``"superlu"``."""
+        if self.tridiag is not None:
+            return "ldlt"
+        return "superlu" if self.bandwidths is None else "band"
 
     @classmethod
     def of(cls, a, e=None) -> "OperatorForms":
@@ -259,7 +301,8 @@ class OperatorForms:
         pattern = (abs(at) + abs(et)).tocoo()
         kl = int(np.max(pattern.row - pattern.col, initial=0))
         ku = int(np.max(pattern.col - pattern.row, initial=0))
-        banded = (2 * kl + ku + 1) * a.shape[0] <= 2 * pattern.nnz
+        tridiag = _spd_tridiagonal(at, et) if max(kl, ku) <= 1 and a.shape[0] > 1 else None
+        banded = tridiag is None and (2 * kl + ku + 1) * a.shape[0] <= 2 * pattern.nnz
         return cls(
             a=a,
             e=e,
@@ -270,6 +313,7 @@ class OperatorForms:
             bandwidths=(kl, ku) if banded else None,
             at_band=_band_storage(at, kl, ku) if banded else None,
             et_band=_band_storage(et, kl, ku) if banded else None,
+            tridiag=tridiag,
         )
 
 

@@ -199,6 +199,19 @@ def small_grid_config(tmp_path=None):
     )
 
 
+@pytest.mark.parametrize("form", ["mass", "damped-noise"])
+def test_heat_problems_take_the_ldlt_route(form):
+    # The benchmark's det-mass and c9 workloads and the heat grid solve these
+    # forms at larger n; a generator change that moved them off the LDL^T
+    # route would silently change what the benchmark measures.
+    if form == "mass":
+        p = gen_heat_problem(40, 7, 6, seed=0, mass_matrix=True)
+    else:
+        base = gen_heat_problem(40, 7, 6, seed=0, scale=100.0, damping=100.0)
+        p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    assert p.operators().route == "ldlt"
+
+
 def test_variant_labels():
     assert variant_label("hamiltonian", 1, "cached") == "hami 1"
     assert variant_label("hamiltonian", 2, "per_iteration") == "hami c 2"

@@ -196,6 +196,16 @@ def tridiagonal(n):
     return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csc")
 
 
+def convection_diffusion(n):
+    """The 1-D stencil of u'' - 40 u' (unit spacing): a nonsymmetric tridiagonal."""
+    return sp.diags([21.0, -2.0, -19.0], [-1, 0, 1], shape=(n, n), format="csc")
+
+
+def mass(n):
+    """The tridiagonal SPD mass matrix of linear elements."""
+    return sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n), format="csc") / 6.0
+
+
 def stencil_2d(side):
     """The 5-point Laplacian on a side x side grid, built with sp.kron."""
     t, eye = tridiagonal(side), sp.identity(side)
@@ -205,8 +215,9 @@ def stencil_2d(side):
 @pytest.mark.parametrize(
     "a, e, bandwidths",
     [
-        (tridiagonal(50), None, (1, 1)),
-        (tridiagonal(50), sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(50, 50)), (1, 1)),
+        # Nonsymmetric: a symmetric-definite tridiagonal pencil takes "ldlt".
+        (convection_diffusion(50), None, (1, 1)),
+        (convection_diffusion(50), sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(50, 50)), (1, 1)),
         (sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(50, 50)), None, (2, 2)),
         # A^T's bandwidths are A's swapped, (1, 3), and E^T widens the lower one.
         (random_band(50, [-3, -1, 0, 1], 1), random_band(50, [0, 2], 2), (2, 3)),
@@ -219,6 +230,8 @@ def stencil_2d(side):
 def test_operator_forms_choose_band_route_for_narrow_patterns(a, e, bandwidths):
     ops = OperatorForms.of(a, e)
     assert ops.bandwidths == bandwidths
+    assert ops.route == ("superlu" if bandwidths is None else "band")
+    assert ops.tridiag is None
     if bandwidths is None:
         assert ops.at_band is None and ops.et_band is None
         return
@@ -230,6 +243,76 @@ def test_operator_forms_choose_band_route_for_narrow_patterns(a, e, bandwidths):
         for i, j in zip(*np.nonzero(dense)):
             assert band[kl + ku + i - j, j] == dense[i, j]
         assert np.count_nonzero(band) == np.count_nonzero(dense)
+
+
+@pytest.mark.parametrize(
+    "a, e, route",
+    [
+        (tridiagonal(50), None, "ldlt"),
+        (tridiagonal(50), mass(50), "ldlt"),
+        (sp.diags(-np.arange(1.0, 51.0), format="csc"), None, "ldlt"),
+        (tridiagonal(50) + 3.0 * sp.identity(50), None, "band"),
+        (convection_diffusion(50), None, "band"),
+        (tridiagonal(50), sp.diags([1.0, 1.5, 1.0], [-1, 0, 1], shape=(50, 50)), "band"),
+        (tridiagonal(50), convection_diffusion(50) + 60.0 * sp.identity(50), "band"),
+        (tridiagonal(1), None, "band"),
+    ],
+    ids=["negative-definite", "negative-definite-mass", "diagonal", "indefinite",
+         "nonsymmetric", "indefinite-mass", "nonsymmetric-mass", "n1"],
+)
+def test_operator_forms_take_ldlt_route_for_symmetric_definite_tridiagonals(a, e, route):
+    ops = OperatorForms.of(a, e)
+    assert ops.route == route
+    if route != "ldlt":
+        assert ops.tridiag is None and ops.bandwidths is not None
+        return
+    assert ops.bandwidths is None and ops.at_band is None and ops.et_band is None
+    a_d = a.toarray()
+    e_d = np.eye(a.shape[0]) if e is None else e.toarray()
+    expected = (np.diag(a_d), np.diag(a_d, 1), np.diag(e_d), np.diag(e_d, 1))
+    for got, want in zip(ops.tridiag, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+
+
+def test_ldlt_row_solves_match_dense():
+    # Nonconstant diagonals, so a slip between A's and E's diagonals or in
+    # the sign of the solve cannot cancel out.
+    rng = np.random.default_rng(31)
+    n, m, gamma = 80, 3, 1.7
+    off = rng.uniform(0.5, 1.5, n - 1)
+    diag = np.r_[off, 0.0] + np.r_[0.0, off] + rng.uniform(0.1, 1.0, n)  # dominant
+    a = sp.diags([off, -diag, off], [-1, 0, 1])
+    e = sp.diags([0.2 * off, rng.uniform(1.0, 2.0, n), 0.2 * off], [-1, 0, 1])
+    a_d, e_d = a.toarray(), e.toarray()
+    b = rng.standard_normal((n, m))
+    f = rng.standard_normal((m, n)) / n
+    rows = rng.standard_normal((5, n))
+    ops = OperatorForms.of(a, e)
+    assert ops.route == "ldlt"
+    fac = factor_shifted(ops, gamma)
+    checks = (
+        (fac.row_solve(rows), a_d - gamma * e_d),
+        (smw_row_solve(fac, b, f, rows), a_d + b @ f - gamma * e_d),
+    )
+    for out, shifted in checks:
+        oracle = sla.solve(shifted.T, rows.T).T
+        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_ldlt_route_rejects_a_numerically_singular_shift():
+    # -A is the Laplacian of a weighted path, so A is singular; dpttrf still
+    # meets a rounding-level positive last pivot, and the pencil takes the
+    # LDL^T route.  At gamma = 1e-14 the shifted matrix is singular to
+    # rounding too, and there that pivot comes out negative.
+    w = np.array([30.0, 0.003, 3.0])
+    lap = sp.diags([-w, np.r_[w, 0.0] + np.r_[0.0, w], -w], [-1, 0, 1], format="csc")
+    e = 0.01 * sp.diags([-0.4, 1.0, -0.4], [-1, 0, 1], shape=(4, 4), format="csc")
+    ops = OperatorForms.of(-lap, e)
+    assert ops.route == "ldlt"
+    with pytest.raises(ShiftRejectionError, match="not positive"):
+        factor_shifted(ops, 1e-14)
+    factor_shifted(ops, 1e-3)
 
 
 def test_smw_zero_feedback_is_plain_solve():
@@ -313,14 +396,19 @@ def test_factor_shifted_singular_matrix_rejected():
 
 
 @pytest.mark.parametrize(
-    "a", [random_stable(120, 3), tridiagonal(120)], ids=["superlu", "band"]
+    "a, route",
+    [(random_stable(120, 3), "superlu"), (convection_diffusion(120), "band"),
+     (tridiagonal(120), "ldlt")],
+    ids=["superlu", "band", "ldlt"],
 )
-def test_factorization_shared_across_threads(a):
+def test_factorization_shared_across_threads(a, route):
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(3)
     n = a.shape[0]
-    fac = factor_shifted(OperatorForms.of(a), 0.8)
+    ops = OperatorForms.of(a)
+    assert ops.route == route
+    fac = factor_shifted(ops, 0.8)
     rows = [rng.standard_normal((3, n)) for _ in range(16)]
     serial = [fac.row_solve(r) for r in rows]
     with ThreadPoolExecutor(max_workers=8) as pool:
