@@ -2,9 +2,10 @@
 
 Problems are exchanged as Matrix Market directories (see
 :mod:`scare_radi.problems` for the layout).  The grid runner crosses the
-stochastic cases (deterministic, one noise block per scale, and all scales
-combined) with the twelve shift variants and emits one CSV trace and one JSON
-summary per cell, plus a compact summary table.
+stochastic cases (the base problem, one noise block per scale, and the first
+r - 1 scales combined) with shift variants, solves each cell through
+:func:`run_single`, and emits one CSV trace and one JSON summary per cell,
+plus a compact summary table.  ``scare-radi solve`` runs a one-cell grid.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "ExperimentConfig",
     "ALL_SHIFT_VARIANTS",
     "variant_label",
+    "grid_cells",
     "run_single",
     "run_grid",
 ]
@@ -139,30 +141,21 @@ def load_problem(dir_path) -> StandardProblem | OriginalProblem:
     )
 
 
-def gen_noise_blocks(a, b, ns: float, density: float = 1.0, seed: int = 0):
+def gen_noise_blocks(a, b, ns: float, seed: int = 0):
     """One stochastic pair scaled from the base coefficients.
 
     Multiplies the base entries elementwise by uniform (0, 1] values on the
-    base sparsity pattern (optionally subsampled to ``density``), scaled by
-    ``ns``, so the noise pattern is contained in the base pattern and
-    ``|A1|_F <= ns |A|_F``.
+    base sparsity pattern, scaled by ``ns``, so the noise pattern is the base
+    pattern and ``|A1|_F <= ns |A|_F``.
     """
     if ns < 0:
         raise ValueError("noise scale must be nonnegative")
     rng = np.random.default_rng(seed)
     a = sp.coo_matrix(a)
-    keep = np.ones(a.nnz, dtype=bool)
-    if density < 1.0:
-        keep = rng.random(a.nnz) < density
-    vals = a.data[keep] * (1.0 - rng.random(int(keep.sum())))  # uniform (0, 1]
-    a1 = sp.csc_matrix(
-        sp.coo_matrix((ns * vals, (a.row[keep], a.col[keep])), shape=a.shape)
-    )
+    vals = a.data * (1.0 - rng.random(a.nnz))  # uniform (0, 1]
+    a1 = sp.csc_matrix(sp.coo_matrix((ns * vals, (a.row, a.col)), shape=a.shape))
     b = np.asarray(b, dtype=float)
-    mask_b = 1.0 - rng.random(b.shape)
-    if density < 1.0:
-        mask_b *= rng.random(b.shape) < density
-    b1 = ns * b * mask_b
+    b1 = ns * b * (1.0 - rng.random(b.shape))
     return a1, b1
 
 
@@ -215,15 +208,13 @@ def gen_heat_problem(
     )
 
 
-def with_noise_blocks(
-    base: StandardProblem, scales, seed: int = 0, density: float = 1.0
-) -> StandardProblem:
+def with_noise_blocks(base: StandardProblem, scales, seed: int = 0) -> StandardProblem:
     """Extend an r = 1 problem with one stochastic pair per noise scale."""
     if base.r != 1:
-        raise ValueError("base problem must have r = 1")
+        raise ValueError(f"noise blocks need an r = 1 base problem; this one has r = {base.r}")
     ahat, bhat = [], []
     for j, ns in enumerate(scales):
-        a1, b1 = gen_noise_blocks(base.a, base.b, ns, density=density, seed=seed + j)
+        a1, b1 = gen_noise_blocks(base.a, base.b, ns, seed=seed + j)
         ahat.append(a1)
         bhat.append(b1)
     return StandardProblem(
@@ -240,36 +231,37 @@ def with_noise_blocks(
 
 @dataclass
 class ExperimentConfig:
-    """One grid specification; JSON config files mirror these fields."""
+    """One grid specification; each cell solves with ``options`` and its variant's shift.
+
+    A JSON config file names these fields, except ``options``: the solver
+    knobs other than ``shift`` sit at its top level under their
+    :class:`SolveOptions` names.
+    """
 
     problem: str | None = None
     generate: dict | None = None  # {"kind": "heat", "n": ..., "m": ..., "l": ...}
     r_cases: list = field(default_factory=lambda: [1, 2, 5])
     noise_scales: list = field(default_factory=lambda: [1e-5, 1e-4, 1e-3, 1e-2])
-    noise_density: float = 1.0
     variants: list = field(default_factory=lambda: list(ALL_SHIFT_VARIANTS))
-    tol: float = 1e-12
-    max_iter: int = 300
-    trunc_rel: float = 3.33e-15
-    cap_cols: int | None = None
-    max_cols_xi: int | None = None
-    stop_on_stall: bool = False
+    options: SolveOptions = field(default_factory=SolveOptions)
     seed: int = 0
     output_dir: str | None = None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
+        """Load a config file; unknown keys and out-of-range options raise ValueError."""
         with open(path) as fh:
             raw = json.load(fh)
-        variants = raw.pop("variants", None)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path} must hold a JSON object")
+        option_keys = {f.name for f in fields(SolveOptions)} - {"shift"}
+        unknown = set(raw) - (set(cls.__dataclass_fields__) - {"options"}) - option_keys
         if unknown:
             raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
-        cfg = cls(**raw)
-        if variants is not None:
-            cfg.variants = [tuple(v) for v in variants]
-        return cfg
+        options = SolveOptions(**{key: raw.pop(key) for key in option_keys & set(raw)})
+        if "variants" in raw:
+            raw["variants"] = [tuple(v) for v in raw["variants"]]
+        return cls(**raw, options=options)
 
 
 def _base_problem(cfg: ExperimentConfig) -> StandardProblem:
@@ -287,37 +279,44 @@ def _base_problem(cfg: ExperimentConfig) -> StandardProblem:
 
 
 def _grid_cases(cfg: ExperimentConfig, base: StandardProblem):
-    """(case label, problem) pairs following the benchmark design."""
+    """(case label, problem) pairs following the benchmark design.
+
+    Case 1 is the base problem as given, labelled by its own r.  A case
+    r >= 2 adds r - 1 noise blocks, drawn from ``seed + 100`` on, to an
+    r = 1 base: at r = 2 one case per noise scale, above that one case with
+    the first r - 1 scales.
+    """
     cases = []
     for r in cfg.r_cases:
+        if r < 1 or r - 1 > len(cfg.noise_scales):
+            raise ValueError(f"case r = {r} needs 1 <= r <= 1 + {len(cfg.noise_scales)}, "
+                             "the number of noise scales")
         if r == 1:
-            cases.append(("r1", base))
+            cases.append((f"r{base.r}", base))
         elif r == 2:
             for j, ns in enumerate(cfg.noise_scales):
-                p = with_noise_blocks(base, [ns], seed=cfg.seed + 100 + j,
-                                      density=cfg.noise_density)
+                p = with_noise_blocks(base, [ns], seed=cfg.seed + 100 + j)
                 cases.append((f"r2_ns{ns:g}", p))
         else:
-            scales = list(cfg.noise_scales)[: r - 1]
-            if len(scales) < r - 1:
-                raise ValueError(f"r = {r} needs {r - 1} noise scales, "
-                                 f"got {len(cfg.noise_scales)}")
-            p = with_noise_blocks(base, scales, seed=cfg.seed + 100,
-                                  density=cfg.noise_density)
+            p = with_noise_blocks(base, list(cfg.noise_scales)[: r - 1], seed=cfg.seed + 100)
             cases.append((f"r{r}", p))
     return cases
 
 
-def solve_options_for(cfg: ExperimentConfig, strategy: str, s: int, mode: str) -> SolveOptions:
-    return SolveOptions(
-        tol_nres=cfg.tol,
-        max_iter=cfg.max_iter,
-        trunc_rel=cfg.trunc_rel,
-        cap_cols=cfg.cap_cols,
-        max_cols_xi=cfg.max_cols_xi,
-        stop_on_stall=cfg.stop_on_stall,
-        shift=ShiftConfig(strategy=strategy, window_s=s, mode=mode),
-    )
+def grid_cells(cfg: ExperimentConfig) -> list[tuple[str, StandardProblem, SolveOptions]]:
+    """Every (label, problem, options) cell of the grid, built before any runs.
+
+    A label reads ``"<case>__<variant>"``, e.g. ``"r5__hami 1"``.  A config
+    that cannot make its cells (a bad generator, an impossible case, a bad
+    variant) raises here.
+    """
+    base = _base_problem(cfg)
+    return [
+        (f"{case}__{variant_label(*v)}", problem,
+         replace(cfg.options, shift=ShiftConfig(*v)))
+        for case, problem in _grid_cases(cfg, base)
+        for v in cfg.variants
+    ]
 
 
 def run_single(p: StandardProblem, opts: SolveOptions, label: str,
@@ -351,20 +350,16 @@ def _worker_count(n_cells: int) -> int:
 def run_grid(cfg: ExperimentConfig) -> list[RunReport]:
     """Run the full case x variant grid, one report per cell.
 
-    Cells are independent; worker parallelism is capped by the
-    ``SCARE_RADI_THREADS`` environment variable (default: serial).  Failures
-    inside a cell are recorded on its report instead of aborting the grid.
+    A config that cannot make its cells raises before any cell runs (see
+    :func:`grid_cells`).  Cells are independent; worker parallelism is capped
+    by the ``SCARE_RADI_THREADS`` environment variable (default: serial).
+    Failures inside a cell are recorded on its report instead of aborting the
+    grid.
     """
-    base = _base_problem(cfg)
-    cells = [
-        (f"{case}__{variant_label(strategy, s, mode)}", problem, strategy, s, mode)
-        for case, problem in _grid_cases(cfg, base)
-        for (strategy, s, mode) in cfg.variants
-    ]
+    cells = grid_cells(cfg)
 
     def run_cell(cell):
-        label, problem, strategy, s, mode = cell
-        opts = solve_options_for(cfg, strategy, s, mode)
+        label, problem, opts = cell
         try:
             return run_single(problem, opts, label, cfg.output_dir)
         except Exception as exc:  # record per-cell failures like non-convergence
@@ -388,12 +383,11 @@ def _write_summary_table(reports, path: Path):
     """Compact (ite, dim, time, remark) table across all cells."""
     table = {}
     for rep in reports:
-        remark = rep.flags or ("" if rep.converged else f"nres={rep.final_nres:.3e}")
         table[rep.label] = {
             "ite": rep.iterations,
             "dim": rep.xi_width,
             "time": round(rep.wall_time, 4),
-            "remark": remark,
+            "remark": rep.remark,
         }
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

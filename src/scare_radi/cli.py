@@ -1,25 +1,24 @@
-"""Command-line driver: single solves, experiment grids, oracle validation."""
+"""Command-line driver: single solves, experiment grids, oracle validation.
+
+``scare-radi solve`` builds a one-cell :class:`~scare_radi.bench.ExperimentConfig`
+(one variant, case r = 1 + the number of ``--noise`` scales) and solves it on
+the grid's path, so its problem, noise blocks and label are those of the
+matching grid cell.  The solver flags take their defaults from
+:class:`~scare_radi.engine.SolveOptions`.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .bench import (
-    ExperimentConfig,
-    gen_heat_problem,
-    load_problem,
-    run_grid,
-    run_single,
-    variant_label,
-    with_noise_blocks,
-)
+from .bench import ExperimentConfig, grid_cells, run_grid, run_single
 from .engine import SolveOptions
+from .errors import ScareError
 from .oracles import run_validation
-from .problems import OriginalProblem, adapt_in_place
 from .report import TIMING_FIELDS
-from .shifts import ShiftConfig
 
 SHIFT_NAMES = {"hami": "hamiltonian", "proj": "projection"}
 MODE_NAMES = {"cached": "cached", "per-iter": "per_iteration"}
@@ -40,71 +39,66 @@ def _parse_generate(text: str) -> dict:
 
 
 def _add_solve_args(sub):
+    d = SolveOptions()
+    shift_name = {v: k for k, v in SHIFT_NAMES.items()}[d.shift.strategy]
+    mode_name = {v: k for k, v in MODE_NAMES.items()}[d.shift.mode]
     sub.add_argument("--problem", help="problem directory of Matrix Market files")
     sub.add_argument("--generate", help="synthetic instance, e.g. heat:n=1357,m=7,l=6")
-    sub.add_argument("--r", type=int, default=None, help="stochastic order (default: as loaded)")
     sub.add_argument("--noise", default=None,
-                     help="comma-separated noise scales for the generated blocks")
-    sub.add_argument("--shift", choices=sorted(SHIFT_NAMES), default="hami")
-    sub.add_argument("--window", type=int, default=1, help="shift window s")
-    sub.add_argument("--mode", choices=sorted(MODE_NAMES), default="cached")
-    sub.add_argument("--tol", type=float, default=1e-12)
-    sub.add_argument("--max-iter", type=int, default=300)
-    sub.add_argument("--trunc-rel", type=float, default=3.33e-15)
-    sub.add_argument("--cap-cols", type=int, default=None)
-    sub.add_argument("--max-cols-xi", type=int, default=None)
-    sub.add_argument("--stop-on-stall", action="store_true")
+                     help="comma-separated noise scales, one generated block each "
+                     "(r = 1 + their number)")
+    sub.add_argument("--shift", choices=sorted(SHIFT_NAMES), default=shift_name)
+    sub.add_argument("--window", type=int, default=d.shift.window_s, help="shift window s")
+    sub.add_argument("--mode", choices=sorted(MODE_NAMES), default=mode_name)
+    sub.add_argument("--tol", type=float, default=d.tol_nres)
+    sub.add_argument("--max-iter", type=int, default=d.max_iter)
+    sub.add_argument("--trunc-rel", type=float, default=d.trunc_rel)
+    sub.add_argument("--cap-cols", type=int, default=d.cap_cols)
+    sub.add_argument("--max-cols-xi", type=int, default=d.max_cols_xi)
+    sub.add_argument("--stop-on-stall", action="store_true", default=d.stop_on_stall)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output directory for trace/summary")
 
 
-def _solve_problem(args):
+@contextmanager
+def _exit_on_bad_input(what: str):
+    """Turn a bad input's error into a one-line exit message."""
+    try:
+        yield
+    except (ValueError, TypeError, ScareError) as exc:
+        raise SystemExit(f"invalid {what}: {exc}") from exc
+
+
+def _solve_config(args) -> ExperimentConfig:
+    """The one-cell grid that ``scare-radi solve`` runs."""
     if bool(args.problem) == bool(args.generate):
         raise SystemExit("exactly one of --problem / --generate is required")
-    if args.problem:
-        p = load_problem(args.problem)
-        if isinstance(p, OriginalProblem):
-            p = adapt_in_place(p)
-    else:
-        gen = _parse_generate(args.generate)
-        kind = gen.pop("kind")
-        if kind != "heat":
-            raise SystemExit(f"unknown generator {kind!r}")
-        gen.setdefault("seed", args.seed)
-        p = gen_heat_problem(**gen)
-    if args.noise:
-        scales = [float(x) for x in args.noise.split(",")]
-        want_r = args.r if args.r is not None else len(scales) + 1
-        if want_r != len(scales) + 1:
-            raise SystemExit("--r must equal 1 + number of noise scales")
-        p = with_noise_blocks(p, scales, seed=args.seed)
-    elif args.r is not None and args.r != p.r:
-        raise SystemExit(f"--r {args.r} requested but problem has r = {p.r} "
-                         "(supply --noise to generate stochastic blocks)")
-    return p
-
-
-def cmd_solve(args) -> int:
-    strategy = SHIFT_NAMES[args.shift]
-    mode = MODE_NAMES[args.mode]
-    try:
-        opts = SolveOptions(
+    scales = [float(x) for x in args.noise.split(",")] if args.noise else []
+    return ExperimentConfig(
+        problem=args.problem,
+        generate=_parse_generate(args.generate) if args.generate else None,
+        r_cases=[1 + len(scales)],
+        noise_scales=scales,
+        variants=[(SHIFT_NAMES[args.shift], args.window, MODE_NAMES[args.mode])],
+        options=SolveOptions(
             tol_nres=args.tol,
             max_iter=args.max_iter,
             trunc_rel=args.trunc_rel,
             cap_cols=args.cap_cols,
             max_cols_xi=args.max_cols_xi,
             stop_on_stall=args.stop_on_stall,
-            shift=ShiftConfig(strategy, args.window, mode),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"invalid solve option: {exc}") from exc
-    p = _solve_problem(args)
-    label = f"{variant_label(strategy, args.window, mode)} (n={p.n}, r={p.r})"
+        ),
+        seed=args.seed,
+    )
+
+
+def cmd_solve(args) -> int:
+    with _exit_on_bad_input("solve input"):
+        [(label, p, opts)] = grid_cells(_solve_config(args))
     report = run_single(p, opts, label, args.out)
     status = "converged" if report.converged else f"stopped [{report.flags or 'max-iter'}]"
     print(
-        f"{label}: {status} after {report.iterations} iterations, "
+        f"{label} (n={p.n}, r={p.r}): {status} after {report.iterations} iterations, "
         f"nres = {report.final_nres:.3e}, solution width = {report.xi_width}, "
         f"wall = {report.wall_time:.2f}s"
     )
@@ -118,15 +112,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
-    if args.out:
-        cfg.output_dir = args.out
-    reports = run_grid(cfg)
+    with _exit_on_bad_input(f"grid config {args.config}"):
+        cfg = ExperimentConfig.from_json(args.config)
+        cfg.output_dir = args.out or cfg.output_dir
+        reports = run_grid(cfg)
     bad = 0
     for rep in reports:
-        remark = rep.flags or ("ok" if rep.converged else f"nres={rep.final_nres:.2e}")
         print(f"{rep.label:40s} ite={rep.iterations:4d} dim={rep.xi_width:6d} "
-              f"time={rep.wall_time:8.3f}s {remark}")
+              f"time={rep.wall_time:8.3f}s {rep.remark}")
         bad += 0 if (rep.converged or rep.flags in ("m", "t")) else 1
     print(f"{len(reports)} cells, {bad} without convergence")
     return 0

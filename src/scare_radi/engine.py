@@ -293,7 +293,7 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     opts = opts or SolveOptions()
     wall0 = time.perf_counter()
     state = init_state(p, window_s=opts.shift.window_s)
-    report = RunReport(config=asdict(opts))
+    report = RunReport(config=asdict(opts), backend=state.ops.route)
     report.rows.append(
         IterationRecord(
             k=0,

@@ -79,7 +79,8 @@ class RunReport:
     ``flags`` carries ``"m"`` when the solution-factor width cap stopped the
     run and ``"t"`` when the truncation-stall rule fired (the residual net of
     accumulated truncation debt dropped below tolerance while the total did
-    not).
+    not), and ``backend`` the route of the shifted factorization
+    (``"ldlt"``, ``"band"`` or ``"superlu"``).
     """
 
     rows: list = field(default_factory=list)
@@ -89,9 +90,14 @@ class RunReport:
     final_nres: float = 1.0
     wall_time: float = 0.0
     flags: str = ""
-    backend: str = "scipy-superlu"
+    backend: str = ""
     label: str = ""
     config: dict = field(default_factory=dict)
+
+    @property
+    def remark(self) -> str:
+        """The grid tables' remark: the flags, else "ok" or the final nres."""
+        return self.flags or ("ok" if self.converged else f"nres={self.final_nres:.3e}")
 
     @property
     def nres_history(self):

@@ -7,15 +7,16 @@ import pytest
 import scipy.io as sio
 import scipy.sparse as sp
 
+from scare_radi import bench, cli
 from scare_radi.bench import (
     ALL_SHIFT_VARIANTS,
     ExperimentConfig,
     gen_heat_problem,
     gen_noise_blocks,
+    grid_cells,
     load_problem,
     run_grid,
     run_single,
-    solve_options_for,
     variant_label,
     with_noise_blocks,
 )
@@ -24,6 +25,7 @@ from scare_radi.engine import SolveOptions
 from scare_radi.errors import ProblemLoadError
 from scare_radi.problems import OriginalProblem, StandardProblem
 from scare_radi.report import CSV_COLUMNS
+from scare_radi.shifts import ShiftConfig
 from scare_radi.testing import random_original_problem, random_standard_problem
 
 
@@ -148,13 +150,6 @@ def test_noise_blocks_deterministic():
     np.testing.assert_array_equal(b1, b2)
 
 
-def test_noise_blocks_density_subsampling():
-    p = gen_heat_problem(200, 2, 2, seed=0)
-    full, _ = gen_noise_blocks(p.a, p.b, 1.0, density=1.0, seed=8)
-    thin, _ = gen_noise_blocks(p.a, p.b, 1.0, density=0.2, seed=8)
-    assert thin.nnz < full.nnz
-
-
 def test_heat_problem_spectrum_and_dims():
     p = gen_heat_problem(3, 1, 1, seed=0)
     eigs = np.linalg.eigvalsh(p.a.toarray())
@@ -243,6 +238,7 @@ def test_grid_writes_outputs(tmp_path):
     reports = run_grid(cfg)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary) == len(reports)
+    assert {cell["remark"] for cell in summary.values()} == {"ok"}
     csvs = sorted(tmp_path.glob("*.csv"))
     assert len(csvs) == len(reports)
     header = csvs[0].read_text().splitlines()[0].split(",")
@@ -282,9 +278,7 @@ def test_csv_numeric_cells_parse_as_floats(tmp_path):
 
 def test_report_nres_history_matches_rows(tmp_path):
     p = random_standard_problem(n=25, m=2, l=2, r=2, seed=20)
-    cfg = ExperimentConfig()
-    opts = solve_options_for(cfg, "hamiltonian", 1, "cached")
-    report = run_single(p, opts, "unit", tmp_path)
+    report = run_single(p, SolveOptions(), "unit", tmp_path)
     data = json.loads((tmp_path / "unit.json").read_text())
     assert data["converged"] is True
     assert [row["nres"] for row in data["rows"]] == report.nres_history
@@ -317,7 +311,7 @@ def test_cli_solve_problem_dir_with_noise(tmp_path, capsys):
     pdir.mkdir()
     write_problem_dir(pdir, gen_heat_problem(50, 2, 2, seed=0, scale=40.0, damping=20.0))
     rc = main([
-        "solve", "--problem", str(pdir), "--noise", "1e-4,1e-3", "--r", "3",
+        "solve", "--problem", str(pdir), "--noise", "1e-4,1e-3",
         "--shift", "proj", "--mode", "per-iter",
     ])
     assert rc == 0
@@ -336,6 +330,69 @@ def test_cli_grid(tmp_path, capsys):
     rc = main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "0 without convergence" in capsys.readouterr().out
+
+
+def cli_solve(monkeypatch, argv):
+    """Run ``scare-radi solve`` on argv; returns its report and problem."""
+    seen = []
+
+    def recording(p, opts, label, out_dir=None):
+        seen.append((bench.run_single(p, opts, label, out_dir), p))
+        return seen[-1][0]
+
+    monkeypatch.setattr(cli, "run_single", recording)
+    assert main(["solve", *argv]) == 0
+    [(report, p)] = seen
+    return report, p
+
+
+@pytest.mark.parametrize(
+    "noise, case", [(None, "r1"), ("1e-4", "r2_ns0.0001"), ("1e-4,1e-3", "r3")]
+)
+def test_cli_solve_is_its_grid_cell(monkeypatch, noise, case):
+    cfg = small_grid_config()
+    cfg.r_cases = [1, 2, 3]
+    [cell] = [rep for rep in run_grid(cfg) if rep.label == f"{case}__proj c 1"]
+    argv = ["--generate", "heat:n=60,m=2,l=2,scale=50.0,damping=20.0",
+            "--shift", "proj", "--mode", "per-iter", "--seed", "3"]
+    report, _ = cli_solve(monkeypatch, argv + (["--noise", noise] if noise else []))
+    assert report.label == cell.label
+    assert report.numeric_content() == cell.numeric_content()
+
+
+def test_cli_noise_builds_criterion_9_blocks(monkeypatch):
+    # The README's criterion-9 command at n = 40: noise blocks drawn from seed + 100.
+    scales = [1e-5, 1e-4, 1e-3, 1e-2]
+    report, p = cli_solve(monkeypatch, [
+        "--generate", "heat:n=40,m=7,l=6,scale=100,damping=100",
+        "--noise", "1e-5,1e-4,1e-3,1e-2", "--cap-cols", "1500",
+    ])
+    base = gen_heat_problem(40, 7, 6, seed=0, scale=100.0, damping=100.0)
+    want = with_noise_blocks(base, scales, seed=100)
+    assert report.label == "r5__hami 1" and p.r == 5
+    for got_a, want_a, got_b, want_b in zip(
+        p.ahat.blocks, want.ahat.blocks, p.bhat.blocks, want.bhat.blocks
+    ):
+        assert (got_a != want_a).nnz == 0
+        np.testing.assert_array_equal(got_b, want_b)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"tol": 1e-10}, "unknown config keys"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"r_cases": [7]}, "case r = 7"),
+        ({"variants": [["hamiltonian", 0, "cached"]]}, "window_s"),
+        ({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1, "width": 2}}, "width"),
+    ],
+)
+def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1}, **bad}))
+    with pytest.raises(SystemExit, match=message) as info:
+        main(["grid", "--config", str(path)])
+    assert "\n" not in str(info.value)
 
 
 def test_cli_rejects_conflicting_sources():
@@ -359,25 +416,43 @@ def test_cli_generate_accepts_float_fields(capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path):
+    # Solver knobs take their SolveOptions names (tol_nres, not tol), and the
+    # shift comes from the variants.
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"tol": 1e-10, "truncation": 1.0}))
-    with pytest.raises(ValueError, match="truncation"):
+    path.write_text(json.dumps({"tol": 1e-10, "truncation": 1.0, "shift": "hami"}))
+    with pytest.raises(ValueError, match=r"\['shift', 'tol', 'truncation'\]"):
         ExperimentConfig.from_json(path)
+
+
+def test_config_validates_options_when_loaded(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"tol_nres": 1e-10, "cap_cols": 0}))
+    with pytest.raises(ValueError, match="cap_cols"):
+        ExperimentConfig.from_json(path)
+    path.write_text(json.dumps({"tol_nres": 1e-10, "stop_on_stall": True}))
+    cfg = ExperimentConfig.from_json(path)
+    assert cfg.options == SolveOptions(tol_nres=1e-10, stop_on_stall=True)
 
 
 def test_heat200_grid_config_file():
     # The checked-in n=200 grid: the synthetic heat problem on a damped
     # spectrum, all twelve shift variants, a residual row cap and a width guard.
     path = Path(__file__).resolve().parents[1] / "scripts" / "grid_heat200.json"
-    assert ExperimentConfig.from_json(path) == ExperimentConfig(
+    cfg = ExperimentConfig.from_json(path)
+    assert cfg == ExperimentConfig(
         generate={"kind": "heat", "n": 200, "m": 7, "l": 6, "scale": 100.0, "damping": 100.0},
-        variants=list(ALL_SHIFT_VARIANTS),
-        tol=1e-12,
-        max_iter=300,
-        cap_cols=1500,
-        max_cols_xi=50_000,
-        seed=0,
+        options=SolveOptions(cap_cols=1500, max_cols_xi=50_000),
     )
+    # Every cell's effective options, spelled out so that a changed
+    # SolveOptions default shows here.
+    cells = grid_cells(cfg)
+    assert len(cells) == 6 * 12
+    for (label, _, opts), variant in zip(cells, ALL_SHIFT_VARIANTS * 6):
+        assert label.endswith("__" + variant_label(*variant))
+        assert opts == SolveOptions(
+            tol_nres=1e-12, max_iter=300, trunc_rel=3.33e-15, cap_cols=1500,
+            max_cols_xi=50_000, stop_on_stall=False, shift=ShiftConfig(*variant),
+        )
 
 
 def test_grid_r3_uses_first_two_scales():
@@ -388,6 +463,36 @@ def test_grid_r3_uses_first_two_scales():
     assert len(reports) == 1
     assert reports[0].label.startswith("r3__")
     assert reports[0].converged
+
+
+def test_grid_on_loaded_stochastic_problem(tmp_path, monkeypatch):
+    # A loaded r > 1 problem is solved as given and labelled by its own r.
+    write_problem_dir(tmp_path, random_standard_problem(n=25, m=2, l=2, r=3, seed=20))
+    cfg = ExperimentConfig(problem=str(tmp_path), r_cases=[1],
+                           variants=[("hamiltonian", 1, "cached")])
+    [rep] = run_grid(cfg)
+    assert rep.label == "r3__hami 1" and rep.config["problem"]["r"] == 3
+    assert rep.converged
+    # Noise cases need an r = 1 problem: the default cases fail before any cell runs.
+    calls = []
+    monkeypatch.setattr(bench, "radi_solve", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="has r = 3"):
+        run_grid(ExperimentConfig(problem=str(tmp_path)))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "form, route",
+    [("tridiagonal", "ldlt"), ("stencil-2d", "superlu")],
+)
+def test_report_backend_is_the_factorization_route(tmp_path, form, route):
+    p = gen_heat_problem(64, 2, 2, seed=0)
+    if form == "stencil-2d":  # the 5-point stencil on an 8 x 8 grid
+        lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(8, 8))
+        p.a = sp.csc_matrix(81.0 * (sp.kron(lap, sp.identity(8)) + sp.kron(sp.identity(8), lap)))
+    report = run_single(p, SolveOptions(), "unit", tmp_path)
+    assert report.converged and report.backend == route
+    assert json.loads((tmp_path / "unit.json").read_text())["backend"] == route
 
 
 def test_generalized_desk_scale_converges():

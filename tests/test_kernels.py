@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpstrf
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -509,6 +510,28 @@ def gram_gap_trace(c, res):
     return np.trace(c.T @ c - res.factor.T @ res.factor)
 
 
+def pchol_gap_bound(g, factor):
+    """Error bound, in the 2-norm, on G - F^T F for the tall route at tau_abs = 0.
+
+    That route stops the pivoted Cholesky P^T G P = R^T R at its first
+    nonpositive pivot, rank r, and keeps F = R[:r] P^T.  The computed
+    partial factor satisfies |G - F^T F|_2 <= 2 r gamma_{r+1}
+    (|W|_2 + 1)^2 |G|_2 + O(u^2) with W = R11^-1 R12 (Higham, "Analysis of
+    the Cholesky decomposition of a semi-definite matrix", 1990), so the gap
+    grows with the rank and with W, not as a fixed multiple of eps.  Forming
+    F^T F here adds at most gamma_r |F|_F^2.
+    """
+    def gamma(j):  # j u / (1 - j u) for the unit roundoff u = eps / 2
+        return j * EPS / (2 - j * EPS)
+
+    _, piv, rank, _ = dpstrf(g, tol=0.0)  # the route's own call at tau_abs = 0
+    assert rank == factor.shape[0]
+    w = sla.solve_triangular(factor[:, piv[:rank] - 1], factor[:, piv[rank:] - 1])
+    w_norm = np.linalg.norm(w, 2) if w.size else 0.0
+    return (2 * rank * gamma(rank + 1) * (w_norm + 1) ** 2 * np.linalg.norm(g, 2)
+            + gamma(rank) * np.linalg.norm(factor) ** 2)
+
+
 def test_trunc_svd_zero_input():
     # Wide, empty and tall zero factors keep nothing on either route.
     for p in (3, 0, 7):
@@ -576,8 +599,10 @@ def test_trunc_svd_tall_input_conserves_energy():
 )
 def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
     # Neither route divides by a singular value, so the kept Gram is accurate
-    # to eps |C|^2 even where the spectrum spans 12-16 decades (a
-    # Sigma^-1 U^T C recovery would lose the small directions).
+    # to rounding even where the spectrum spans 12-16 decades (a
+    # Sigma^-1 U^T C recovery would lose the small directions): to eps |C|^2
+    # on the SVD route, within the pivoted Cholesky's error bound on the
+    # tall one.
     rng = np.random.default_rng(seed)
     q1, _ = np.linalg.qr(rng.standard_normal((ratio * k, k)))
     q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -590,10 +615,12 @@ def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
     res = trunc_svd(c, tau_abs=0.0, cap=p)
     assert res.route == ("tall-pchol" if tall else "gram")
     assert res.factor.shape == (res.rank, c.shape[1])
-    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * EPS * total
     assert energy_gap(c, res) <= 1e-12 * total
+    g = c.T @ c
     if tall:
+        assert np.linalg.norm(g - res.factor.T @ res.factor, 2) <= pchol_gap_bound(g, res.factor)
         return
+    assert np.linalg.norm(g - res.factor.T @ res.factor) <= 50 * EPS * total
 
     # The wide route is an SVD truncation: with a threshold between two of
     # the SVD's tail sums, both drop the same directions.
