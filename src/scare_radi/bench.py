@@ -338,13 +338,11 @@ def run_single(p: StandardProblem, opts: SolveOptions, label: str,
 
 def _worker_count(n_cells: int) -> int:
     env = os.environ.get("SCARE_RADI_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-        return min(cap, n_cells)
-    return 1
+    if not env:
+        return 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"SCARE_RADI_THREADS must be a positive integer, got {env!r}")
+    return min(int(env), n_cells)
 
 
 def run_grid(cfg: ExperimentConfig) -> list[RunReport]:
@@ -352,7 +350,8 @@ def run_grid(cfg: ExperimentConfig) -> list[RunReport]:
 
     A config that cannot make its cells raises before any cell runs (see
     :func:`grid_cells`).  Cells are independent; worker parallelism is capped
-    by the ``SCARE_RADI_THREADS`` environment variable (default: serial).
+    by the ``SCARE_RADI_THREADS`` environment variable (default: serial), and
+    a value that is not a positive integer raises ``ValueError``.
     Failures inside a cell are recorded on its report instead of aborting the
     grid.
     """

@@ -2,12 +2,12 @@
 
 The left semi-tensor product with vertically stacked blocks as one product,
 the shifted factorization (a LAPACK LDL^T for a symmetric-definite
-tridiagonal pencil, a band LU for another narrow pattern, SuperLU otherwise)
-and its SMW-corrected row solves, right triangular solves, small
-SPD Cholesky factorization, and the truncation of a residual factor with
-exact accounting of the discarded energy: a wide factor by an SVD taken
-through its Gram C C^T with no division by the singular values, a tall one by
-a pivoted Cholesky of C^T C.
+tridiagonal pencil, SuperLU otherwise; the choice between the two is made
+here, by :func:`_spd_tridiagonal`) and its SMW-corrected row solves, right
+triangular solves, small SPD Cholesky factorization, and the truncation of a
+residual factor with exact accounting of the discarded energy: a wide factor
+by an SVD taken through its Gram C C^T with no division by the singular
+values, a tall one by a pivoted Cholesky of C^T C.
 Everything here is a pure function of its inputs; factorization handles may be
 shared read-only across threads.
 """
@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import (
-    dgbtrf, dgbtrs, dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs,
-)
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .errors import ConformabilityError, ShiftRejectionError, SpdViolationError
@@ -132,10 +130,9 @@ class ShiftedFactorization:
 
     Factoring the transpose turns every row solve rows @ (A - gamma*E)^-1
     into a plain (non-transposed) column solve ``_solve`` of the factors:
-    the negated LAPACK ``dpttrs`` on the LDL^T of gamma*E - A,
-    ``dgbtrs`` on a band LU, or ``SuperLU.solve``.  The handle is read-only
-    after construction and safe to share across threads for simultaneous
-    solves.
+    the negated LAPACK ``dpttrs`` on the LDL^T of gamma*E - A, or
+    ``SuperLU.solve``.  The handle is read-only after construction and safe
+    to share across threads for simultaneous solves.
     """
 
     gamma: float
@@ -154,11 +151,31 @@ class ShiftedFactorization:
         return self._solve(rows.T).T
 
 
-def _band_solve(lub, piv, kl, ku, cols):
-    x, info = dgbtrs(lub, kl, ku, cols, piv)
-    if info < 0:
-        raise ValueError(f"illegal value in band LU solve argument {-info}")
-    return x
+def _spd_tridiagonal(at: sp.spmatrix, et: sp.spmatrix):
+    """(a_d, a_o, e_d, e_o): diagonals and off-diagonals of A and E, or None.
+
+    ``at`` and ``et`` are A^T and E^T.  The diagonals are kept only when
+    n >= 2, the pattern of |A^T| + |E^T| lies inside the tridiagonal band,
+    both matrices are exactly symmetric, and -A and E are positive definite
+    (LAPACK ``dpttrf`` completes); then gamma*E - A is symmetric positive
+    definite for every gamma > 0.  The arrays are read-only, so they can be
+    shared across threads.
+    """
+    pattern = (abs(at) + abs(et)).tocoo()
+    if at.shape[0] < 2 or np.any(np.abs(pattern.row - pattern.col) > 1):
+        return None
+    diags = []
+    for m in (at, et):
+        off = m.diagonal(1)
+        if not np.array_equal(off, m.diagonal(-1)):
+            return None
+        diags += [m.diagonal(0), off]
+    a_d, a_o, e_d, e_o = diags
+    if dpttrf(-a_d, -a_o)[2] != 0 or dpttrf(e_d, e_o)[2] != 0:
+        return None
+    for d in diags:
+        d.flags.writeable = False
+    return tuple(diags)
 
 
 def _ldlt_solve(d, e, cols):
@@ -171,12 +188,10 @@ def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
     """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
 
     ``ops`` is a :class:`scare_radi.problems.OperatorForms`; its ``route``
-    picks the factorization.  On ``"ldlt"`` (A and E symmetric tridiagonal,
-    -A and E positive definite) the SPD tridiagonal gamma*E - A, built from
-    ``ops.tridiag``, is factored by LAPACK ``dpttrf`` (LDL^T, no pivoting
-    needed) and every solve negates its ``dpttrs``.  On ``"band"``
-    ``ops.at_band - gamma*ops.et_band`` is factored by ``dgbtrf`` (band LU
-    with partial pivoting), and on ``"superlu"`` ``ops.at - gamma*ops.et``
+    picks the factorization.  On ``"ldlt"`` (see :func:`_spd_tridiagonal`)
+    the SPD tridiagonal gamma*E - A, built from ``ops.tridiag``, is factored
+    by LAPACK ``dpttrf`` (LDL^T, no pivoting needed) and every solve negates
+    its ``dpttrs``.  On ``"superlu"`` ``ops.at - gamma*ops.et`` is factored
     by SuperLU with partial pivoting and its default fill-reducing ordering.
     A shifted matrix that is exactly singular (a zero pivot), or on the LDL^T
     route not numerically positive definite (a rounding-level near
@@ -193,25 +208,13 @@ def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
         return ShiftedFactorization(
             gamma=float(gamma), n=n, _solve=functools.partial(_ldlt_solve, d, e)
         )
-    if ops.route == "superlu":
-        try:
-            lu = splu(ops.at - gamma * ops.et)
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
-            raise ShiftRejectionError(
-                f"factorization of A - {gamma}*E failed: {exc}"
-            ) from exc
-        return ShiftedFactorization(gamma=float(gamma), n=n, _solve=lu.solve)
-    kl, ku = ops.bandwidths
-    lub, piv, info = dgbtrf(ops.at_band - gamma * ops.et_band, kl, ku, overwrite_ab=1)
-    if info > 0:
+    try:
+        lu = splu(ops.at - gamma * ops.et)
+    except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise ShiftRejectionError(
-            f"band factorization of A - {gamma}*E failed: zero pivot {info}"
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in band LU argument {-info}")
-    return ShiftedFactorization(
-        gamma=float(gamma), n=n, _solve=functools.partial(_band_solve, lub, piv, kl, ku)
-    )
+            f"factorization of A - {gamma}*E failed: {exc}"
+        ) from exc
+    return ShiftedFactorization(gamma=float(gamma), n=n, _solve=lu.solve)
 
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:

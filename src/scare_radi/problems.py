@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     ConformabilityError,
     DefinitenessError,
 )
-from .kernels import StackedMat, chol_spd, right_tri_solve
+from .kernels import StackedMat, _spd_tridiagonal, chol_spd, right_tri_solve
 
 __all__ = [
     "OriginalProblem",
@@ -204,42 +203,6 @@ class StandardProblem:
         )
 
 
-def _band_storage(m: sp.spmatrix, kl: int, ku: int) -> np.ndarray:
-    """M in LAPACK ``dgbtrf`` band storage: M[i, j] at row kl + ku + i - j of column j.
-
-    The leading kl rows are the room ``dgbtrf`` needs for the fill of its row
-    interchanges.  The array is read-only, so it can be shared across threads.
-    """
-    coo = m.tocoo()
-    ab = np.zeros((2 * kl + ku + 1, m.shape[1]))
-    np.add.at(ab, (kl + ku + coo.row - coo.col, coo.col), coo.data)
-    ab.flags.writeable = False
-    return ab
-
-
-def _spd_tridiagonal(at: sp.spmatrix, et: sp.spmatrix):
-    """(a_d, a_o, e_d, e_o): diagonals and off-diagonals of A and E, or None.
-
-    ``at`` and ``et`` are A^T and E^T with a pattern inside the tridiagonal
-    band.  The diagonals are kept only when both are exactly symmetric and
-    -A and E are positive definite (LAPACK ``dpttrf`` completes); then
-    gamma*E - A is symmetric positive definite for every gamma > 0.  The
-    arrays are read-only, so they can be shared across threads.
-    """
-    diags = []
-    for m in (at, et):
-        off = m.diagonal(1)
-        if not np.array_equal(off, m.diagonal(-1)):
-            return None
-        diags += [m.diagonal(0), off]
-    a_d, a_o, e_d, e_o = diags
-    if dpttrf(-a_d, -a_o)[2] != 0 or dpttrf(e_d, e_o)[2] != 0:
-        return None
-    for d in diags:
-        d.flags.writeable = False
-    return tuple(diags)
-
-
 @dataclass(frozen=True)
 class OperatorForms:
     """The fixed operators of one solve, in the forms its iterations use.
@@ -248,25 +211,23 @@ class OperatorForms:
     shifted solve and factoring E are the same work at every step, so
     :meth:`of` does them once, and the instance is immutable after that.
     ``at`` and ``et`` are A^T and E^T (I when E is None) in CSC, so each step
-    factors (A - gamma*E)^T as ``at - gamma*et``, on one of three routes
-    (``route``) chosen from the pattern |A^T| + |E^T| and the values:
+    factors (A - gamma*E)^T as ``at - gamma*et``, which
+    :func:`scare_radi.kernels.factor_shifted` does on one of two routes
+    (``route``):
 
-    - ``"ldlt"``: the pattern is tridiagonal (n >= 2), A and E are exactly
-      symmetric, and -A and E are positive definite.  ``tridiag`` holds the
-      diagonals (a_d, a_o, e_d, e_o) (see :func:`_spd_tridiagonal`), and
-      each step factors the SPD tridiagonal gamma*E - A by LDL^T.
-    - ``"band"``: any other pattern whose LAPACK band storage, (2 kl + ku +
-      1) n entries for lower and upper bandwidths kl and ku, is at most
-      twice its nonzeros.  ``bandwidths`` is (kl, ku), ``at_band`` and
-      ``et_band`` hold A^T and E^T in that storage (see
-      :func:`_band_storage`), and each step factors the band
-      ``at_band - gamma*et_band``.
-    - ``"superlu"``: any wider pattern (a 2-D stencil, a general sparse A);
-      each step factors ``at - gamma*et`` by SuperLU.
+    - ``"ldlt"``: the pattern of |A^T| + |E^T| is tridiagonal (n >= 2), A
+      and E are exactly symmetric, and -A and E are positive definite.
+      ``tridiag`` holds the diagonals (a_d, a_o, e_d, e_o) (see
+      :func:`scare_radi.kernels._spd_tridiagonal`), and each step factors
+      the SPD tridiagonal gamma*E - A by LDL^T.
+    - ``"superlu"``: any other pattern or values (a nonsymmetric or
+      indefinite tridiagonal, a wider band, a 2-D stencil, a general sparse
+      A); ``tridiag`` is None, and each step factors ``at - gamma*et`` by
+      SuperLU.
 
-    The fields of the routes not taken are None.  ``e_lu`` is the sparse LU
-    of E the shift layer solves with (None when E is None).  A singular E
-    raises :class:`AssumptionViolationError` in :meth:`of`.
+    ``e_lu`` is the sparse LU of E the shift layer solves with (None when E
+    is None).  A singular E raises :class:`AssumptionViolationError` in
+    :meth:`of`.
     """
 
     a: sp.csc_matrix
@@ -275,17 +236,12 @@ class OperatorForms:
     at: sp.csc_matrix
     et: sp.csc_matrix
     e_lu: object
-    bandwidths: tuple[int, int] | None
-    at_band: np.ndarray | None
-    et_band: np.ndarray | None
     tridiag: tuple | None
 
     @property
     def route(self) -> str:
-        """The shifted factorization's route: ``"ldlt"``, ``"band"`` or ``"superlu"``."""
-        if self.tridiag is not None:
-            return "ldlt"
-        return "superlu" if self.bandwidths is None else "band"
+        """The shifted factorization's route: ``"ldlt"`` or ``"superlu"``."""
+        return "ldlt" if self.tridiag is not None else "superlu"
 
     @classmethod
     def of(cls, a, e=None) -> "OperatorForms":
@@ -298,11 +254,6 @@ class OperatorForms:
             raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
         at = a.T.tocsc()
         et = sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc()
-        pattern = (abs(at) + abs(et)).tocoo()
-        kl = int(np.max(pattern.row - pattern.col, initial=0))
-        ku = int(np.max(pattern.col - pattern.row, initial=0))
-        tridiag = _spd_tridiagonal(at, et) if max(kl, ku) <= 1 and a.shape[0] > 1 else None
-        banded = tridiag is None and (2 * kl + ku + 1) * a.shape[0] <= 2 * pattern.nnz
         return cls(
             a=a,
             e=e,
@@ -310,10 +261,7 @@ class OperatorForms:
             at=at,
             et=et,
             e_lu=e_lu,
-            bandwidths=(kl, ku) if banded else None,
-            at_band=_band_storage(at, kl, ku) if banded else None,
-            et_band=_band_storage(et, kl, ku) if banded else None,
-            tridiag=tridiag,
+            tridiag=_spd_tridiagonal(at, et),
         )
 
 

@@ -80,7 +80,7 @@ class RunReport:
     run and ``"t"`` when the truncation-stall rule fired (the residual net of
     accumulated truncation debt dropped below tolerance while the total did
     not), and ``backend`` the route of the shifted factorization
-    (``"ldlt"``, ``"band"`` or ``"superlu"``).
+    (``"ldlt"`` or ``"superlu"``).
     """
 
     rows: list = field(default_factory=list)

@@ -233,6 +233,19 @@ def test_grid_parallel_matches_serial(tmp_path, monkeypatch):
         assert r1.numeric_content() == r2.numeric_content()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_grid_rejects_a_malformed_thread_count(tmp_path, monkeypatch, value):
+    # A bad SCARE_RADI_THREADS stops the grid instead of running it serially.
+    monkeypatch.setenv("SCARE_RADI_THREADS", value)
+    with pytest.raises(ValueError, match="SCARE_RADI_THREADS"):
+        run_grid(small_grid_config())
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1}}))
+    with pytest.raises(SystemExit, match="SCARE_RADI_THREADS") as info:
+        main(["grid", "--config", str(path)])
+    assert "\n" not in str(info.value)
+
+
 def test_grid_writes_outputs(tmp_path):
     cfg = small_grid_config(tmp_path)
     reports = run_grid(cfg)

@@ -214,36 +214,25 @@ def stencil_2d(side):
 
 
 @pytest.mark.parametrize(
-    "a, e, bandwidths",
+    "a, e",
     [
         # Nonsymmetric: a symmetric-definite tridiagonal pencil takes "ldlt".
-        (convection_diffusion(50), None, (1, 1)),
-        (convection_diffusion(50), sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(50, 50)), (1, 1)),
-        (sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(50, 50)), None, (2, 2)),
-        # A^T's bandwidths are A's swapped, (1, 3), and E^T widens the lower one.
-        (random_band(50, [-3, -1, 0, 1], 1), random_band(50, [0, 2], 2), (2, 3)),
-        (stencil_2d(10), None, None),
-        (random_stable(80, 3), None, None),
+        (convection_diffusion(50), None),
+        (convection_diffusion(50), sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(50, 50))),
+        (sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(50, 50)), None),
+        (random_band(50, [-3, -1, 0, 1], 1), random_band(50, [0, 2], 2)),
+        (stencil_2d(10), None),
+        (random_stable(80, 3), None),
     ],
     ids=["tridiagonal", "tridiagonal-mass", "pentadiagonal", "nonsymmetric-band",
          "stencil-2d", "random-sparse"],
 )
-def test_operator_forms_choose_band_route_for_narrow_patterns(a, e, bandwidths):
+def test_operator_forms_choose_band_route_for_narrow_patterns(a, e):
+    # Narrow patterns have no route of their own: outside the LDL^T route,
+    # every pattern is factored by SuperLU.
     ops = OperatorForms.of(a, e)
-    assert ops.bandwidths == bandwidths
-    assert ops.route == ("superlu" if bandwidths is None else "band")
+    assert ops.route == "superlu"
     assert ops.tridiag is None
-    if bandwidths is None:
-        assert ops.at_band is None and ops.et_band is None
-        return
-    kl, ku = bandwidths
-    n = a.shape[0]
-    eye = np.eye(n) if e is None else e.toarray()
-    for band, dense in ((ops.at_band, a.toarray().T), (ops.et_band, eye.T)):
-        assert band.shape == (2 * kl + ku + 1, n) and not band.flags.writeable
-        for i, j in zip(*np.nonzero(dense)):
-            assert band[kl + ku + i - j, j] == dense[i, j]
-        assert np.count_nonzero(band) == np.count_nonzero(dense)
 
 
 @pytest.mark.parametrize(
@@ -252,11 +241,11 @@ def test_operator_forms_choose_band_route_for_narrow_patterns(a, e, bandwidths):
         (tridiagonal(50), None, "ldlt"),
         (tridiagonal(50), mass(50), "ldlt"),
         (sp.diags(-np.arange(1.0, 51.0), format="csc"), None, "ldlt"),
-        (tridiagonal(50) + 3.0 * sp.identity(50), None, "band"),
-        (convection_diffusion(50), None, "band"),
-        (tridiagonal(50), sp.diags([1.0, 1.5, 1.0], [-1, 0, 1], shape=(50, 50)), "band"),
-        (tridiagonal(50), convection_diffusion(50) + 60.0 * sp.identity(50), "band"),
-        (tridiagonal(1), None, "band"),
+        (tridiagonal(50) + 3.0 * sp.identity(50), None, "superlu"),
+        (convection_diffusion(50), None, "superlu"),
+        (tridiagonal(50), sp.diags([1.0, 1.5, 1.0], [-1, 0, 1], shape=(50, 50)), "superlu"),
+        (tridiagonal(50), convection_diffusion(50) + 60.0 * sp.identity(50), "superlu"),
+        (tridiagonal(1), None, "superlu"),
     ],
     ids=["negative-definite", "negative-definite-mass", "diagonal", "indefinite",
          "nonsymmetric", "indefinite-mass", "nonsymmetric-mass", "n1"],
@@ -265,9 +254,8 @@ def test_operator_forms_take_ldlt_route_for_symmetric_definite_tridiagonals(a, e
     ops = OperatorForms.of(a, e)
     assert ops.route == route
     if route != "ldlt":
-        assert ops.tridiag is None and ops.bandwidths is not None
+        assert ops.tridiag is None
         return
-    assert ops.bandwidths is None and ops.at_band is None and ops.et_band is None
     a_d = a.toarray()
     e_d = np.eye(a.shape[0]) if e is None else e.toarray()
     expected = (np.diag(a_d), np.diag(a_d, 1), np.diag(e_d), np.diag(e_d, 1))
@@ -385,22 +373,23 @@ def test_smw_singular_core_rejected():
 
 
 def test_factor_shifted_singular_matrix_rejected():
-    # A - I has a zero row: A = I takes the band route, a random sparse
-    # I + S whose row 0 is e_0 takes SuperLU.
+    # A - I is zero (A = I, positive definite, so off the LDL^T route) or
+    # has a zero row (a random sparse I + S whose row 0 is e_0); both take
+    # SuperLU.
     s = random_stable(60, 4, density=0.1).tolil()
     s[0, :] = 0.0
-    for a, banded in ((sp.identity(3), True), (sp.identity(60) + s, False)):
+    for a in (sp.identity(3), sp.identity(60) + s):
         ops = OperatorForms.of(a)
-        assert (ops.bandwidths is not None) == banded
+        assert ops.route == "superlu"
         with pytest.raises(ShiftRejectionError):
             factor_shifted(ops, 1.0)
 
 
 @pytest.mark.parametrize(
     "a, route",
-    [(random_stable(120, 3), "superlu"), (convection_diffusion(120), "band"),
+    [(random_stable(120, 3), "superlu"), (convection_diffusion(120), "superlu"),
      (tridiagonal(120), "ldlt")],
-    ids=["superlu", "band", "ldlt"],
+    ids=["superlu", "superlu-tridiagonal", "ldlt"],
 )
 def test_factorization_shared_across_threads(a, route):
     from concurrent.futures import ThreadPoolExecutor
@@ -421,19 +410,18 @@ def test_factorization_shared_across_threads(a, route):
 def test_row_solves_on_nonsymmetric_a_and_e():
     # A and E nonsymmetric, and E has entries outside A's pattern, so a slip
     # in transposing A or E, or in the solve, cannot cancel out.  The first
-    # pair takes SuperLU; the second is a band with kl != ku whose E has
-    # bandwidths other than A's.
+    # pair is general sparse; the second is a band with unequal lower and
+    # upper bandwidths whose E has bandwidths other than A's.  Both take
+    # SuperLU.
     rng = np.random.default_rng(21)
     n, m, gamma = 80, 3, 1.3
     cases = (
         (random_stable(n, 21),
-         sp.identity(n) + 0.2 * sp.random(n, n, density=0.04, random_state=22),
-         None),
+         sp.identity(n) + 0.2 * sp.random(n, n, density=0.04, random_state=22)),
         (random_band(n, [-2, -1, 0, 1], 23) - 5.0 * sp.identity(n),
-         random_band(n, [0, 1, 3], 24) + sp.identity(n),
-         (3, 2)),
+         random_band(n, [0, 1, 3], 24) + sp.identity(n)),
     )
-    for a, e, bandwidths in cases:
+    for a, e in cases:
         a_d, e_d = a.toarray(), e.toarray()
         assert np.count_nonzero((e_d != 0) & (a_d == 0)) >= n // 2
         assert not np.allclose(a_d, a_d.T) and not np.allclose(e_d, e_d.T)
@@ -441,7 +429,7 @@ def test_row_solves_on_nonsymmetric_a_and_e():
         f = rng.standard_normal((m, n)) / n
         rows = rng.standard_normal((5, n))
         ops = OperatorForms.of(a, e)
-        assert ops.bandwidths == bandwidths
+        assert ops.route == "superlu"
         fac = factor_shifted(ops, gamma)
         checks = (
             (fac.row_solve(rows), a_d - gamma * e_d),

@@ -42,3 +42,9 @@ def test_solve_path_imports_no_verification_module(module):
 def test_dense_references_live_in_oracles(name):
     assert not hasattr(problems, name)
     assert hasattr(scare_radi.oracles, name)
+
+
+@pytest.mark.parametrize("module", ["engine", "shifts", "problems"])
+def test_factorization_route_is_decided_in_kernels(module):
+    # The shifted factorization's route and its LAPACK calls live in kernels alone.
+    assert "lapack" not in _imported_modules(PACKAGE / f"{module}.py")
