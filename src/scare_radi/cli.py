@@ -118,11 +118,12 @@ def cmd_grid(args) -> int:
         reports = run_grid(cfg)
     bad = 0
     for rep in reports:
+        error = f" {rep.config['error']}" if "error" in rep.config else ""
         print(f"{rep.label:40s} ite={rep.iterations:4d} dim={rep.xi_width:6d} "
-              f"time={rep.wall_time:8.3f}s {rep.remark}")
+              f"time={rep.wall_time:8.3f}s {rep.remark}{error}")
         bad += 0 if (rep.converged or rep.flags in ("m", "t")) else 1
     print(f"{len(reports)} cells, {bad} without convergence")
-    return 0
+    return 1 if bad else 0
 
 
 def cmd_validate(args) -> int:

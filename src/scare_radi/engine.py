@@ -5,11 +5,15 @@ current residual factor and the accumulated feedback through one sparse
 factorization of A - gamma*E (sharing it via the low-rank SMW correction),
 append a rank-l block to the solution factor, refresh the residual factor and
 the feedback/accumulator pair through identity-plus-rank-m scalings (no
-factor beyond m x m), compress the stacked residual factor
-(`kernels.trunc_svd`: an SVD through C C^T when wide, a pivoted Cholesky of
-C^T C when tall), and account the discarded energy exactly.  The trace-norm
-residual is then available for free as the squared Frobenius norm of the kept
-factor plus the accumulated discard.
+factor beyond m x m), compress the new residual factor, and account the
+discarded energy exactly.  The scaling W = (I + Y Y^T)^-1/2 is applied once,
+to the new block S, and the stochastic couplings are taken from S.  While the
+new residual factor is wide it is stacked and truncated by an SVD through its
+Gram C C^T (`kernels.trunc_svd`); once it would be tall, only its n x n Gram
+C^T C is accumulated, never the stack, and truncated by a pivoted Cholesky
+(`kernels.trunc_gram`).  The trace-norm residual is then available for free
+as the squared Frobenius norm of the kept factor plus the accumulated
+discard.
 
 The dense prototype this iteration is checked against (`alg1_init`/
 `alg1_step`) lives in :mod:`scare_radi.oracles`.
@@ -34,11 +38,13 @@ from .errors import (
 from .kernels import (
     chol_spd,
     factor_shifted,
+    gram_upper,
     kron_gram,  # unused here, but perfbench/tracing.py wraps engine.kron_gram by name
     ltimes,
     materialize_stack,  # unused here too, for the same reason
     right_tri_solve,
     smw_row_solve,
+    trunc_gram,
     trunc_svd,
 )
 from .problems import OperatorForms, StandardProblem
@@ -83,8 +89,8 @@ class SolveOptions:
     max_cols_xi: int | None = None
 
     def __post_init__(self):
-        if self.tol_nres <= 0 or self.trunc_rel <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_nres < np.inf and 0 < self.trunc_rel < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         for name in ("cap_cols", "max_cols_xi"):
@@ -176,6 +182,15 @@ def step_once(
 ) -> tuple[SolverState, IterationRecord]:
     """One full iteration at a fixed shift; commits to state only on success.
 
+    With r > 1 the new residual factor is [C_top; (I + Z Z^T)^-1/2 X] for the
+    stochastic couplings X = Sa + Shat F_mid and Z = Shat Kpi^-1, where
+    Sa = S lt Ahat, Shat = S lt Bhat and S = W C_gamma is the new block.
+    When its row count exceeds n the step assembles its Gram
+    C_top^T C_top + X^T X - T^T T (T = K^-T Z^T X for I + Z^T Z = K^T K, the
+    solve the feedback update makes anyway) by ``dsyrk`` and truncates that;
+    otherwise it stacks the factor and truncates it by an SVD.  The Gram
+    assembly counts as truncation time (``t_svd``).
+
     Returns the state and the iteration's trace row; its ``t_shift`` is left
     to the caller, who picked the shift.  Raises :class:`ShiftRejectionError`
     (recoverable with another shift) when the shifted factorization or the
@@ -200,17 +215,10 @@ def step_once(
     c_gamma = sqrt2g * c_f
     t_solve = time.perf_counter() - t0
 
-    # Stochastic couplings of the fresh residual factor, block-major
-    # (r - 1, ell, .): Cm = C_gamma lt Ahat and Yhat = C_gamma lt Bhat.
-    t0 = time.perf_counter()
-    y = right_tri_solve(state.kpi, c_f @ p.b)
-    cm = ltimes(c_gamma, p.ahat)
-    yhat = ltimes(c_gamma, p.bhat)
-    t_ltimes = time.perf_counter() - t0
-
     # W = (I + Y Y^T)^-1/2 = Q N^-1 for N N^T = I + Y Y^T and an orthogonal Q, so
     # s^T s, w8 and the stacked Grams are those N^-1 gives.  The residual-factor
     # and feedback updates share sqrt(2g) W S (times E).
+    y = right_tri_solve(state.kpi, c_f @ p.b)
     w = _inv_sqrt_gram(y)
     s = w(c_gamma)
     w8 = sqrt2g * w(s)
@@ -218,29 +226,45 @@ def step_once(
     c_top = state.ccur + w8e
     f_mid = state.f - sla.solve_triangular(state.kpi, y.T, lower=False) @ w8e
 
+    t_ltimes = t_gram = 0.0
+    stacked = gram = None
     if r > 1:
-        # Z = (I (x) W) Yhat Kpi^-1, X = (I (x) W)(Cm + Yhat F); I + Z^T Z = K^T K.
-        yh = yhat.reshape(-1, m)
-        z_mat = w(right_tri_solve(state.kpi, yh).reshape(yhat.shape)).reshape(-1, m)
-        x_mat = (yh @ f_mid).reshape(cm.shape)
-        x_mat += cm
-        x_mat = w(x_mat).reshape(-1, n)
-        k_factor = chol_spd(np.eye(m) + z_mat.T @ z_mat)
+        # W acts on the left, so (I (x) W)(C_gamma lt M) = S lt M.  The blocks
+        # are kept as the C-contiguous transposes ltimes gives, (r - 1, ., ell):
+        # sht[i] = Shat_i^T and xt[i] = X_i^T; zt = Z^T, block-major columns.
+        ell = s.shape[0]
+        t0 = time.perf_counter()
+        sht = ltimes(s, p.bhat).transpose(0, 2, 1)
+        xt = ltimes(s, p.ahat).transpose(0, 2, 1)
+        t_ltimes = time.perf_counter() - t0
+        xt += np.matmul(f_mid.T, sht)
+        zt = sla.solve_triangular(state.kpi, sht.transpose(1, 0, 2).reshape(m, -1), trans="T")
+        k_factor = chol_spd(np.eye(m) + zt @ zt.T)
         kpi_new = k_factor @ state.kpi
-        f_new = f_mid - sla.solve_triangular(
-            kpi_new, sla.solve_triangular(k_factor, z_mat.T @ x_mat, trans="T")
-        )
-        bottom = _inv_sqrt_gram(z_mat)(x_mat)  # Gram X^T (I + Z Z^T)^-1 X
-        stacked = np.vstack([c_top, bottom])
+        # kzx = T = K^-T Z^T X, with Z^T X = sum_i Z_i^T X_i.
+        ztx = np.matmul(zt.reshape(m, r - 1, ell).transpose(1, 0, 2), xt.transpose(0, 2, 1))
+        kzx = sla.solve_triangular(k_factor, ztx.sum(axis=0), trans="T")
+        f_new = f_mid - sla.solve_triangular(kpi_new, kzx)
+        if c_top.shape[0] + (r - 1) * ell > n:
+            # X^T (I + Z Z^T)^-1 X = X^T X - T^T T.  Building the Gram replaces
+            # the C^T C that truncating a tall stack would form, so it is timed
+            # as truncation.
+            t0 = time.perf_counter()
+            gram = gram_upper(n, [c_top, *(x_i.T for x_i in xt)], [kzx])
+            t_gram = time.perf_counter() - t0
+        else:
+            x_mat = xt.transpose(0, 2, 1).reshape(-1, n)
+            stacked = np.vstack([c_top, _inv_sqrt_gram(zt.T)(x_mat)])
     else:
         # No stochastic blocks: the accumulator Gram is I, so its factor is I
         # and the update leaves Kpi and the mid-step feedback as they are.
         kpi_new, f_new, stacked = state.kpi, f_mid, c_top
 
-    # |stacked|_F^2 is the new residual before truncation.  Once it or the
-    # feedback is no longer finite the iteration has diverged.
+    # The trace of the new residual's Gram is its energy before truncation.
+    # Once it or the feedback is no longer finite the iteration has diverged.
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(np.linalg.norm(stacked) ** 2) and np.isfinite(f_new).all()
+        energy = np.trace(gram) if stacked is None else np.linalg.norm(stacked) ** 2
+        finite = np.isfinite(energy) and np.isfinite(f_new).all()
     if not finite:
         raise NumericalBreakdownError(
             state.k + 1, f"residual or feedback not finite at iteration {state.k + 1}"
@@ -248,8 +272,12 @@ def step_once(
 
     t0 = time.perf_counter()
     cap = opts.cap_cols if opts.cap_cols is not None else 10 * r * max(p.l, 1)
-    trunc = trunc_svd(stacked, tau_abs=opts.trunc_rel * state.nu0, cap=cap)
-    t_svd = time.perf_counter() - t0
+    tau_abs = opts.trunc_rel * state.nu0
+    if stacked is None:
+        trunc = trunc_gram(gram, tau_abs=tau_abs, cap=cap)
+    else:
+        trunc = trunc_svd(stacked, tau_abs=tau_abs, cap=cap)
+    t_svd = t_gram + time.perf_counter() - t0
 
     # Commit.
     state.append_xi(s)

@@ -4,10 +4,13 @@ The left semi-tensor product with vertically stacked blocks as one product,
 the shifted factorization (a LAPACK LDL^T for a symmetric-definite
 tridiagonal pencil, SuperLU otherwise; the choice between the two is made
 here, by :func:`_spd_tridiagonal`) and its SMW-corrected row solves, right
-triangular solves, small SPD Cholesky factorization, and the truncation of a
-residual factor with exact accounting of the discarded energy: a wide factor
-by an SVD taken through its Gram C C^T with no division by the singular
-values, a tall one by a pivoted Cholesky of C^T C.
+triangular solves, small SPD Cholesky factorization, the BLAS ``dsyrk``
+accumulation of a signed sum of Grams A^T A into one upper triangle, and the
+truncation of a residual factor with exact accounting of the discarded energy:
+a wide factor by an SVD taken through its Gram C C^T with no division by the
+singular values (:func:`trunc_svd`), a tall one from its Gram G = C^T C alone
+by a pivoted Cholesky (:func:`trunc_gram`; ``trunc_svd`` forms C^T C and calls
+it).  This module holds the package's only direct BLAS and LAPACK calls.
 Everything here is a pure function of its inputs; factorization handles may be
 shared read-only across threads.
 """
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
@@ -34,6 +38,8 @@ __all__ = [
     "factor_shifted",
     "smw_row_solve",
     "chol_spd",
+    "gram_upper",
+    "trunc_gram",
     "trunc_svd",
     "materialize_stack",
     "kron_gram",
@@ -270,6 +276,28 @@ def chol_spd(m: np.ndarray) -> np.ndarray:
     return c
 
 
+def gram_upper(n: int, add, subtract=()) -> np.ndarray:
+    """The upper triangle of sum A^T A over ``add`` minus sum B^T B over ``subtract``.
+
+    Each factor has n columns.  The result is an n x n Fortran-ordered array
+    whose strict lower triangle is zero; BLAS ``dsyrk`` accumulates every
+    term into it in place (beta = 1), and a C- or Fortran-contiguous factor
+    is passed to BLAS without a copy.
+    """
+    g = np.zeros((n, n), order="F")
+    for alpha, factors in ((1.0, add), (-1.0, subtract)):
+        for a in factors:
+            if a.shape[1] != n:
+                raise ConformabilityError(f"Gram factor of shape {a.shape} needs {n} columns")
+            if a.shape[0] == 0:
+                continue
+            if a.flags.f_contiguous:
+                dsyrk(alpha, a, beta=1.0, c=g, trans=1, overwrite_c=1)
+            else:  # A^T is Fortran-ordered, and dsyrk's A A^T of it is A^T A
+                dsyrk(alpha, np.ascontiguousarray(a).T, beta=1.0, c=g, overwrite_c=1)
+    return g
+
+
 @dataclass
 class TruncationResult:
     """Retained rows of a truncated factor plus the discarded energy.
@@ -331,6 +359,36 @@ def _pivoted_cholesky_rows(g: np.ndarray, tau_abs: float):
     return rows, np.append(sq, max(float(np.trace(g)) - float(np.sum(sq)), 0.0))
 
 
+def _check_truncation(tau_abs: float, cap: int) -> None:
+    if tau_abs < 0:
+        raise ValueError("tau_abs must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+
+
+def trunc_gram(g: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
+    """Truncate a factor C, given only its n x n Gram G = C^T C, with exact discard accounting.
+
+    Only the upper triangle of ``g`` is read.  Keeps the fewest leading rows
+    of the pivoted Cholesky P^T G P = R^T R such that the trace of the
+    discarded Gram is <= ``tau_abs``, then enforces the row cap, moving any
+    overflow into ``discarded_sq_trace``.  About n^3/3 flops against several
+    n^3 for an eigh: R[:k] P^T leaves the Schur complement S_k of G, whose
+    exact trace |R[k:]|_F^2 (plus the rounding-level remainder past the
+    factorization's rank) is the discard (Harbrecht, Peters & Schneider,
+    Appl. Numer. Math. 2012).  The kept Gram matches G minus the discard to
+    about eps trace(G) however graded the spectrum.  Route ``"tall-pchol"``.
+    """
+    _check_truncation(tau_abs, cap)
+    rows, sq = _pivoted_cholesky_rows(g, tau_abs)
+    # sq ends with the unfactored remainder, which has no row to keep.
+    keep = min(_select_retained(sq, tau_abs), rows.shape[0])
+    kept = min(keep, cap)
+    return TruncationResult(
+        None, rows[:kept], float(np.sum(sq[kept:])), "tall-pchol", float(np.sum(sq[kept:keep]))
+    )
+
+
 def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     """Truncate a p x n factor to few rows with exact discard accounting.
 
@@ -340,32 +398,19 @@ def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
 
     A wide factor (p <= n) is truncated as an SVD: the eigh of C C^T = U
     Lambda U^T orders the directions, and U_k^T C (= Sigma_k V_k^T) is kept
-    without dividing by sigma.  A tall one (p > n) keeps the leading rows of
-    the pivoted Cholesky P^T C^T C P = R^T R, about n^3/3 flops against
-    several n^3 for an eigh: R[:k] P^T leaves the Schur complement S_k of
-    C^T C, whose exact trace |R[k:]|_F^2 (plus the rounding-level remainder
-    past the factorization's rank) is the discard (Harbrecht, Peters &
-    Schneider, Appl. Numer. Math. 2012).  Either way the kept Gram matches
-    C^T C minus the discard to about eps |C|^2 however graded the spectrum.
+    without dividing by sigma; the kept Gram matches C^T C minus the discard
+    to about eps |C|^2 however graded the spectrum.  A tall one (p > n) is
+    truncated by :func:`trunc_gram` of C^T C, the one rule for that shape.
     """
     c = np.ascontiguousarray(np.atleast_2d(c), dtype=float)
-    if tau_abs < 0:
-        raise ValueError("tau_abs must be nonnegative")
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    _check_truncation(tau_abs, cap)
     if c.shape[0] > c.shape[1]:
-        rows, sq = _pivoted_cholesky_rows(c.T @ c, tau_abs)
-        # sq ends with the unfactored remainder, which has no row to keep.
-        keep = min(_select_retained(sq, tau_abs), rows.shape[0])
-        kept = min(keep, cap)
-        sigma, factor, route = None, rows[:kept], "tall-pchol"
-    else:
-        w, u = np.linalg.eigh(c @ c.T)
-        sq, u = np.maximum(w[::-1], 0.0), u[:, ::-1]
-        keep = _select_retained(sq, tau_abs)
-        kept = min(keep, cap)
-        sigma, route = np.sqrt(sq[:kept]), "gram"
-        factor = np.ascontiguousarray(u[:, :kept].T) @ c
+        return trunc_gram(c.T @ c, tau_abs, cap)
+    w, u = np.linalg.eigh(c @ c.T)
+    sq, u = np.maximum(w[::-1], 0.0), u[:, ::-1]
+    keep = _select_retained(sq, tau_abs)
+    kept = min(keep, cap)
+    factor = np.ascontiguousarray(u[:, :kept].T) @ c
     return TruncationResult(
-        sigma, factor, float(np.sum(sq[kept:])), route, float(np.sum(sq[kept:keep]))
+        np.sqrt(sq[:kept]), factor, float(np.sum(sq[kept:])), "gram", float(np.sum(sq[kept:keep]))
     )

@@ -29,18 +29,26 @@ def scalar_problem():
 def _recording_omega():
     omegas = []
 
-    def recording(stacked, *args, **kwargs):
-        trunc = kernels.trunc_svd(stacked, *args, **kwargs)
+    def record(gram, trunc):
         # Omega is a square root of the exact discarded Gram C^T C - F^T F,
         # whichever route truncated C; only its Gram is used.  Its rounding-level
         # negative eigenvalues are clamped to 0.
-        gap = stacked.T @ stacked - trunc.factor.T @ trunc.factor
+        gap = gram - trunc.factor.T @ trunc.factor
         w, v = np.linalg.eigh(0.5 * (gap + gap.T))
         omegas.append(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
         return trunc
 
+    def recording_svd(stacked, *args, **kwargs):
+        return record(stacked.T @ stacked, kernels.trunc_svd(stacked, *args, **kwargs))
+
+    def recording_gram(g, *args, **kwargs):
+        # trunc_gram reads the upper triangle of G only.
+        full = np.triu(g) + np.triu(g, 1).T
+        return record(full, kernels.trunc_gram(g, *args, **kwargs))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "trunc_svd", recording)
+        mp.setattr(engine, "trunc_svd", recording_svd)
+        mp.setattr(engine, "trunc_gram", recording_gram)
         yield omegas
 
 
@@ -49,7 +57,8 @@ def omega_recorder():
     """``with omega_recorder() as omegas:`` collects the factor each truncation discards.
 
     Session-scoped and stateless, so hypothesis tests may use it too; each
-    ``with`` block patches ``engine.trunc_svd`` only while it is open.
+    ``with`` block patches ``engine.trunc_svd`` and ``engine.trunc_gram`` (the
+    step's two truncation routes) only while it is open.
     """
     return _recording_omega
 

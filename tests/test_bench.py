@@ -22,7 +22,7 @@ from scare_radi.bench import (
 )
 from scare_radi.cli import main
 from scare_radi.engine import SolveOptions
-from scare_radi.errors import ProblemLoadError
+from scare_radi.errors import NumericalBreakdownError, ProblemLoadError
 from scare_radi.problems import OriginalProblem, StandardProblem
 from scare_radi.report import CSV_COLUMNS
 from scare_radi.shifts import ShiftConfig
@@ -331,18 +331,39 @@ def test_cli_solve_problem_dir_with_noise(tmp_path, capsys):
     assert "converged" in capsys.readouterr().out
 
 
+ONE_CELL_GRID = {
+    "generate": {"kind": "heat", "n": 50, "m": 2, "l": 2, "scale": 40.0, "damping": 20.0},
+    "r_cases": [1],
+    "variants": [["hamiltonian", 1, "cached"]],
+    "seed": 1,
+}
+
+
 def test_cli_grid(tmp_path, capsys):
-    cfg = {
-        "generate": {"kind": "heat", "n": 50, "m": 2, "l": 2, "scale": 40.0, "damping": 20.0},
-        "r_cases": [1],
-        "variants": [["hamiltonian", 1, "cached"]],
-        "seed": 1,
-    }
     cfg_path = tmp_path / "grid.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(ONE_CELL_GRID))
     rc = main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "0 without convergence" in capsys.readouterr().out
+
+
+def test_cli_grid_fails_when_a_cell_does_not_converge(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({**ONE_CELL_GRID, "max_iter": 1}))
+    assert main(["grid", "--config", str(cfg_path)]) == 1
+    assert "1 cells, 1 without convergence" in capsys.readouterr().out
+
+
+def test_cli_grid_prints_a_failed_cells_error(tmp_path, monkeypatch, capsys):
+    def failing(p, opts, label, out_dir=None):
+        raise NumericalBreakdownError(3, "residual or feedback not finite at iteration 3")
+
+    monkeypatch.setattr(bench, "run_single", failing)
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(ONE_CELL_GRID))
+    assert main(["grid", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr().out
+    assert " x NumericalBreakdownError: residual or feedback not finite at iteration 3" in out
 
 
 def cli_solve(monkeypatch, argv):

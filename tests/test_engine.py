@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_h
 
-from scare_radi import engine, problems, shifts
+from scare_radi import engine, kernels, problems, shifts
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import (
     SolveOptions,
@@ -247,7 +247,17 @@ def test_step_counter_and_width_growth():
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(cap_cols=0), dict(max_cols_xi=0), dict(max_iter=-1), dict(tol_nres=0.0)]
+    "bad",
+    [
+        dict(cap_cols=0),
+        dict(max_cols_xi=0),
+        dict(max_iter=-1),
+        dict(tol_nres=0.0),
+        dict(tol_nres=np.nan),
+        dict(tol_nres=np.inf),
+        dict(trunc_rel=np.nan),
+        dict(trunc_rel=np.inf),
+    ],
 )
 def test_solve_options_reject_out_of_range(bad):
     with pytest.raises(ValueError):
@@ -358,6 +368,55 @@ def test_residual_bookkeeping_with_truncation_debt(omega_recorder):
     assert st.nu_omega > 0  # truncation actually fired at this tolerance
     recorded = sum(np.linalg.norm(om) ** 2 for om in omegas)
     assert abs(recorded - st.nu_omega) <= 1e-9 * st.nu0
+
+
+def _stacked_residual_factor(p, state, gamma):
+    """The step's new residual factor [C_top; (I + Z Z^T)^-1/2 X], built as a stack.
+
+    This is the stack formula the Gram route replaces: W is applied to the
+    couplings of C_gamma, not taken from S = W C_gamma.  Returns the stack and
+    |C_top|_F^2 + |X|_F^2.
+    """
+    sqrt2g = np.sqrt(2.0 * gamma)
+    c_f = smw_row_solve(factor_shifted(state.ops, gamma), p.b, state.f, state.ccur)
+    c_gamma = sqrt2g * c_f
+    y = c_f @ p.b @ np.linalg.inv(state.kpi)
+    w = engine._inv_sqrt_gram(y)
+    w8 = sqrt2g * w(w(c_gamma))
+    w8e = w8 if p.e is None else np.asarray((p.e.T @ w8.T).T)
+    c_top = state.ccur + w8e
+    f_mid = state.f - np.linalg.solve(state.kpi, y.T) @ w8e
+    yhat = [c_gamma @ b_i for b_i in p.bhat.blocks]
+    z = np.vstack([w(y_i @ np.linalg.inv(state.kpi)) for y_i in yhat])
+    x = np.vstack([w(c_gamma @ a_i + y_i @ f_mid) for a_i, y_i in zip(p.ahat.blocks, yhat)])
+    stack = np.vstack([c_top, engine._inv_sqrt_gram(z)(x)])
+    return stack, np.linalg.norm(c_top) ** 2 + np.linalg.norm(x) ** 2
+
+
+@pytest.mark.parametrize("with_e", [False, True], ids=["standard", "mass"])
+@pytest.mark.parametrize("noise", [5e-2, 3.0])
+def test_tall_step_gram_matches_the_stacked_factor(monkeypatch, noise, with_e):
+    # On a tall step the engine truncates X^T X - T^T T plus C_top^T C_top,
+    # accumulated without a stack; it must be the Gram of the stacked factor.
+    p = random_standard_problem(n=20, m=2, l=3, r=4, seed=6, noise=noise, with_e=with_e)
+    st = init_state(p)
+    grams = []
+
+    def recording(g, *args, **kwargs):
+        grams.append(np.triu(g) + np.triu(g, 1).T)
+        return kernels.trunc_gram(g, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "trunc_gram", recording)
+    tall = 0
+    for g in SHIFTS[:4]:
+        stack, scale = _stacked_residual_factor(p, st, g)
+        st, row = step_once(p, st, g, SolveOptions(trunc_rel=1e-12))
+        assert (row.svd_route == "tall-pchol") == (stack.shape[0] > p.n)
+        if row.svd_route == "tall-pchol":
+            tall += 1
+            gap = np.linalg.norm(grams[-1] - stack.T @ stack)
+            assert gap <= 50 * np.finfo(float).eps * scale, gap / scale
+    assert tall >= 2 and len(grams) == tall
 
 
 def test_nu_omega_monotone_and_width_bounded():

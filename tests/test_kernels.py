@@ -16,8 +16,10 @@ from scare_radi.kernels import (
     StackedMat,
     chol_spd,
     factor_shifted,
+    gram_upper,
     ltimes,
     smw_row_solve,
+    trunc_gram,
     trunc_svd,
 )
 from scare_radi.oracles import ltimes_dense, ltimes_identities_check
@@ -575,6 +577,30 @@ def test_trunc_svd_tall_input_conserves_energy():
     res = trunc_svd(c, tau_abs=0.0, cap=50)
     assert res.route == "tall-pchol" and res.sigma is None and res.rank == 8
     assert energy_gap(c, res) <= 1e-12 * np.linalg.norm(c) ** 2
+
+
+def test_gram_upper_accumulates_signed_grams_of_either_layout():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((9, 6))
+    b = np.asfortranarray(rng.standard_normal((4, 6)))
+    x = rng.standard_normal((3, 6, 5)).transpose(0, 2, 1)  # Fortran-ordered slices
+    g = gram_upper(6, [a, *x, np.zeros((0, 6))], [0.5 * b])
+    want = a.T @ a + sum(x_i.T @ x_i for x_i in x) - 0.25 * b.T @ b
+    np.testing.assert_allclose(np.triu(g), np.triu(want), rtol=0, atol=1e-13)
+    assert not np.tril(g, -1).any() and g.flags.f_contiguous
+    with pytest.raises(ConformabilityError):
+        gram_upper(6, [a.T])
+
+
+def test_trunc_gram_reads_the_upper_triangle_only():
+    # The tall route of trunc_svd is trunc_gram of C^T C, whose lower
+    # triangle may hold anything.
+    c = np.random.default_rng(12).standard_normal((40, 7)) * 10.0 ** -np.arange(7)
+    g = c.T @ c
+    g[np.tril_indices(7, -1)] = np.nan
+    got, ref = trunc_gram(g, 1e-9, cap=40), trunc_svd(c, 1e-9, cap=40)
+    np.testing.assert_array_equal(got.factor, ref.factor)
+    assert (got.discarded_sq_trace, got.route) == (ref.discarded_sq_trace, "tall-pchol")
 
 
 @settings(max_examples=40, deadline=None)

@@ -46,5 +46,6 @@ def test_dense_references_live_in_oracles(name):
 
 @pytest.mark.parametrize("module", ["engine", "shifts", "problems"])
 def test_factorization_route_is_decided_in_kernels(module):
-    # The shifted factorization's route and its LAPACK calls live in kernels alone.
-    assert "lapack" not in _imported_modules(PACKAGE / f"{module}.py")
+    # The shifted factorization's route, the truncation Gram's dsyrk and every
+    # other direct BLAS or LAPACK call live in kernels alone.
+    assert not _imported_modules(PACKAGE / f"{module}.py") & {"lapack", "blas"}
