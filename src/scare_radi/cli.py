@@ -55,7 +55,6 @@ def _add_solve_args(sub):
     sub.add_argument("--trunc-rel", type=float, default=d.trunc_rel)
     sub.add_argument("--cap-cols", type=int, default=d.cap_cols)
     sub.add_argument("--max-cols-xi", type=int, default=d.max_cols_xi)
-    sub.add_argument("--stop-on-stall", action="store_true", default=d.stop_on_stall)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output directory for trace/summary")
 
@@ -86,7 +85,6 @@ def _solve_config(args) -> ExperimentConfig:
             trunc_rel=args.trunc_rel,
             cap_cols=args.cap_cols,
             max_cols_xi=args.max_cols_xi,
-            stop_on_stall=args.stop_on_stall,
         ),
         seed=args.seed,
     )

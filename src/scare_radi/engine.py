@@ -75,9 +75,9 @@ class SolveOptions:
     the default pairs 1e-12 accuracy with 300 iterations.  ``cap_cols`` caps
     the residual-factor row count (default 10*r*l), forcing truncation by
     energy beyond it; ``max_cols_xi`` optionally stops the run when the
-    solution factor reaches a width budget (reported as flag "m").  With
-    ``stop_on_stall`` the run also stops once the residual net of the
-    accumulated truncation debt falls below tolerance (flag "t").
+    solution factor reaches a width budget (reported as flag "m").  A run
+    whose truncation debt alone passes ``tol_nres`` always stops (flag "t"):
+    the debt never shrinks, so no later step could converge.
     """
 
     tol_nres: float = 1e-12
@@ -85,7 +85,6 @@ class SolveOptions:
     trunc_rel: float = 3.33e-15
     cap_cols: int | None = None
     shift: ShiftConfig = field(default_factory=ShiftConfig)
-    stop_on_stall: bool = False
     max_cols_xi: int | None = None
 
     def __post_init__(self):
@@ -308,14 +307,20 @@ def step_once(
 def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     """Run the iteration to the stopping rule; returns (state, report).
 
-    Stops when the normalized trace residual (kept energy plus truncation
-    debt over the initial energy) drops below tolerance, when the iteration
-    budget runs out, when the stall rule fires, or when the solution factor
-    hits its width budget.  A rejected shift is retried with the next pending
-    candidate of the current projection (see :func:`next_shift`) up to a small
-    budget, and the solve aborts with :class:`NoProgressError` once that
-    budget or the candidates run out; a residual above ``MAX_NRES`` raises
-    :class:`NumericalBreakdownError`.  The returned state holds Xi as a
+    This loop alone decides when a run stops and which shifts it has
+    rejected.  It stops when the normalized trace residual (kept energy plus
+    truncation debt over the initial energy) is at or below tolerance, which
+    a vanishing residual or a tolerance of 1 meets before any step; when the
+    iteration budget runs out; when the truncation debt alone exceeds the
+    tolerance (flag "t"; the debt never shrinks, so no later step could
+    converge, and an empty residual factor that has not converged is such a
+    case); or when the solution factor hits its width budget (flag "m").  The
+    shifts rejected at the current iteration are kept in one list: a retry
+    takes a shift outside it (see :func:`next_shift`), and once it holds more
+    than ``MAX_SHIFT_REJECTIONS`` the solve aborts with
+    :class:`NoProgressError`, or :class:`NumericalBreakdownError` when the
+    accumulator Gram was the one that failed.  A residual above ``MAX_NRES``
+    raises :class:`NumericalBreakdownError`.  The returned state holds Xi as a
     C-contiguous array.
     """
     opts = opts or SolveOptions()
@@ -332,23 +337,18 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
             nu_omega=0.0,
         )
     )
-    if state.nu0 == 0.0 or 1.0 <= opts.tol_nres:
-        report.converged = True
-        report.final_nres = report.rows[0].nres = 0.0 if state.nu0 == 0.0 else 1.0
-        report.wall_time = time.perf_counter() - wall0
-        return state, report
+    report.converged = report.rows[0].nres <= opts.tol_nres
 
-    cache = None
-    rejections = 0
-    while state.k < opts.max_iter:
+    cache, rejected = None, []
+    while not (report.converged or report.flags) and state.k < opts.max_iter:
         t0 = time.perf_counter()
-        gamma, cache = next_shift(opts.shift, cache, p, state)
+        gamma, cache = next_shift(opts.shift, cache, p, state, rejected)
         t_shift = time.perf_counter() - t0
         try:
             state, row = step_once(p, state, gamma, opts)
         except (ShiftRejectionError, SpdViolationError) as exc:
-            rejections += 1
-            if rejections > MAX_SHIFT_REJECTIONS:
+            rejected.append(gamma)
+            if len(rejected) > MAX_SHIFT_REJECTIONS:
                 if isinstance(exc, SpdViolationError):
                     raise NumericalBreakdownError(
                         state.k, f"Gram factorization failed repeatedly: {exc}"
@@ -357,7 +357,7 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
                     f"all candidate shifts rejected at iteration {state.k}: {exc}"
                 ) from exc
             continue
-        row.rejections, rejections = rejections, 0
+        row.rejections, rejected = len(rejected), []
         row.t_shift = t_shift
         row.shift_src = "recompute" if cache.source_iteration == row.k - 1 else "cache"
         row.basis_dim = cache.basis_dim
@@ -365,18 +365,14 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
 
         if row.nres <= opts.tol_nres:
             report.converged = True
-            break
-        if row.nres > MAX_NRES:
+        elif row.nres > MAX_NRES:
             raise NumericalBreakdownError(
                 state.k, f"residual {row.nres:.3e} exceeds {MAX_NRES:.0e} at iteration {state.k}"
             )
-        kept_rel = float(np.linalg.norm(state.ccur) ** 2) / state.nu0
-        if (opts.stop_on_stall and kept_rel < opts.tol_nres) or state.ccur.shape[0] == 0:
+        elif state.nu_omega / state.nu0 > opts.tol_nres:
             report.flags = "t"
-            break
-        if opts.max_cols_xi is not None and state.xi_width >= opts.max_cols_xi:
+        elif opts.max_cols_xi is not None and state.xi_width >= opts.max_cols_xi:
             report.flags = "m"
-            break
 
     state.trim_xi()
     report.iterations = state.k
@@ -384,4 +380,3 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     report.final_nres = report.rows[-1].nres
     report.wall_time = time.perf_counter() - wall0
     return state, report
-

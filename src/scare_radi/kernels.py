@@ -141,7 +141,6 @@ class ShiftedFactorization:
     to share across threads for simultaneous solves.
     """
 
-    gamma: float
     n: int
     _solve: object = field(repr=False)
 
@@ -211,16 +210,14 @@ def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
             raise ShiftRejectionError(
                 f"LDL^T of {gamma}*E - A failed: pivot {info} is not positive"
             )
-        return ShiftedFactorization(
-            gamma=float(gamma), n=n, _solve=functools.partial(_ldlt_solve, d, e)
-        )
+        return ShiftedFactorization(n=n, _solve=functools.partial(_ldlt_solve, d, e))
     try:
         lu = splu(ops.at - gamma * ops.et)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise ShiftRejectionError(
             f"factorization of A - {gamma}*E failed: {exc}"
         ) from exc
-    return ShiftedFactorization(gamma=float(gamma), n=n, _solve=lu.solve)
+    return ShiftedFactorization(n=n, _solve=lu.solve)
 
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -309,12 +306,11 @@ class TruncationResult:
     ``|factor|_F^2 + discarded_sq_trace``; ``cap_discard`` is the share of it
     that the row cap moved there.  ``route`` names the decomposition:
     ``"gram"`` (eigh of C C^T, an SVD truncation) or ``"tall-pchol"``
-    (pivoted Cholesky of C^T C).  ``sigma`` holds the k retained singular
-    values on the ``"gram"`` route only and is None on ``"tall-pchol"``,
-    whose rows are not singular directions.
+    (pivoted Cholesky of C^T C).  On ``"gram"`` the rows are Sigma_k V_k^T,
+    so their norms are the k retained singular values; the ``"tall-pchol"``
+    rows are not singular directions.
     """
 
-    sigma: np.ndarray | None
     factor: np.ndarray
     discarded_sq_trace: float
     route: str
@@ -385,7 +381,7 @@ def trunc_gram(g: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     keep = min(_select_retained(sq, tau_abs), rows.shape[0])
     kept = min(keep, cap)
     return TruncationResult(
-        None, rows[:kept], float(np.sum(sq[kept:])), "tall-pchol", float(np.sum(sq[kept:keep]))
+        rows[:kept], float(np.sum(sq[kept:])), "tall-pchol", float(np.sum(sq[kept:keep]))
     )
 
 
@@ -412,5 +408,5 @@ def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     kept = min(keep, cap)
     factor = np.ascontiguousarray(u[:, :kept].T) @ c
     return TruncationResult(
-        np.sqrt(sq[:kept]), factor, float(np.sum(sq[kept:])), "gram", float(np.sum(sq[kept:keep]))
+        factor, float(np.sum(sq[kept:])), "gram", float(np.sum(sq[kept:keep]))
     )

@@ -4,28 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 __all__ = ["IterationRecord", "RunReport", "CSV_COLUMNS"]
-
-CSV_COLUMNS = [
-    "iter",
-    "gamma",
-    "nres",
-    "cols_C",
-    "cols_Xi",
-    "nu_omega",
-    "t_shift",
-    "t_solve",
-    "t_ltimes",
-    "t_svd",
-    "t_other",
-    "svd_route",
-    "shift_src",
-    "basis_dim",
-    "rejections",
-    "cap_discard",
-]
 
 TIMING_FIELDS = ("t_shift", "t_solve", "t_ltimes", "t_svd", "t_other")
 
@@ -52,24 +33,21 @@ class IterationRecord:
     cap_discard: float = 0.0  # energy the row cap moved into the truncation's discard
 
     def csv_row(self):
-        return [
-            self.k,
-            repr(self.gamma),
-            repr(self.nres),
-            self.cols_c,
-            self.cols_xi,
-            repr(self.nu_omega),
-            f"{self.t_shift:.6f}",
-            f"{self.t_solve:.6f}",
-            f"{self.t_ltimes:.6f}",
-            f"{self.t_svd:.6f}",
-            f"{self.t_other:.6f}",
-            self.svd_route,
-            self.shift_src,
-            self.basis_dim,
-            self.rejections,
-            repr(self.cap_discard),
-        ]
+        return [_csv_cell(f, getattr(self, f.name)) for f in fields(self)]
+
+
+def _csv_cell(f, value):
+    """Timings to the microsecond, other floats exactly, the rest as they are."""
+    if f.name in TIMING_FIELDS:
+        return f"{value:.6f}"
+    return repr(value) if f.type == "float" else value
+
+
+# The CSV header is the record's field names, three of them renamed.
+CSV_COLUMNS = [
+    {"k": "iter", "cols_c": "cols_C", "cols_xi": "cols_Xi"}.get(f.name, f.name)
+    for f in fields(IterationRecord)
+]
 
 
 @dataclass
@@ -77,10 +55,9 @@ class RunReport:
     """Convergence trace plus summary of one solver run.
 
     ``flags`` carries ``"m"`` when the solution-factor width cap stopped the
-    run and ``"t"`` when the truncation-stall rule fired (the residual net of
-    accumulated truncation debt dropped below tolerance while the total did
-    not), and ``backend`` the route of the shifted factorization
-    (``"ldlt"`` or ``"superlu"``).
+    run and ``"t"`` when the truncation debt alone exceeded the tolerance, so
+    that no later step could converge, and ``backend`` the route of the
+    shifted factorization (``"ldlt"`` or ``"superlu"``).
     """
 
     rows: list = field(default_factory=list)

@@ -64,19 +64,13 @@ class ShiftCache:
     """Pending shifts from one projection, highest priority first.
 
     ``source_iteration`` is the iteration count the projection was computed
-    at; while the solver is still at that count, the pending shifts are the
-    retry candidates for a rejected step, and ``basis_dim`` is the dimension
-    of the basis it projected onto.  ``issued`` holds the shifts handed
-    out while the solver stayed at iteration ``issued_at``: a step that
-    succeeds moves the count on, so when asked again at that iteration every
-    one of them was rejected.
+    at, and ``basis_dim`` the dimension of the basis it projected onto.
+    Which shifts a solve has rejected is kept by the solver, not here.
     """
 
     pending: list = field(default_factory=list)
     source_iteration: int = 0
     basis_dim: int = 0
-    issued: list = field(default_factory=list)
-    issued_at: int = -1
 
 
 def build_basis(s_history, s: int, fallback: np.ndarray, q: int | None = None) -> np.ndarray:
@@ -180,27 +174,24 @@ def _compute(cfg: ShiftConfig, p, state) -> ShiftCache:
     return cache
 
 
-def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state):
+def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state, rejected=()):
     """Pop the next shift, recomputing per mode.
 
     Cached mode consumes the pending list and recomputes only when it runs
     dry.  Per-iteration mode recomputes once the iteration count has moved
     past the cache's ``source_iteration``.  A rejected step leaves the count
     unchanged, so in both modes a retry takes the projection's next pending
-    candidate, a shift different from the rejected one, while any remain.  A
-    recompute at that same count reproduces the projection, so it drops the
-    shifts already rejected there, and raises :class:`NoProgressError` when
-    none is left.
+    candidate, a shift different from the rejected one, while any remain.
+    ``rejected`` holds the shifts the solver has rejected at the current
+    iteration: a recompute there reproduces the projection, so it drops them,
+    and raises :class:`NoProgressError` when none is left.
     """
-    rejected = cache.issued if cache and cache.issued_at == state.k else []
     if not (cache and cache.pending
             and (cfg.mode == "cached" or cache.source_iteration == state.k)):
         cache = _compute(cfg, p, state)
         cache.pending = [g for g in cache.pending if g not in rejected]
         if not cache.pending:
             raise NoProgressError(
-                f"every candidate shift at iteration {state.k} was rejected: {rejected}"
+                f"every candidate shift at iteration {state.k} was rejected: {list(rejected)}"
             )
-    gamma = cache.pending.pop(0)
-    cache.issued, cache.issued_at = rejected + [gamma], state.k
-    return gamma, cache
+    return cache.pending.pop(0), cache

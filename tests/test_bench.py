@@ -1,5 +1,8 @@
+import argparse
 import csv
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from scare_radi.cli import main
 from scare_radi.engine import SolveOptions
 from scare_radi.errors import NumericalBreakdownError, ProblemLoadError
 from scare_radi.problems import OriginalProblem, StandardProblem
-from scare_radi.report import CSV_COLUMNS
+from scare_radi.report import CSV_COLUMNS, IterationRecord
 from scare_radi.shifts import ShiftConfig
 from scare_radi.testing import random_original_problem, random_standard_problem
 
@@ -277,6 +280,22 @@ def test_csv_last_column_names_truncation_route(tmp_path, r):
         assert "tall-pchol" in routes and routes <= {"gram", "tall-pchol"}
 
 
+def test_csv_header_is_the_documented_column_list():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [documented] = re.findall(r"CSV trace with columns\s+`([^`]+)`", readme)
+    assert CSV_COLUMNS == documented.split(",")
+
+
+def test_csv_row_formats_each_field_by_its_type():
+    row = IterationRecord(k=2, gamma=0.1, nres=1 / 3, cols_c=4, cols_xi=5, nu_omega=0.0,
+                          t_solve=1 / 7, svd_route="gram", shift_src="cache",
+                          basis_dim=3, rejections=1, cap_discard=2e-20)
+    assert row.csv_row() == [
+        2, "0.1", "0.3333333333333333", 4, 5, "0.0", "0.000000", "0.142857",
+        "0.000000", "0.000000", "0.000000", "gram", "cache", 3, 1, "2e-20",
+    ]
+
+
 def test_csv_numeric_cells_parse_as_floats(tmp_path):
     run_single(gen_heat_problem(60, 3, 2, seed=3), SolveOptions(), "unit", tmp_path)
     with open(tmp_path / "unit.csv", newline="") as fh:
@@ -419,6 +438,7 @@ def test_cli_noise_builds_criterion_9_blocks(monkeypatch):
         ({"r_cases": [7]}, "case r = 7"),
         ({"variants": [["hamiltonian", 0, "cached"]]}, "window_s"),
         ({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1, "width": 2}}, "width"),
+        ({"stop_on_stall": True}, "unknown config keys"),
     ],
 )
 def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):
@@ -438,6 +458,37 @@ def test_cli_rejects_conflicting_sources():
 def test_cli_rejects_out_of_range_options(flag):
     with pytest.raises(SystemExit, match=flag[2:].replace("-", "_")):
         main(["solve", "--generate", "heat:n=10,m=1,l=1", flag, "0"])
+
+
+# Flags of ``scare-radi solve`` that pick the problem, the shift variant or
+# the output rather than a SolveOptions field.
+NON_OPTION_FLAGS = {"help", "problem", "generate", "noise", "shift", "window", "mode",
+                    "seed", "out"}
+
+
+def test_every_solver_option_has_one_flag_and_one_config_key(tmp_path):
+    parser = argparse.ArgumentParser()
+    cli._add_solve_args(parser)
+    default = SolveOptions()
+    set_by = {}
+    for action in parser._actions:
+        if action.dest in NON_OPTION_FLAGS:
+            continue
+        value = [] if action.nargs == 0 else [str((action.default or 1) * 3)]
+        args = parser.parse_args(["--generate", "heat:n=10,m=1,l=1",
+                                  action.option_strings[0], *value])
+        opts = cli._solve_config(args).options
+        changed = [f.name for f in fields(SolveOptions)
+                   if getattr(opts, f.name) != getattr(default, f.name)]
+        assert len(changed) == 1, (action.option_strings, changed)  # a flag without a field
+        [name] = changed
+        assert name not in set_by, (name, set_by[name], action.option_strings)
+        set_by[name] = getattr(opts, name)
+    assert set(set_by) == {f.name for f in fields(SolveOptions)} - {"shift"}
+    for name, value in set_by.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({name: value}))
+        assert getattr(ExperimentConfig.from_json(path).options, name) == value
 
 
 def test_cli_generate_accepts_float_fields(capsys):
@@ -463,9 +514,9 @@ def test_config_validates_options_when_loaded(tmp_path):
     path.write_text(json.dumps({"tol_nres": 1e-10, "cap_cols": 0}))
     with pytest.raises(ValueError, match="cap_cols"):
         ExperimentConfig.from_json(path)
-    path.write_text(json.dumps({"tol_nres": 1e-10, "stop_on_stall": True}))
+    path.write_text(json.dumps({"tol_nres": 1e-10, "max_cols_xi": 40}))
     cfg = ExperimentConfig.from_json(path)
-    assert cfg.options == SolveOptions(tol_nres=1e-10, stop_on_stall=True)
+    assert cfg.options == SolveOptions(tol_nres=1e-10, max_cols_xi=40)
 
 
 def test_heat200_grid_config_file():
@@ -485,7 +536,7 @@ def test_heat200_grid_config_file():
         assert label.endswith("__" + variant_label(*variant))
         assert opts == SolveOptions(
             tol_nres=1e-12, max_iter=300, trunc_rel=3.33e-15, cap_cols=1500,
-            max_cols_xi=50_000, stop_on_stall=False, shift=ShiftConfig(*variant),
+            max_cols_xi=50_000, shift=ShiftConfig(*variant),
         )
 
 

@@ -83,7 +83,9 @@ def test_singular_smw_core_rejects_shift(scalar_problem, monkeypatch):
         warnings.simplefilter("error", sla.LinAlgWarning)
         with pytest.raises(ShiftRejectionError):
             step_once(p, init_state(p), 1.0)
-    monkeypatch.setattr(engine, "next_shift", lambda cfg, cache, p, state: (1.0, cache))
+    monkeypatch.setattr(
+        engine, "next_shift", lambda cfg, cache, p, state, rejected=(): (1.0, cache)
+    )
     with pytest.raises(NoProgressError):
         radi_solve(p, SolveOptions())
 
@@ -645,22 +647,34 @@ def test_solve_width_cap_sets_flag():
 
 
 def test_solve_stall_rule_sets_flag():
-    # Loose truncation accumulates debt that the stall rule must detect:
-    # the kept factor shrinks below tolerance while the total residual
-    # (including debt) stays above it.
+    # Loose truncation accumulates debt that passes the tolerance, so the
+    # total residual (including debt) cannot get below it.
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=17)
     _, report = radi_solve(
         p,
         SolveOptions(
             tol_nres=1e-10,
             trunc_rel=3e-8,
-            stop_on_stall=True,
             shift=ShiftConfig("hamiltonian", 1, "cached"),
         ),
     )
     assert report.flags == "t"
     assert not report.converged
     assert report.final_nres > 1e-10
+
+
+def test_debt_stop_fires_at_the_first_row_past_tolerance():
+    # The truncation debt never shrinks, so once nu_omega / nu0 passes tol no
+    # later step can converge and the run stops at that row with flag "t".
+    p = with_noise_blocks(
+        gen_heat_problem(100, 7, 6, seed=0, scale=100.0, damping=100.0), [1e-4, 1e-3], seed=100
+    )
+    st, report = radi_solve(p, SolveOptions(trunc_rel=1e-12))
+    debt = [row.nu_omega / st.nu0 for row in report.rows]
+    first = next(k for k, d in enumerate(debt) if d > 1e-12)
+    assert report.flags == "t" and not report.converged
+    assert report.iterations == first
+    assert report.final_nres > 1e-12
 
 
 def test_solve_timing_rows_sum_to_iteration_totals():

@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from scare_radi import engine, kernels
+from scare_radi import engine, kernels, shifts
 from scare_radi.bench import gen_heat_problem
 from scare_radi.engine import SolveOptions, init_state, radi_solve, step_once
-from scare_radi.errors import BasisFailureError, ShiftFailureError
+from scare_radi.errors import BasisFailureError, NoProgressError, ShiftFailureError
 from scare_radi.kernels import StackedMat
 from scare_radi.problems import StandardProblem
 from scare_radi.shifts import (
@@ -260,6 +260,22 @@ def test_next_shift_recomputes_when_exhausted():
     assert cache.source_iteration == st.k
 
 
+@pytest.mark.parametrize("mode", ["cached", "per_iteration"])
+def test_next_shift_skips_the_rejected_shifts(monkeypatch, mode):
+    p = random_standard_problem(n=50, m=2, l=2, r=2, seed=13)
+    st, _ = step_once(p, init_state(p), 1.0)
+    cfg = ShiftConfig("hamiltonian", 1, mode)
+    first, cache = next_shift(cfg, ShiftCache(), p, st)
+    assert len(cache.pending) >= 1  # the projection offers more than one shift
+    g, _ = next_shift(cfg, ShiftCache(), p, st, rejected=[first])
+    assert g != first
+    # A projection with a single candidate has nothing left once it is rejected.
+    monkeypatch.setattr(shifts, "hamiltonian_shifts", lambda *a, **k: ShiftCache(pending=[0.5]))
+    assert next_shift(cfg, ShiftCache(), p, st)[0] == 0.5
+    with pytest.raises(NoProgressError):
+        next_shift(cfg, ShiftCache(), p, st, rejected=[0.5])
+
+
 def test_shift_order_ignores_rounding_level_priorities(monkeypatch):
     # Cached Hamiltonian shifts whose lower-block norms sit at the rounding
     # floor (here ~1e-16) must not be reordered by rounding of the residual
@@ -273,7 +289,7 @@ def test_shift_order_ignores_rounding_level_priorities(monkeypatch):
         trunc = kernels.trunc_svd(stacked, *args, **kwargs)
         if trunc.route != "gram":
             return trunc
-        sigma = trunc.sigma[:, None]
+        sigma = np.linalg.norm(trunc.factor, axis=1)[:, None]
         return dataclasses.replace(trunc, factor=sigma * (trunc.factor / sigma))
 
     monkeypatch.setattr(engine, "trunc_svd", round_trip)
