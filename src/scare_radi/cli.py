@@ -4,13 +4,16 @@
 (one variant, case r = 1 + the number of ``--noise`` scales) and solves it on
 the grid's path, so its problem, noise blocks and label are those of the
 matching grid cell.  The solver flags take their defaults from
-:class:`~scare_radi.engine.SolveOptions`.
+:class:`~scare_radi.engine.SolveOptions`.  ``solve`` and ``grid`` exit 1
+unless every run converged: a run stopped by flag ``t`` or ``m``, out of
+iterations, or raising (``x``, in a grid) has not.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -106,7 +109,7 @@ def cmd_solve(args) -> int:
         print(f"  {c:9s} {t:9.3f}s {t / spent if spent else 0.0:6.1%}")
     if args.out:
         print(f"trace written to {Path(args.out).resolve()}")
-    return 0 if report.converged or report.flags else 1
+    return 0 if report.converged else 1
 
 
 def cmd_grid(args) -> int:
@@ -114,13 +117,14 @@ def cmd_grid(args) -> int:
         cfg = ExperimentConfig.from_json(args.config)
         cfg.output_dir = args.out or cfg.output_dir
         reports = run_grid(cfg)
-    bad = 0
     for rep in reports:
         error = f" {rep.config['error']}" if "error" in rep.config else ""
         print(f"{rep.label:40s} ite={rep.iterations:4d} dim={rep.xi_width:6d} "
               f"time={rep.wall_time:8.3f}s {rep.remark}{error}")
-        bad += 0 if (rep.converged or rep.flags in ("m", "t")) else 1
-    print(f"{len(reports)} cells, {bad} without convergence")
+    bad = Counter(rep.flags or "max-iter" for rep in reports if not rep.converged)
+    print(f"{len(reports)} cells, {bad.total()} without convergence")
+    if bad:
+        print("by flag: " + ", ".join(f"{flag} {count}" for flag, count in sorted(bad.items())))
     return 1 if bad else 0
 
 

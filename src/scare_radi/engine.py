@@ -36,6 +36,7 @@ from .errors import (
     SpdViolationError,
 )
 from .kernels import (
+    add_product,
     chol_spd,
     factor_shifted,
     gram_upper,
@@ -65,6 +66,12 @@ MAX_SHIFT_REJECTIONS = 5
 # the n=200 grid and the benchmark workloads); a run whose residual passes
 # this ceiling has diverged, and would otherwise spin until it overflows.
 MAX_NRES = 1e8
+# Xi is assembled from runs of consecutive blocks stacked into one buffer of at
+# most this many rows: a block of few rows (an r = 1 block has l), copied
+# transposed on its own, writes a short run into every row of Xi.  det-mass at
+# n=5000 (73 blocks of 6 rows) took 18-25 ms a solve block by block, 11-13 ms
+# in runs.
+XI_GROUP_ROWS = 128
 
 
 @dataclass
@@ -101,15 +108,17 @@ class SolveOptions:
 class SolverState:
     """Mutable per-solve state: factors, feedback, accumulators, history.
 
-    The solution factor is kept transposed: the leading ``xi_width`` rows of
-    ``xi_buf`` hold Xi^T, so a step appends its block as contiguous rows.  The
-    buffer doubles when an append overflows it, so appending costs amortized
-    O(n * ell) per step instead of a copy of the whole factor.  ``ops`` holds
-    the problem's operators in the forms the steps and the shift layer use,
-    built once per solve.
+    The solution factor is kept as the list of its blocks: Xi = [B_0^T, ...,
+    B_k^T] for the blocks B_i of n columns in ``xi_blocks``, where B_0 is
+    0 x n and each step appends its block S without copying it (the shift
+    history shares S, so neither writes it).  No block is copied as Xi
+    grows.  ``trim_xi`` writes Xi once as one C-contiguous n x xi_width
+    array, which then stands, transposed, as the only block; until then
+    ``xi`` assembles Xi on each call.  ``ops`` holds the problem's operators
+    in the forms the steps and the shift layer use, built once per solve.
     """
 
-    xi_buf: np.ndarray
+    xi_blocks: list
     f: np.ndarray
     kpi: np.ndarray
     ccur: np.ndarray
@@ -122,29 +131,37 @@ class SolverState:
 
     @property
     def xi(self) -> np.ndarray:
-        """The solution factor Xi, n x xi_width (a view into the buffer)."""
-        return self.xi_buf[: self.xi_width].T
+        """The solution factor Xi, n x xi_width and C-contiguous."""
+        blocks = self.xi_blocks
+        if len(blocks) == 1:
+            return blocks[0].T
+        out = np.empty((blocks[0].shape[1], self.xi_width))
+        buf = np.empty((XI_GROUP_ROWS, out.shape[0]))
+        col = i = 0
+        while i < len(blocks):
+            j, rows = i + 1, blocks[i].shape[0]
+            while j < len(blocks) and rows + blocks[j].shape[0] <= XI_GROUP_ROWS:
+                rows, j = rows + blocks[j].shape[0], j + 1
+            part = blocks[i] if j == i + 1 else np.concatenate(blocks[i:j], out=buf[:rows])
+            out[:, col : col + rows] = part.T
+            col, i = col + rows, j
+        return out
 
     def append_xi(self, s: np.ndarray) -> None:
-        """Append the columns s^T to Xi, doubling the buffer when it is full."""
-        width, ell = self.xi_width, s.shape[0]
-        if width + ell > self.xi_buf.shape[0]:
-            grown = np.empty((max(2 * self.xi_buf.shape[0], width + ell), self.xi_buf.shape[1]))
-            grown[:width] = self.xi_buf[:width]
-            self.xi_buf = grown
-        self.xi_buf[width : width + ell] = s
-        self.xi_width = width + ell
+        """Append the columns s^T to Xi; s is kept, not copied."""
+        self.xi_blocks.append(s)
+        self.xi_width += s.shape[0]
 
     def trim_xi(self) -> None:
-        """Shrink the buffer to Xi itself, so that ``xi`` is C-contiguous."""
-        self.xi_buf = np.ascontiguousarray(self.xi).T
+        """Assemble Xi once, so that ``xi`` is one C-contiguous array."""
+        self.xi_blocks = [self.xi.T]
 
 
 def init_state(p: StandardProblem, window_s: int = 8) -> SolverState:
     n = p.n
     c = np.array(p.c, dtype=float)
     return SolverState(
-        xi_buf=np.zeros((0, n)),
+        xi_blocks=[np.zeros((0, n))],
         f=np.array(p.f0, dtype=float),
         kpi=np.array(p.kpi0, dtype=float),
         ccur=c,
@@ -165,12 +182,13 @@ def _inv_sqrt_gram(z: np.ndarray):
     """The map x -> (I + Z Z^T)^-1/2 x for any p x k Z, in O(p k) per column of x.
 
     It is x + U (Lambda^-1/2 - I) U^T x for Z = Q R (thin QR), eigh(I + R R^T) =
-    V Lambda V^T (Lambda >= 1) and U = Q V.  x may be a stack (..., p, cols).
+    V Lambda V^T (Lambda >= 1) and U = Q V.  The map overwrites x, a C- or
+    Fortran-contiguous p x cols array, and returns it.
     """
     q, rz = np.linalg.qr(z)
     lam, v = np.linalg.eigh(np.eye(rz.shape[0]) + rz @ rz.T)
     u, shrink = q @ v, (lam**-0.5 - 1.0)[:, None]
-    return lambda x: x + u @ (shrink * (u.T @ x))
+    return lambda x: add_product(x, u, shrink * (u.T @ x))
 
 
 def step_once(
@@ -216,14 +234,18 @@ def step_once(
 
     # W = (I + Y Y^T)^-1/2 = Q N^-1 for N N^T = I + Y Y^T and an orthogonal Q, so
     # s^T s, w8 and the stacked Grams are those N^-1 gives.  The residual-factor
-    # and feedback updates share sqrt(2g) W S (times E).
+    # and feedback updates share sqrt(2g) W S (times E).  W is applied in
+    # place: to C_gamma, which becomes S, and to a copy of S, which Xi keeps.
     y = right_tri_solve(state.kpi, c_f @ p.b)
     w = _inv_sqrt_gram(y)
     s = w(c_gamma)
-    w8 = sqrt2g * w(s)
+    w8 = w(s.copy())
+    w8 *= sqrt2g
     w8e = w8 if e is None else np.asarray((e.T @ w8.T).T)
-    c_top = state.ccur + w8e
     f_mid = state.f - sla.solve_triangular(state.kpi, y.T, lower=False) @ w8e
+    # C_top is summed into w8 itself when E is I; the Fortran-ordered w8e of
+    # a mass matrix would make it Fortran-ordered, so it gets a new C array.
+    c_top = np.add(state.ccur, w8e, out=w8 if e is None else None)
 
     t_ltimes = t_gram = 0.0
     stacked = gram = None
@@ -236,7 +258,8 @@ def step_once(
         sht = ltimes(s, p.bhat).transpose(0, 2, 1)
         xt = ltimes(s, p.ahat).transpose(0, 2, 1)
         t_ltimes = time.perf_counter() - t0
-        xt += np.matmul(f_mid.T, sht)
+        for x_i, sh_i in zip(xt, sht):
+            add_product(x_i, f_mid.T, sh_i)
         zt = sla.solve_triangular(state.kpi, sht.transpose(1, 0, 2).reshape(m, -1), trans="T")
         k_factor = chol_spd(np.eye(m) + zt @ zt.T)
         kpi_new = k_factor @ state.kpi

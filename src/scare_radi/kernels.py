@@ -4,7 +4,8 @@ The left semi-tensor product with vertically stacked blocks as one product,
 the shifted factorization (a LAPACK LDL^T for a symmetric-definite
 tridiagonal pencil, SuperLU otherwise; the choice between the two is made
 here, by :func:`_spd_tridiagonal`) and its SMW-corrected row solves, right
-triangular solves, small SPD Cholesky factorization, the BLAS ``dsyrk``
+triangular solves, small SPD Cholesky factorization, the BLAS ``dgemm``
+accumulation of a product into its target in place, the BLAS ``dsyrk``
 accumulation of a signed sum of Grams A^T A into one upper triangle, and the
 truncation of a residual factor with exact accounting of the discarded energy:
 a wide factor by an SVD taken through its Gram C C^T with no division by the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
@@ -38,6 +39,7 @@ __all__ = [
     "factor_shifted",
     "smw_row_solve",
     "chol_spd",
+    "add_product",
     "gram_upper",
     "trunc_gram",
     "trunc_svd",
@@ -242,15 +244,15 @@ def smw_row_solve(
 
     Uses the low-rank correction
     ``rows A_g^-1 - rows A_g^-1 B (I + F A_g^-1 B)^-1 F A_g^-1``, with the
-    rows and F pushed through one stacked sparse solve; with F = 0 this is
-    the plain shifted solve.
+    rows and F pushed through one stacked sparse solve, and the correction
+    subtracted in place; with F = 0 this is the plain shifted solve.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     both = fac.row_solve(np.vstack([rows, np.atleast_2d(f)]))
     ra, fa = both[: rows.shape[0]], both[rows.shape[0]:]
     core = np.eye(b.shape[1]) + fa @ b
-    return ra - _solve_core(core, ra @ b) @ fa
+    return add_product(ra, -_solve_core(core, ra @ b), fa)
 
 
 def chol_spd(m: np.ndarray) -> np.ndarray:
@@ -270,6 +272,32 @@ def chol_spd(m: np.ndarray) -> np.ndarray:
         raise SpdViolationError(pivot_index=int(info))
     if info < 0:
         raise ValueError(f"illegal value in Cholesky argument {-info}")
+    return c
+
+
+def add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c += a @ b in place, by BLAS ``dgemm`` with beta = 1; returns c.
+
+    No temporary of c's size is made.  A C-contiguous c is updated as the
+    Fortran-ordered c^T += b^T a^T, and contiguous a and b reach BLAS without
+    a copy.  f2py would copy any other target and leave c unchanged, so a c
+    that is not a writeable float64 array, C- or Fortran-contiguous, raises
+    ValueError.
+    """
+    if c.dtype != np.float64 or not c.flags.writeable:
+        raise ValueError("add_product needs a writeable float64 target")
+    if c.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]:
+        raise ConformabilityError(f"cannot add {a.shape} @ {b.shape} to {c.shape}")
+    if c.size == 0 or a.shape[1] == 0:
+        return c
+    target = c
+    if not c.flags.f_contiguous:
+        if not c.flags.c_contiguous:
+            raise ValueError("add_product needs a C- or Fortran-contiguous target")
+        target, a, b = c.T, b.T, a.T
+    # x^T of a C-contiguous x is Fortran-ordered: pass it with the transpose flag.
+    (a, ta), (b, tb) = ((x, 0) if x.flags.f_contiguous else (x.T, 1) for x in (a, b))
+    dgemm(1.0, a, b, beta=1.0, c=target, trans_a=ta, trans_b=tb, overwrite_c=1)
     return c
 
 
@@ -338,19 +366,23 @@ def _pivoted_cholesky_rows(g: np.ndarray, tau_abs: float):
 
     LAPACK ``dpstrf`` stops at its numerical rank, the first pivot at or below
     its tolerance; only the rows before it are finished, so only those are
-    returned.  The energies are the squared row norms followed by the trace
-    that the stop left unfactored, clamped at 0.  The tolerance is LAPACK's
-    default n eps max diag(G), lowered to tau_abs / n when that is smaller:
-    the at most n pivots left unfactored then sum to at most tau_abs, so the
-    unfactored trace alone never exceeds the allowed discard.
+    returned, as one C-contiguous array: the columns of the upper triangle
+    of R are gathered through the inverse pivot permutation, with no
+    zero-filled target to scatter them into.  The energies are the squared
+    row norms followed by the trace that the stop left unfactored, clamped
+    at 0.  The tolerance is LAPACK's default n eps max diag(G), lowered to
+    tau_abs / n when that is smaller: the at most n pivots left unfactored
+    then sum to at most tau_abs, so the unfactored trace alone never exceeds
+    the allowed discard.
     """
     n = g.shape[0]
     tol = min(n * _MACHEPS * float(np.max(np.diag(g), initial=0.0)), tau_abs / max(n, 1))
     r, piv, rank, info = dpstrf(g, tol=tol)
     if info < 0:
         raise ValueError(f"illegal value in pivoted Cholesky argument {-info}")
-    rows = np.zeros((rank, g.shape[0]))
-    rows[:, piv - 1] = np.triu(r[:rank])
+    # np.triu returns a C-ordered copy; np.take of its columns keeps C order,
+    # where a fancy index would return a Fortran-ordered array.
+    rows = np.take(np.triu(r[:rank]), np.argsort(piv), axis=1)
     sq = np.einsum("ij,ij->i", rows, rows)
     return rows, np.append(sq, max(float(np.trace(g)) - float(np.sum(sq)), 0.0))
 

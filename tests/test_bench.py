@@ -373,6 +373,28 @@ def test_cli_grid_fails_when_a_cell_does_not_converge(tmp_path, capsys):
     assert "1 cells, 1 without convergence" in capsys.readouterr().out
 
 
+# A truncation tolerance far above tol_nres: the debt alone stops the run (flag t).
+DEBT_STOP_GRID = {
+    "generate": {"kind": "heat", "n": 60, "m": 2, "l": 2},
+    "r_cases": [1],
+    "variants": [["hamiltonian", 1, "cached"]],
+    "trunc_rel": 1e-9,
+}
+
+
+def test_cli_grid_fails_when_a_cell_stops_on_its_debt(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(DEBT_STOP_GRID))
+    assert main(["grid", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 cells, 1 without convergence\nby flag: t 1" in out
+
+
+def test_cli_solve_fails_when_the_run_stops_on_its_debt(capsys):
+    assert main(["solve", "--generate", "heat:n=60,m=2,l=2", "--trunc-rel", "1e-9"]) == 1
+    assert "stopped [t]" in capsys.readouterr().out
+
+
 def test_cli_grid_prints_a_failed_cells_error(tmp_path, monkeypatch, capsys):
     def failing(p, opts, label, out_dir=None):
         raise NumericalBreakdownError(3, "residual or feedback not finite at iteration 3")

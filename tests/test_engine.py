@@ -218,22 +218,41 @@ def test_r1_step_leaves_kpi_bit_identical():
     assert st.kpi.tobytes() == kpi0.tobytes()
 
 
-def test_xi_buffer_grows_and_matches_hstack(monkeypatch):
+def test_xi_blocks_assemble_to_hstack(monkeypatch):
     p = random_standard_problem(n=30, m=2, l=2, r=1, seed=19)
-    blocks, capacities = [], set()
+    blocks, before_trim = [], []
 
     def recording_step(*args, **kwargs):
         st, row = step_once(*args, **kwargs)
         blocks.append(st.s_history[-1].copy())
-        capacities.add(st.xi_buf.shape[0])
+        before_trim.append(st.xi)  # assembled from the blocks so far
         return st, row
 
     monkeypatch.setattr(engine, "step_once", recording_step)
     st, report = radi_solve(p, SolveOptions(**NO_TRUNC, max_iter=12))
-    assert len(capacities) >= 4  # the buffer grew at least three times
+    assert len(blocks) == 12
+    for k, xi in enumerate(before_trim, start=1):
+        assert xi.flags["C_CONTIGUOUS"]
+        assert xi.tobytes() == np.hstack([s.T for s in blocks[:k]]).tobytes()
+    assert len(st.xi_blocks) == 1  # trim_xi assembled Xi once
     assert st.xi.flags["C_CONTIGUOUS"]
     assert st.xi.shape == (p.n, st.xi_width) == (p.n, report.xi_width)
     assert st.xi.tobytes() == np.hstack([s.T for s in blocks]).tobytes()
+
+
+def test_xi_assembles_blocks_of_any_height():
+    # Runs of thin blocks are stacked into one buffer, a taller block goes alone.
+    p = random_standard_problem(n=30, m=2, l=2, r=1, seed=19)
+    st = init_state(p)
+    rng = np.random.default_rng(0)
+    heights = (3, 200, 5, 5, 130, 1, engine.XI_GROUP_ROWS, 2, engine.XI_GROUP_ROWS - 2)
+    blocks = [rng.standard_normal((k, p.n)) for k in heights]
+    for s in blocks:
+        st.append_xi(s)
+    want = np.hstack([s.T for s in blocks]).tobytes()
+    assert st.xi.flags["C_CONTIGUOUS"] and st.xi.tobytes() == want
+    st.trim_xi()
+    assert st.xi.flags["C_CONTIGUOUS"] and st.xi.tobytes() == want
 
 
 def test_step_counter_and_width_growth():
@@ -290,8 +309,11 @@ def test_inv_sqrt_gram_matches_dense_eigh(rows, cols, decades):
     w = scale(np.eye(rows))
     assert np.linalg.norm(w - dense) <= 1e-12 * np.linalg.norm(dense)
     assert np.linalg.norm(w @ w @ gram - np.eye(rows)) <= 1e-12 * np.sqrt(rows)
-    x = rng.standard_normal((3, rows, 4))  # a stack of blocks is scaled block by block
-    np.testing.assert_allclose(scale(x), dense @ x, rtol=0, atol=1e-12)
+    x = rng.standard_normal((rows, 4))
+    for order in "CF":  # the map overwrites its argument, in either layout
+        y = np.array(x, order=order)
+        assert scale(y) is y
+        np.testing.assert_allclose(y, dense @ x, rtol=0, atol=1e-12)
 
 
 def test_stochastic_step_factors_only_the_accumulator(monkeypatch):
@@ -384,14 +406,14 @@ def _stacked_residual_factor(p, state, gamma):
     c_gamma = sqrt2g * c_f
     y = c_f @ p.b @ np.linalg.inv(state.kpi)
     w = engine._inv_sqrt_gram(y)
-    w8 = sqrt2g * w(w(c_gamma))
+    w8 = sqrt2g * w(w(c_gamma.copy()))  # the map overwrites its argument
     w8e = w8 if p.e is None else np.asarray((p.e.T @ w8.T).T)
     c_top = state.ccur + w8e
     f_mid = state.f - np.linalg.solve(state.kpi, y.T) @ w8e
     yhat = [c_gamma @ b_i for b_i in p.bhat.blocks]
     z = np.vstack([w(y_i @ np.linalg.inv(state.kpi)) for y_i in yhat])
     x = np.vstack([w(c_gamma @ a_i + y_i @ f_mid) for a_i, y_i in zip(p.ahat.blocks, yhat)])
-    stack = np.vstack([c_top, engine._inv_sqrt_gram(z)(x)])
+    stack = np.vstack([c_top, engine._inv_sqrt_gram(z)(x.copy())])
     return stack, np.linalg.norm(c_top) ** 2 + np.linalg.norm(x) ** 2
 
 

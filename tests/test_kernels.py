@@ -7,6 +7,7 @@ from scipy.linalg.lapack import dpstrf
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from scare_radi import kernels
 from scare_radi.errors import (
     ConformabilityError,
     ShiftRejectionError,
@@ -14,6 +15,7 @@ from scare_radi.errors import (
 )
 from scare_radi.kernels import (
     StackedMat,
+    add_product,
     chol_spd,
     factor_shifted,
     gram_upper,
@@ -590,6 +592,62 @@ def test_gram_upper_accumulates_signed_grams_of_either_layout():
     assert not np.tril(g, -1).any() and g.flags.f_contiguous
     with pytest.raises(ConformabilityError):
         gram_upper(6, [a.T])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_add_product_accumulates_in_place(order):
+    # The shapes of a step's coupling update X_i^T += F_mid^T Shat_i^T: an
+    # n x ell target, a transposed view and a C-ordered factor.
+    rng = np.random.default_rng(13)
+    c0 = rng.standard_normal((30, 11))
+    f_mid, sh_i = rng.standard_normal((7, 30)), rng.standard_normal((7, 11))
+    c = np.array(c0, order=order)
+    assert add_product(c, f_mid.T, sh_i) is c
+    np.testing.assert_allclose(c, c0 + f_mid.T @ sh_i, rtol=0, atol=1e-13)
+    window = np.s_[2:5] if order == "C" else np.s_[:, 2:5]  # a contiguous view of c
+    want = c.copy()
+    want[window] += 1.0
+    view = c[window]
+    out = add_product(view, np.ones((view.shape[0], 1)), np.ones((1, view.shape[1])))
+    assert np.shares_memory(out, c)  # no copy: the sum lands in c
+    np.testing.assert_array_equal(c, want)
+
+
+def test_add_product_rejects_a_target_blas_would_copy():
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((6, 2)), rng.standard_normal((2, 4))
+    strided = np.zeros((6, 8))[:, ::2]
+    frozen = np.zeros((6, 4))
+    frozen.flags.writeable = False
+    for c in (strided, np.zeros((6, 4), dtype=np.float32), frozen):
+        with pytest.raises(ValueError):
+            add_product(c, a, b)
+    assert not strided.any()
+    with pytest.raises(ConformabilityError):
+        add_product(np.zeros((6, 5)), a, b)
+
+
+def scattered_cholesky_rows(g, tau_abs):
+    """The rows R P^T as scattered into a zero matrix, and their energies (the reference)."""
+    n = g.shape[0]
+    tol = min(n * np.finfo(float).eps * float(np.max(np.diag(g), initial=0.0)), tau_abs / n)
+    r, piv, rank, _ = dpstrf(g, tol=tol)
+    rows = np.zeros((rank, n))
+    rows[:, piv - 1] = np.triu(r[:rank])
+    sq = np.einsum("ij,ij->i", rows, rows)
+    return rows, np.append(sq, max(float(np.trace(g)) - float(np.sum(sq)), 0.0))
+
+
+@pytest.mark.parametrize("rank", [40, 13], ids=["full", "deficient"])
+def test_pivoted_cholesky_rows_are_the_scatter_in_c_order(rank):
+    rng = np.random.default_rng(15)
+    c = rng.standard_normal((rank, 40)) * 10.0 ** -np.linspace(0.0, 6.0, 40)
+    g = gram_upper(40, [c])
+    rows, sq = kernels._pivoted_cholesky_rows(g, 1e-20)
+    want_rows, want_sq = scattered_cholesky_rows(g, 1e-20)
+    assert (rows.shape[0] < 40) == (rank < 40)  # dpstrf stopped early on the deficient Gram
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == want_rows.tobytes() and sq.tobytes() == want_sq.tobytes()
 
 
 def test_trunc_gram_reads_the_upper_triangle_only():

@@ -7,11 +7,12 @@ Few rounds keep them cheap inside the full suite; run them alone with
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, step_once
-from scare_radi.kernels import factor_shifted, ltimes, trunc_svd
+from scare_radi.kernels import factor_shifted, gram_upper, ltimes, trunc_gram, trunc_svd
 from scare_radi.problems import OperatorForms
 from scare_radi.shifts import build_basis, hamiltonian_shifts
 
@@ -80,6 +81,36 @@ def test_trunc_svd_c9_shape(benchmark, route):
     total = np.linalg.norm(c) ** 2
     assert res.route == route
     assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * np.finfo(float).eps * total
+
+
+def test_trunc_gram_c9_tall_step(benchmark):
+    # The Gram a tall c9 step truncates at n = 300: gram_upper of five graded
+    # 300-row blocks, under the workload's row cap.
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((300, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
+              for _ in range(5)]
+    g = gram_upper(300, blocks)
+    res = benchmark.pedantic(trunc_gram, args=(g, 0.0, 1500), rounds=5, warmup_rounds=1)
+    c = np.vstack(blocks)
+    assert res.route == "tall-pchol" and res.factor.flags.c_contiguous
+    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * np.finfo(float).eps * (
+        np.linalg.norm(c) ** 2)
+
+
+@pytest.mark.parametrize("impl", ["build_basis", "dgeqp3"])
+def test_basis_det_mass_shape(benchmark, impl):
+    # A det-mass shift basis: the 6 x 5000 block of an r = 1 step, q = 6 =
+    # min(shape), so the q pivoted steps do the full QR's work.  dgeqp3 (a
+    # full pivoted QR) is the reference time.
+    block = np.random.default_rng(0).standard_normal((6, N)) * 10.0 ** -np.arange(6)[:, None]
+    if impl == "build_basis":
+        u = benchmark.pedantic(build_basis, args=([block], 1, None), kwargs={"q": 6},
+                               rounds=20, warmup_rounds=2)
+    else:
+        u = benchmark.pedantic(lambda: sla.qr(block.T, mode="economic", pivoting=True)[0],
+                               rounds=20, warmup_rounds=2)
+    assert u.shape == (N, 6)
+    assert np.linalg.norm(u.T @ u - np.eye(6)) <= 1e-13
 
 
 def test_ltimes_couplings_c9_shape(benchmark):

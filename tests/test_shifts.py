@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from scare_radi import engine, kernels, shifts
-from scare_radi.bench import gen_heat_problem
+from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, radi_solve, step_once
 from scare_radi.errors import BasisFailureError, NoProgressError, ShiftFailureError
 from scare_radi.kernels import StackedMat
@@ -95,6 +96,86 @@ def test_basis_property(seed, s):
     d = u.shape[1]
     assert d <= 2 * s
     assert np.linalg.norm(u.T @ u - np.eye(d)) <= 1e-12
+
+
+def pivoted_qr_basis(stack, q=None):
+    """The oracle: leading columns of a full pivoted QR (LAPACK dgeqp3) of the stack's rows."""
+    basis, r, _ = sla.qr(stack.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > max(stack.shape) * np.finfo(float).eps * diag[0]))
+    return basis[:, : rank if q is None else min(rank, q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["random", "duplicated", "graded"]),
+    st.sampled_from([None, 1, 3, 6]),
+)
+def test_basis_matches_full_pivoted_qr(seed, kind, q):
+    rng = np.random.default_rng(seed)
+    rows, n = int(rng.integers(1, 25)), int(rng.integers(8, 40))
+    stack = rng.standard_normal((rows, n))
+    if kind == "duplicated":
+        stack = stack[rng.integers(0, rows, rows + 3)]
+    elif kind == "graded":  # row norms over 12 decades, in shuffled order
+        stack *= rng.permutation(10.0 ** -np.linspace(0.0, 12.0, rows))[:, None]
+    hist = [stack[: len(stack) // 2], stack[len(stack) // 2 :]]
+    before = [h.copy() for h in hist]
+    u = build_basis(hist, 2, None, q=q)
+    ref = pivoted_qr_basis(stack, q)
+    assert u.shape == ref.shape  # the same numerical rank
+    signs = np.sign(np.sum(u * ref, axis=0))
+    np.testing.assert_allclose(u, ref * signs, rtol=0, atol=1e-12)
+    for h, b in zip(hist, before):  # the history blocks are Xi's: never written
+        np.testing.assert_array_equal(h, b)
+
+
+def test_basis_recomputes_a_cancelled_norm_as_dgeqp3_does():
+    # Once row 0 is taken, row 1's downdated norm cancels to rounding, while
+    # its true remainder (about 1e-9) exceeds row 2's norm: only a recomputed
+    # norm picks row 1 next, as dgeqp3 does.
+    v, w, z = np.random.default_rng(1).standard_normal((3, 50))
+    stack = np.vstack([v, v + 1e-9 * w, 1e-10 * z])
+    assert list(sla.qr(stack.T, mode="economic", pivoting=True)[2]) == [0, 1, 2]
+    u = build_basis([stack], 1, None)
+    ref = pivoted_qr_basis(stack)
+    # The same pivots give the same columns, to the cancellation's accuracy.
+    np.testing.assert_allclose(np.abs(np.sum(u * ref, axis=0)), 1.0, rtol=0, atol=1e-6)
+
+
+def c9_recompute_inputs():
+    """A c9 shift recompute at n = 300: a 300-row block and residual, graded over 12 decades."""
+    base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+    rng = np.random.default_rng(0)
+    grade = 10.0 ** -np.linspace(0.0, 12.0, 300)[:, None]
+    state = init_state(p)
+    state.ccur = rng.standard_normal((300, 300)) * grade
+    return p, state, rng.standard_normal((300, 300)) * grade
+
+
+def det_mass_recompute_inputs():
+    """A det-mass shift recompute at n = 5000: the 6 x 5000 block of a first step."""
+    p = gen_heat_problem(5000, 7, 6, seed=0, mass_matrix=True)
+    state, _ = step_once(p, init_state(p), 1e3)
+    return p, state, state.s_history[-1]
+
+
+@pytest.mark.parametrize("make", [c9_recompute_inputs, det_mass_recompute_inputs],
+                         ids=["c9", "det-mass"])
+def test_hamiltonian_shifts_on_the_basis_match_the_full_qr_basis(make):
+    p, state, block = make()
+
+    def shifts_on(u):
+        return hamiltonian_shifts(
+            u, p, state.f, state.kpi, state.ccur, gamma_floor=1e-14, ops=state.ops
+        ).pending
+
+    got = shifts_on(build_basis([block], 1, None, q=6))
+    want = shifts_on(pivoted_qr_basis(block, 6))
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
