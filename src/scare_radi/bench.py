@@ -284,7 +284,7 @@ def _grid_cases(cfg: ExperimentConfig, base: StandardProblem):
     Case 1 is the base problem as given, labelled by its own r.  A case
     r >= 2 adds r - 1 noise blocks, drawn from ``seed + 100`` on, to an
     r = 1 base: at r = 2 one case per noise scale, above that one case with
-    the first r - 1 scales.
+    the first r - 1 scales.  Where a scale sits in the list changes no case.
     """
     cases = []
     for r in cfg.r_cases:
@@ -294,8 +294,8 @@ def _grid_cases(cfg: ExperimentConfig, base: StandardProblem):
         if r == 1:
             cases.append((f"r{base.r}", base))
         elif r == 2:
-            for j, ns in enumerate(cfg.noise_scales):
-                p = with_noise_blocks(base, [ns], seed=cfg.seed + 100 + j)
+            for ns in cfg.noise_scales:
+                p = with_noise_blocks(base, [ns], seed=cfg.seed + 100)
                 cases.append((f"r2_ns{ns:g}", p))
         else:
             p = with_noise_blocks(base, list(cfg.noise_scales)[: r - 1], seed=cfg.seed + 100)
@@ -342,16 +342,16 @@ def _worker_count(n_cells: int) -> int:
         return 1
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"SCARE_RADI_THREADS must be a positive integer, got {env!r}")
-    return min(int(env), n_cells)
+    return max(min(int(env), n_cells), 1)
 
 
 def run_grid(cfg: ExperimentConfig) -> list[RunReport]:
     """Run the full case x variant grid, one report per cell.
 
     A config that cannot make its cells raises before any cell runs (see
-    :func:`grid_cells`).  Cells are independent; worker parallelism is capped
-    by the ``SCARE_RADI_THREADS`` environment variable (default: serial), and
-    a value that is not a positive integer raises ``ValueError``.
+    :func:`grid_cells`).  Cells are independent and run on as many worker
+    threads as the ``SCARE_RADI_THREADS`` environment variable says (default
+    1); a value that is not a positive integer raises ``ValueError``.
     Failures inside a cell are recorded on its report instead of aborting the
     grid.
     """
@@ -366,12 +366,8 @@ def run_grid(cfg: ExperimentConfig) -> list[RunReport]:
             report.config["error"] = f"{type(exc).__name__}: {exc}"
             return report
 
-    workers = _worker_count(len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=_worker_count(len(cells))) as pool:
+        reports = list(pool.map(run_cell, cells))
 
     if cfg.output_dir is not None:
         _write_summary_table(reports, Path(cfg.output_dir) / "summary.json")

@@ -104,9 +104,10 @@ def cmd_solve(args) -> int:
         f"wall = {report.wall_time:.2f}s"
     )
     totals = {c: sum(getattr(row, c) for row in report.rows) for c in TIMING_FIELDS}
-    spent = sum(totals.values())
+    # The operator set-up, rejected steps and the final Xi assembly.
+    totals["outside"] = report.wall_time - sum(totals.values())
     for c, t in totals.items():
-        print(f"  {c:9s} {t:9.3f}s {t / spent if spent else 0.0:6.1%}")
+        print(f"  {c:9s} {t:9.3f}s {t / report.wall_time if report.wall_time else 0.0:6.1%}")
     if args.out:
         print(f"trace written to {Path(args.out).resolve()}")
     return 0 if report.converged else 1

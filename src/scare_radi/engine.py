@@ -22,7 +22,6 @@ The dense prototype this iteration is checked against (`alg1_init`/
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -106,16 +105,17 @@ class SolveOptions:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve state: factors, feedback, accumulators, history.
+    """Mutable per-solve state: factors, feedback and accumulators.
 
     The solution factor is kept as the list of its blocks: Xi = [B_0^T, ...,
     B_k^T] for the blocks B_i of n columns in ``xi_blocks``, where B_0 is
-    0 x n and each step appends its block S without copying it (the shift
-    history shares S, so neither writes it).  No block is copied as Xi
-    grows.  ``trim_xi`` writes Xi once as one C-contiguous n x xi_width
-    array, which then stands, transposed, as the only block; until then
-    ``xi`` assembles Xi on each call.  ``ops`` holds the problem's operators
-    in the forms the steps and the shift layer use, built once per solve.
+    0 x n and each step appends its block S without copying it.  No block is
+    copied as Xi grows, and none is written once appended: the shift layer
+    reads its window from the tail of this list.  ``trim_xi`` writes Xi once
+    as one C-contiguous n x xi_width array, which then stands, transposed,
+    as the only block; until then ``xi`` assembles Xi on each call.  ``ops``
+    holds the problem's operators in the forms the steps and the shift layer
+    use, built once per solve.
     """
 
     xi_blocks: list
@@ -127,7 +127,6 @@ class SolverState:
     xi_width: int = 0
     nu_omega: float = 0.0
     k: int = 0
-    s_history: deque = field(default_factory=lambda: deque(maxlen=8))
 
     @property
     def xi(self) -> np.ndarray:
@@ -157,7 +156,8 @@ class SolverState:
         self.xi_blocks = [self.xi.T]
 
 
-def init_state(p: StandardProblem, window_s: int = 8) -> SolverState:
+def init_state(p: StandardProblem) -> SolverState:
+    """The state at X = 0: the empty Xi, the problem's seeds and its operators."""
     n = p.n
     c = np.array(p.c, dtype=float)
     return SolverState(
@@ -167,7 +167,6 @@ def init_state(p: StandardProblem, window_s: int = 8) -> SolverState:
         ccur=c,
         nu0=float(np.linalg.norm(c) ** 2),
         ops=p.operators(),
-        s_history=deque(maxlen=max(window_s, 1)),
     )
 
 
@@ -243,9 +242,7 @@ def step_once(
     w8 *= sqrt2g
     w8e = w8 if e is None else np.asarray((e.T @ w8.T).T)
     f_mid = state.f - sla.solve_triangular(state.kpi, y.T, lower=False) @ w8e
-    # C_top is summed into w8 itself when E is I; the Fortran-ordered w8e of
-    # a mass matrix would make it Fortran-ordered, so it gets a new C array.
-    c_top = np.add(state.ccur, w8e, out=w8 if e is None else None)
+    c_top = np.add(state.ccur, w8e, out=w8)
 
     t_ltimes = t_gram = 0.0
     stacked = gram = None
@@ -308,7 +305,6 @@ def step_once(
     state.kpi = kpi_new
     state.nu_omega += trunc.discarded_sq_trace
     state.k += 1
-    state.s_history.append(s)
 
     t_total = time.perf_counter() - t_start
     return state, IterationRecord(
@@ -348,7 +344,7 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     """
     opts = opts or SolveOptions()
     wall0 = time.perf_counter()
-    state = init_state(p, window_s=opts.shift.window_s)
+    state = init_state(p)
     report = RunReport(config=asdict(opts), backend=state.ops.route)
     report.rows.append(
         IterationRecord(

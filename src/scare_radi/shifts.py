@@ -1,6 +1,6 @@
 """Real shift generation for the low-rank Riccati iteration.
 
-Two strategies over a window of recent residual factors: eigenpairs of a
+Two strategies over the last s solution blocks: eigenpairs of a
 small projected Hamiltonian matrix (picking the eigenvalue whose eigenvector
 has the largest lower-block norm), and the spectrum of the projected
 closed-loop matrix.  Each runs either once per iteration or in a cached mode
@@ -79,11 +79,13 @@ class ShiftCache:
     basis_dim: int = 0
 
 
-def build_basis(s_history, s: int, fallback: np.ndarray, q: int | None = None) -> np.ndarray:
-    """Orthonormal basis of the leading directions of the last ``s`` factors.
+def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarray:
+    """Orthonormal basis of the leading directions of the rows of ``window``.
 
-    Falls back to the rows of ``fallback`` (the current residual factor) when
-    the history is empty, which is the only seed available before the first
+    ``window`` is a sequence of blocks of n columns, the last s solution
+    blocks of a solve.  Blocks without rows (Xi's 0 x n seed) are skipped,
+    and when none has rows the basis falls back to the rows of ``fallback``
+    (the current residual factor), the only seed available before the first
     step.  Takes at most ``q`` steps (all rows when ``q`` is None) of a
     row-pivoted Gram-Schmidt on the stacked rows, the truncated pivoted QR of
     Businger & Golub (Numer. Math. 1965): each step takes the row with the
@@ -94,10 +96,10 @@ def build_basis(s_history, s: int, fallback: np.ndarray, q: int | None = None) -
     max(p, n) eps |r_11|.  The remaining norms are downdated each step and
     recomputed once the downdate cancels, by the sqrt(eps) test of LAPACK's
     ``xLAQPS`` (Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998), so
-    that the pivots are LAPACK ``dgeqp3``'s on graded stacks too.  The history
+    that the pivots are LAPACK ``dgeqp3``'s on graded stacks too.  The window's
     blocks are only read: the steps deflate a stacked copy.
     """
-    mats = [m for m in list(s_history)[-s:] if m.size]
+    mats = [m for m in window if m.size]
     if not mats:
         mats = [np.atleast_2d(np.asarray(fallback, dtype=float))]
     rest = np.vstack(mats)
@@ -204,7 +206,7 @@ def hamiltonian_shifts(
 
 def _compute(cfg: ShiftConfig, p, state) -> ShiftCache:
     floor = 1e-8 * state.ops.a_norm1
-    u = build_basis(state.s_history, cfg.window_s, state.ccur, q=p.l * cfg.window_s)
+    u = build_basis(state.xi_blocks[-cfg.window_s:], state.ccur, q=p.l * cfg.window_s)
     if cfg.strategy == "hamiltonian":
         cache = hamiltonian_shifts(
             u, p, state.f, state.kpi, state.ccur, gamma_floor=floor, ops=state.ops

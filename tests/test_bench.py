@@ -236,6 +236,16 @@ def test_grid_parallel_matches_serial(tmp_path, monkeypatch):
         assert r1.numeric_content() == r2.numeric_content()
 
 
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_an_empty_grid_runs_no_cell(monkeypatch, threads):
+    # The pool needs at least one worker even when there is no cell.
+    if threads:
+        monkeypatch.setenv("SCARE_RADI_THREADS", threads)
+    cfg = small_grid_config()
+    cfg.variants = []
+    assert run_grid(cfg) == []
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_grid_rejects_a_malformed_thread_count(tmp_path, monkeypatch, value):
     # A bad SCARE_RADI_THREADS stops the grid instead of running it serially.
@@ -330,12 +340,29 @@ def test_cli_solve_generate(tmp_path, capsys):
     assert rc == 0
     assert "converged" in out
     assert list(tmp_path.glob("*.csv"))
-    # The five trace categories follow the status line, each with its share.
+    # The five trace categories and the time outside them follow the status
+    # line, each with its share of the wall time.
+    cats = category_rows(out)
+    assert [c[0] for c in cats] == [
+        "t_shift", "t_solve", "t_ltimes", "t_svd", "t_other", "outside"]
+    assert abs(sum(float(c[2].rstrip("%")) for c in cats) - 100.0) <= 0.5
+
+
+def category_rows(out):
+    """The split rows ``scare-radi solve`` prints after its status line."""
     lines = out.splitlines()
     status = next(i for i, line in enumerate(lines) if "converged" in line)
-    cats = [line.split() for line in lines[status + 1:status + 6]]
-    assert [c[0] for c in cats] == ["t_shift", "t_solve", "t_ltimes", "t_svd", "t_other"]
-    assert abs(sum(float(c[2].rstrip("%")) for c in cats) - 100.0) <= 0.5
+    return [line.split() for line in lines[status + 1:status + 7]]
+
+
+def test_cli_solve_rows_sum_to_the_wall_time(monkeypatch, capsys):
+    report, _ = cli_solve(monkeypatch, ["--generate", "heat:n=80,m=2,l=2"])
+    cats = category_rows(capsys.readouterr().out)
+    assert cats[-1][0] == "outside"
+    seconds = [float(c[1].rstrip("s")) for c in cats]
+    assert seconds[-1] >= 0.0  # the five categories are timed inside the run
+    # Each row is rounded to the millisecond.
+    assert abs(sum(seconds) - report.wall_time) <= len(seconds) * 5e-4 + 1e-12
 
 
 def test_cli_solve_problem_dir_with_noise(tmp_path, capsys):
@@ -422,7 +449,8 @@ def cli_solve(monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "noise, case", [(None, "r1"), ("1e-4", "r2_ns0.0001"), ("1e-4,1e-3", "r3")]
+    "noise, case",
+    [(None, "r1"), ("1e-4", "r2_ns0.0001"), ("1e-3", "r2_ns0.001"), ("1e-4,1e-3", "r3")],
 )
 def test_cli_solve_is_its_grid_cell(monkeypatch, noise, case):
     cfg = small_grid_config()

@@ -218,13 +218,31 @@ def test_r1_step_leaves_kpi_bit_identical():
     assert st.kpi.tobytes() == kpi0.tobytes()
 
 
+def test_mass_matrix_step_truncates_a_c_contiguous_c_top(monkeypatch):
+    # With E, the E-weighted block is Fortran-ordered; C_top is still summed
+    # into a C-ordered array, which the truncation's Gram products expect.
+    p = gen_heat_problem(200, 2, 2, seed=0, mass_matrix=True)
+    seen = []
+    real_trunc = engine.trunc_svd
+
+    def recording_trunc(c, **kwargs):
+        seen.append((c.shape, c.flags["C_CONTIGUOUS"]))
+        return real_trunc(c, **kwargs)
+
+    monkeypatch.setattr(engine, "trunc_svd", recording_trunc)
+    st = init_state(p)
+    assert st.ops.e is not None
+    step_once(p, st, 1e3)
+    assert seen == [((p.l, p.n), True)]
+
+
 def test_xi_blocks_assemble_to_hstack(monkeypatch):
     p = random_standard_problem(n=30, m=2, l=2, r=1, seed=19)
     blocks, before_trim = [], []
 
     def recording_step(*args, **kwargs):
         st, row = step_once(*args, **kwargs)
-        blocks.append(st.s_history[-1].copy())
+        blocks.append(st.xi_blocks[-1].copy())
         before_trim.append(st.xi)  # assembled from the blocks so far
         return st, row
 

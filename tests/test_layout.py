@@ -49,3 +49,10 @@ def test_factorization_route_is_decided_in_kernels(module):
     # The shifted factorization's route, the truncation Gram's dsyrk and every
     # other direct BLAS or LAPACK call live in kernels alone.
     assert not _imported_modules(PACKAGE / f"{module}.py") & {"lapack", "blas"}
+
+
+@pytest.mark.parametrize("name", ["window_s", "s_history"])
+def test_the_shift_window_is_known_to_shifts_alone(name):
+    # The shift window is the tail of Xi's block list, and only shifts reads
+    # it: the engine neither sizes nor keeps a window of its own.
+    assert name not in (PACKAGE / "engine.py").read_text()

@@ -104,7 +104,7 @@ def test_basis_det_mass_shape(benchmark, impl):
     # full pivoted QR) is the reference time.
     block = np.random.default_rng(0).standard_normal((6, N)) * 10.0 ** -np.arange(6)[:, None]
     if impl == "build_basis":
-        u = benchmark.pedantic(build_basis, args=([block], 1, None), kwargs={"q": 6},
+        u = benchmark.pedantic(build_basis, args=([block], None), kwargs={"q": 6},
                                rounds=20, warmup_rounds=2)
     else:
         u = benchmark.pedantic(lambda: sla.qr(block.T, mode="economic", pivoting=True)[0],
@@ -144,7 +144,7 @@ def test_capped_basis_and_hamiltonian_shifts_c9_shape(benchmark):
     ccur = rng.standard_normal((300, 300)) * grade
 
     def recompute():
-        u = build_basis([block], 1, ccur, q=6)
+        u = build_basis([block], ccur, q=6)
         return u, hamiltonian_shifts(u, p, st.f, st.kpi, ccur, gamma_floor=1e-14, ops=st.ops)
 
     u, cache = benchmark.pedantic(recompute, rounds=5, warmup_rounds=1)

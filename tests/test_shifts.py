@@ -40,34 +40,34 @@ def diag_problem(diag, m=1, l=1):
 
 def test_basis_orthonormal_rows_pass_through():
     s = np.eye(5)[:2]
-    u = build_basis([s], 1, None)
+    u = build_basis([s], None)
     assert u.shape == (5, 2)
     np.testing.assert_allclose(np.abs(u.T @ np.eye(5)[:2].T), np.eye(2), atol=1e-13)
 
 
 def test_basis_drops_duplicate_factors():
     s = np.random.default_rng(0).standard_normal((3, 10))
-    u = build_basis([s, s.copy()], 2, None)
+    u = build_basis([s, s.copy()], None)
     assert u.shape[1] == 3
 
 
 def test_basis_window_and_orthonormality():
     rng = np.random.default_rng(1)
     hist = [rng.standard_normal((4, 50)) for _ in range(3)]
-    u = build_basis(hist, 2, None)
+    u = build_basis(hist[-2:], None)
     assert u.shape[1] == 8
     assert np.linalg.norm(u.T @ u - np.eye(8)) <= 1e-13
 
 
 def test_basis_fallback_to_output_factor():
     c = np.random.default_rng(2).standard_normal((3, 20))
-    u = build_basis([], 2, c)
+    u = build_basis([], c)
     assert u.shape == (20, 3)
 
 
 def test_basis_all_zero_fails():
     with pytest.raises(BasisFailureError):
-        build_basis([np.zeros((2, 6))], 1, None)
+        build_basis([np.zeros((2, 6))], None)
 
 
 def test_basis_cap_keeps_leading_pivoted_directions():
@@ -76,15 +76,15 @@ def test_basis_cap_keeps_leading_pivoted_directions():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((20, 60)) * rng.permutation(10.0 ** -np.linspace(0, 6, 20))[:, None]
     hist = [rows[:10], rows[10:]]
-    u = build_basis(hist, 2, None, q=4)
+    u = build_basis(hist, None, q=4)
     assert u.shape == (60, 4)
     assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-13
     largest = rows[np.argmax(np.linalg.norm(rows, axis=1))]
     assert np.linalg.norm(largest - u @ (u.T @ largest)) <= 1e-12 * np.linalg.norm(largest)
-    full = build_basis(hist, 2, None)
+    full = build_basis(hist, None)
     assert full.shape[1] == 20
     for q in (20, 25):
-        np.testing.assert_array_equal(build_basis(hist, 2, None, q=q), full)
+        np.testing.assert_array_equal(build_basis(hist, None, q=q), full)
 
 
 @settings(max_examples=30, deadline=None)
@@ -92,7 +92,7 @@ def test_basis_cap_keeps_leading_pivoted_directions():
 def test_basis_property(seed, s):
     rng = np.random.default_rng(seed)
     hist = [rng.standard_normal((2, 30)) for _ in range(3)]
-    u = build_basis(hist, s, None)
+    u = build_basis(hist[-s:], None)
     d = u.shape[1]
     assert d <= 2 * s
     assert np.linalg.norm(u.T @ u - np.eye(d)) <= 1e-12
@@ -122,12 +122,12 @@ def test_basis_matches_full_pivoted_qr(seed, kind, q):
         stack *= rng.permutation(10.0 ** -np.linspace(0.0, 12.0, rows))[:, None]
     hist = [stack[: len(stack) // 2], stack[len(stack) // 2 :]]
     before = [h.copy() for h in hist]
-    u = build_basis(hist, 2, None, q=q)
+    u = build_basis(hist, None, q=q)
     ref = pivoted_qr_basis(stack, q)
     assert u.shape == ref.shape  # the same numerical rank
     signs = np.sign(np.sum(u * ref, axis=0))
     np.testing.assert_allclose(u, ref * signs, rtol=0, atol=1e-12)
-    for h, b in zip(hist, before):  # the history blocks are Xi's: never written
+    for h, b in zip(hist, before):  # the window's blocks are Xi's: never written
         np.testing.assert_array_equal(h, b)
 
 
@@ -138,7 +138,7 @@ def test_basis_recomputes_a_cancelled_norm_as_dgeqp3_does():
     v, w, z = np.random.default_rng(1).standard_normal((3, 50))
     stack = np.vstack([v, v + 1e-9 * w, 1e-10 * z])
     assert list(sla.qr(stack.T, mode="economic", pivoting=True)[2]) == [0, 1, 2]
-    u = build_basis([stack], 1, None)
+    u = build_basis([stack], None)
     ref = pivoted_qr_basis(stack)
     # The same pivots give the same columns, to the cancellation's accuracy.
     np.testing.assert_allclose(np.abs(np.sum(u * ref, axis=0)), 1.0, rtol=0, atol=1e-6)
@@ -159,7 +159,43 @@ def det_mass_recompute_inputs():
     """A det-mass shift recompute at n = 5000: the 6 x 5000 block of a first step."""
     p = gen_heat_problem(5000, 7, 6, seed=0, mass_matrix=True)
     state, _ = step_once(p, init_state(p), 1e3)
-    return p, state, state.s_history[-1]
+    return p, state, state.xi_blocks[-1]
+
+
+@pytest.mark.parametrize("s", [1, 2, 5])
+def test_recomputes_project_onto_the_tail_of_xi(monkeypatch, s):
+    # Per-iteration shifts recompute at every step.  Each recompute's window
+    # is the last s blocks of Xi, the very arrays the steps appended, and the
+    # first, with only Xi's empty seed block, falls back to the residual factor.
+    base = gen_heat_problem(60, 2, 2, seed=3, scale=50.0, damping=20.0)
+    p = with_noise_blocks(base, [1e-3], seed=103)
+    calls, blocks = [], []
+    real_basis, real_step = shifts.build_basis, engine.step_once
+
+    def recording_basis(window, fallback, q=None):
+        calls.append((list(window), fallback))
+        return real_basis(window, fallback, q)
+
+    def recording_step(*args, **kwargs):
+        st, row = real_step(*args, **kwargs)
+        blocks.append(st.xi_blocks[-1])
+        return st, row
+
+    monkeypatch.setattr(shifts, "build_basis", recording_basis)
+    monkeypatch.setattr(engine, "step_once", recording_step)
+    _, report = radi_solve(
+        p, SolveOptions(shift=ShiftConfig("hamiltonian", s, "per_iteration")))
+    assert report.converged and report.iterations > 5
+    assert not any(row.rejections for row in report.rows)
+    assert len(calls) == len(blocks) == report.iterations
+    seed_block = calls[0][0][0]
+    assert seed_block.shape == (0, p.n)
+    assert len(calls[0][0]) == 1
+    np.testing.assert_array_equal(calls[0][1], p.c)
+    for k, (window, _) in enumerate(calls):
+        want = ([seed_block] + blocks[:k])[-s:]
+        assert len(window) == len(want)
+        assert all(got is block for got, block in zip(window, want))
 
 
 @pytest.mark.parametrize("make", [c9_recompute_inputs, det_mass_recompute_inputs],
@@ -172,7 +208,7 @@ def test_hamiltonian_shifts_on_the_basis_match_the_full_qr_basis(make):
             u, p, state.f, state.kpi, state.ccur, gamma_floor=1e-14, ops=state.ops
         ).pending
 
-    got = shifts_on(build_basis([block], 1, None, q=6))
+    got = shifts_on(build_basis([block], None, q=6))
     want = shifts_on(pivoted_qr_basis(block, 6))
     assert len(got) == len(want)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
@@ -202,7 +238,7 @@ def test_hamiltonian_degenerate_blocks_pick_mildest_stable():
 def test_hamiltonian_matches_dense_oracle_selection():
     p = random_standard_problem(n=40, m=2, l=3, r=2, seed=7)
     st = init_state(p)
-    u = build_basis([], 1, st.ccur)
+    u = build_basis([], st.ccur)
     got = hamiltonian_shifts(
         u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
     ).pending[0]
@@ -224,7 +260,7 @@ def test_hamiltonian_matches_dense_oracle_selection():
 def test_hamiltonian_cached_returns_ordered_distinct_shifts():
     p = random_standard_problem(n=50, m=2, l=4, r=2, seed=8)
     st = init_state(p)
-    u = build_basis([], 1, st.ccur)
+    u = build_basis([], st.ccur)
     cache = hamiltonian_shifts(
         u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
     )
@@ -237,7 +273,7 @@ def test_hamiltonian_cached_returns_ordered_distinct_shifts():
 def test_hamiltonian_selection_invariant_under_basis_permutation():
     p = random_standard_problem(n=40, m=2, l=3, r=2, seed=9)
     st = init_state(p)
-    u = build_basis([], 1, st.ccur)
+    u = build_basis([], st.ccur)
     g1 = hamiltonian_shifts(u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops).pending[0]
     g2 = hamiltonian_shifts(
         u[:, [2, 0, 1]], p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
@@ -281,7 +317,7 @@ def test_projection_cached_order():
 def test_projection_matches_dense_eigs():
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=10)
     st = init_state(p)
-    u = build_basis([], 1, st.ccur)
+    u = build_basis([], st.ccur)
     got = projection_shifts(u, p, st.f, gamma_floor=1e-14, ops=st.ops).pending[0]
     a = p.a_sparse().toarray()
     lam = np.linalg.eigvals(u.T @ (a + p.b @ st.f) @ u)
