@@ -177,17 +177,63 @@ def nres_trace(state: SolverState) -> float:
     return (float(np.linalg.norm(state.ccur) ** 2) + state.nu_omega) / state.nu0
 
 
-def _inv_sqrt_gram(z: np.ndarray):
-    """The map x -> (I + Z Z^T)^-1/2 x for any p x k Z, in O(p k) per column of x.
+def _gram_eig(z: np.ndarray):
+    """U and Lambda with I + Z Z^T = I + U (Lambda - I) U^T for any p x k Z.
 
-    It is x + U (Lambda^-1/2 - I) U^T x for Z = Q R (thin QR), eigh(I + R R^T) =
-    V Lambda V^T (Lambda >= 1) and U = Q V.  The map overwrites x, a C- or
-    Fortran-contiguous p x cols array, and returns it.
+    Lambda (>= 1) is the spectrum of I + R R^T = V Lambda V^T for the thin
+    QR Z = Q R, and U = Q V has orthonormal columns, at most min(p, k).  Any
+    power of I + Z Z^T is then I + U (Lambda^a - I) U^T, applied in O(p k)
+    per column.
     """
     q, rz = np.linalg.qr(z)
     lam, v = np.linalg.eigh(np.eye(rz.shape[0]) + rz @ rz.T)
-    u, shrink = q @ v, (lam**-0.5 - 1.0)[:, None]
+    return q @ v, lam
+
+
+def _inv_sqrt_gram(z: np.ndarray):
+    """The map x -> (I + Z Z^T)^-1/2 x for any p x k Z, in O(p k) per column of x.
+
+    It is x + U (Lambda^-1/2 - I) U^T x for U and Lambda of :func:`_gram_eig`.
+    The map overwrites x, a C- or Fortran-contiguous p x cols array, and
+    returns it.
+    """
+    u, lam = _gram_eig(z)
+    shrink = (lam**-0.5 - 1.0)[:, None]
     return lambda x: add_product(x, u, shrink * (u.T @ x))
+
+
+def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarray):
+    """The new block S, the residual factor's top C_top and the mid-step feedback.
+
+    ``c_f`` is C_F = C (A + B F - gamma*E)^-1 and ``c_fb`` is C_F B.  For
+    Y = C_F B Kpi^-1 and W = (I + Y Y^T)^-1/2:
+
+        S = sqrt(2 gamma) W C_F,
+        C_top = C + 2 gamma W^2 C_F E,
+        F_mid = F - Kpi^-1 Y^T (2 gamma W^2 C_F E).
+
+    W = (I + Y Y^T)^-1/2 = Q N^-1 for N N^T = I + Y Y^T and an orthogonal Q,
+    so S^T S and the Grams built from S are those N^-1 gives.  W and W^2 are
+    I + U (Lambda^a - I) U^T (:func:`_gram_eig`), so both take the one
+    projection T = U^T C_F: S = sqrt(2 gamma) (C_F + U D_1 T) with
+    D_1 = Lambda^-1/2 - I, and 2 gamma W^2 C_F = 2 gamma (C_F + U D_2 T)
+    with D_2 = Lambda^-1 - I, formed in place of ``c_f``, which is
+    overwritten (it must be C- or Fortran-contiguous).  S is a new array,
+    and C_top is formed in place of 2 gamma W^2 C_F.
+    """
+    y = right_tri_solve(state.kpi, c_fb)
+    u, lam = _gram_eig(y)
+    t = u.T @ c_f
+    g2 = 2.0 * gamma
+    sqrt2g = np.sqrt(g2)
+    s = add_product(sqrt2g * c_f, u, (sqrt2g * (lam**-0.5 - 1.0))[:, None] * t)
+    w8 = add_product(np.multiply(c_f, g2, out=c_f), u, (g2 * (1.0 / lam - 1.0))[:, None] * t)
+    w8e = state.ops.mass.times(w8)
+    f_mid = add_product(
+        state.f.copy(), -sla.solve_triangular(state.kpi, y.T, lower=False), w8e
+    )
+    c_top = np.add(state.ccur, w8e, out=w8)
+    return s, c_top, f_mid
 
 
 def step_once(
@@ -198,9 +244,15 @@ def step_once(
 ) -> tuple[SolverState, IterationRecord]:
     """One full iteration at a fixed shift; commits to state only on success.
 
+    The step's one sparse solve gives C_F = C (A + B F - gamma*E)^-1 and,
+    from the SMW core, C_F B (:func:`smw_row_solve`).  The new block
+    S = W C_gamma (C_gamma = sqrt(2 gamma) C_F), the top rows C_top of the
+    new residual factor and the mid-step feedback F_mid then take one
+    projection of C_F and one product with E (:func:`_new_block`).  With
+    r = 1 the new residual factor is C_top and the new feedback F_mid.
     With r > 1 the new residual factor is [C_top; (I + Z Z^T)^-1/2 X] for the
     stochastic couplings X = Sa + Shat F_mid and Z = Shat Kpi^-1, where
-    Sa = S lt Ahat, Shat = S lt Bhat and S = W C_gamma is the new block.
+    Sa = S lt Ahat and Shat = S lt Bhat.
     When its row count exceeds n the step assembles its Gram
     C_top^T C_top + X^T X - T^T T (T = K^-T Z^T X for I + Z^T Z = K^T K, the
     solve the feedback update makes anyway) by ``dsyrk`` and truncates that;
@@ -220,29 +272,15 @@ def step_once(
     opts = opts or SolveOptions()
     t_start = time.perf_counter()
     n, m, r = p.n, p.m, p.r
-    e = state.ops.e
-    sqrt2g = np.sqrt(2.0 * gamma)
 
     # Rows of C through A + B F - gamma*E, from one sparse factorization of
-    # A - gamma*E and the SMW correction for the feedback.
+    # A - gamma*E and the SMW correction for the feedback, which yields C_F B.
     t0 = time.perf_counter()
     fac = factor_shifted(state.ops, gamma)
-    c_f = smw_row_solve(fac, p.b, state.f, state.ccur)
-    c_gamma = sqrt2g * c_f
+    c_f, c_fb = smw_row_solve(fac, p.b, state.f, state.ccur)
     t_solve = time.perf_counter() - t0
 
-    # W = (I + Y Y^T)^-1/2 = Q N^-1 for N N^T = I + Y Y^T and an orthogonal Q, so
-    # s^T s, w8 and the stacked Grams are those N^-1 gives.  The residual-factor
-    # and feedback updates share sqrt(2g) W S (times E).  W is applied in
-    # place: to C_gamma, which becomes S, and to a copy of S, which Xi keeps.
-    y = right_tri_solve(state.kpi, c_f @ p.b)
-    w = _inv_sqrt_gram(y)
-    s = w(c_gamma)
-    w8 = w(s.copy())
-    w8 *= sqrt2g
-    w8e = w8 if e is None else np.asarray((e.T @ w8.T).T)
-    f_mid = state.f - sla.solve_triangular(state.kpi, y.T, lower=False) @ w8e
-    c_top = np.add(state.ccur, w8e, out=w8)
+    s, c_top, f_mid = _new_block(state, gamma, c_f, c_fb)
 
     t_ltimes = t_gram = 0.0
     stacked = gram = None

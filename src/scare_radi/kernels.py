@@ -3,7 +3,8 @@
 The left semi-tensor product with vertically stacked blocks as one product,
 the shifted factorization (a LAPACK LDL^T for a symmetric-definite
 tridiagonal pencil, SuperLU otherwise; the choice between the two is made
-here, by :func:`_spd_tridiagonal`) and its SMW-corrected row solves, right
+here, by :func:`_spd_tridiagonal`) and its SMW-corrected row solves, the
+mass matrix's product and solve on the same route (:func:`mass_matrix`), right
 triangular solves, small SPD Cholesky factorization, the BLAS ``dgemm``
 accumulation of a product into its target in place, the BLAS ``dsyrk``
 accumulation of a signed sum of Grams A^T A into one upper triangle, and the
@@ -28,11 +29,18 @@ from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
-from .errors import ConformabilityError, ShiftRejectionError, SpdViolationError
+from .errors import (
+    AssumptionViolationError,
+    ConformabilityError,
+    ShiftRejectionError,
+    SpdViolationError,
+)
 
 __all__ = [
     "StackedMat",
     "ShiftedFactorization",
+    "MassMatrix",
+    "mass_matrix",
     "TruncationResult",
     "ltimes",
     "right_tri_solve",
@@ -222,6 +230,76 @@ def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
     return ShiftedFactorization(n=n, _solve=lu.solve)
 
 
+@dataclass(frozen=True)
+class MassMatrix:
+    """The mass matrix E of one solve, as the maps x -> x E and u -> E^-1 u.
+
+    ``times(x)`` is x E for a k x n array x, and ``solve(u)`` is E^-1 u for
+    an n x k array u; both follow the shifted solve's route (see
+    :func:`mass_matrix`).  With E = I both return their argument itself.
+    The handle is read-only after construction and safe to share across
+    threads.
+    """
+
+    times: object = field(repr=False)
+    solve: object = field(repr=False)
+
+
+def _identity(x):
+    return x
+
+
+def _tridiagonal_times(d, o, x):
+    """x E for the symmetric tridiagonal E of diagonal d and off-diagonal o.
+
+    Column j of x E sums x_{j-1} o_{j-1}, x_j d_j and x_{j+1} o_j in the
+    order in which the CSR product E^T x^T accumulates row j of E^T, so the
+    two agree bit for bit.
+    """
+    out = x * d
+    off = np.multiply(x[:, :-1], o)
+    out[:, 1:] += off
+    out[:, :-1] += np.multiply(x[:, 1:], o, out=off)
+    return out
+
+
+def _sparse_times(et, x):
+    """x E as the sparse product (E^T x^T)^T; ``et`` is E^T."""
+    return np.asarray(et @ x.T).T
+
+
+def _ldlt_mass_solve(d, o, u):
+    """E^-1 u from the LDL^T (d, o) of E."""
+    return dpttrs(d, o, u)[0]  # info < 0 (an illegal argument) cannot occur here
+
+
+def mass_matrix(e, tridiag) -> MassMatrix:
+    """The mass matrix E (CSC, or None for I) of one solve, on that solve's route.
+
+    ``tridiag`` is the solve's ``(a_d, a_o, e_d, e_o)`` from
+    :func:`_spd_tridiagonal`, or None off the LDL^T route.  On the LDL^T
+    route E is a symmetric positive definite tridiagonal: x E is three
+    vector passes over its diagonals, and E^-1 u a LAPACK ``dpttrs`` on the
+    LDL^T of E, factored here once.  On the SuperLU route x E is the sparse
+    product, and E^-1 u a solve with E's SuperLU factors; a singular E
+    raises :class:`AssumptionViolationError`.
+    """
+    if e is None:
+        return MassMatrix(_identity, _identity)
+    if tridiag is not None:
+        e_d, e_o = tridiag[2:]
+        d, o, _ = dpttrf(e_d, e_o)  # info = 0: _spd_tridiagonal found E positive definite
+        return MassMatrix(
+            functools.partial(_tridiagonal_times, e_d, e_o),
+            functools.partial(_ldlt_mass_solve, d, o),
+        )
+    try:
+        lu = splu(e)
+    except RuntimeError as exc:  # SuperLU signals exact singularity this way
+        raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
+    return MassMatrix(functools.partial(_sparse_times, e.T), lu.solve)
+
+
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """rows @ core^-1 for the small SMW core, rejecting non-finite or singular cores."""
     if core.shape[0] == 0:
@@ -239,20 +317,25 @@ def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def smw_row_solve(
     fac: ShiftedFactorization, b: np.ndarray, f: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """rows @ (A + B F - gamma*E)^-1 from the factorization of A - gamma*E.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, X B) for X = rows @ (A + B F - gamma*E)^-1, from the factorization of A - gamma*E.
 
     Uses the low-rank correction
-    ``rows A_g^-1 - rows A_g^-1 B (I + F A_g^-1 B)^-1 F A_g^-1``, with the
-    rows and F pushed through one stacked sparse solve, and the correction
-    subtracted in place; with F = 0 this is the plain shifted solve.
+    ``X = R - R B (I + F A_g^-1 B)^-1 F A_g^-1`` for R = rows A_g^-1, with
+    the rows and F pushed through one stacked sparse solve, [R; F A_g^-1] B
+    taken as one product, and the correction subtracted in place; with F = 0
+    this is the plain shifted solve.  The core's right-hand side comes out
+    as X B: R B - R B core^-1 F A_g^-1 B = R B core^-1 (core - F A_g^-1 B)
+    = R B core^-1, so X B costs no product of its own.  X is C-contiguous.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    k = rows.shape[0]
     both = fac.row_solve(np.vstack([rows, np.atleast_2d(f)]))
-    ra, fa = both[: rows.shape[0]], both[rows.shape[0]:]
-    core = np.eye(b.shape[1]) + fa @ b
-    return add_product(ra, -_solve_core(core, ra @ b), fa)
+    both_b = both @ b
+    core = np.eye(b.shape[1]) + both_b[k:]
+    xb = _solve_core(core, both_b[:k])
+    return add_product(both[:k], -xb, both[k:]), xb
 
 
 def chol_spd(m: np.ndarray) -> np.ndarray:

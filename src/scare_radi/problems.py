@@ -23,14 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
     AssumptionViolationError,
     ConformabilityError,
     DefinitenessError,
 )
-from .kernels import StackedMat, _spd_tridiagonal, chol_spd, right_tri_solve
+from .kernels import (
+    MassMatrix,
+    StackedMat,
+    _spd_tridiagonal,
+    chol_spd,
+    mass_matrix,
+    right_tri_solve,
+)
 
 __all__ = [
     "OriginalProblem",
@@ -225,9 +231,12 @@ class OperatorForms:
       A); ``tridiag`` is None, and each step factors ``at - gamma*et`` by
       SuperLU.
 
-    ``e_lu`` is the sparse LU of E the shift layer solves with (None when E
-    is None).  A singular E raises :class:`AssumptionViolationError` in
-    :meth:`of`.
+    ``mass`` is E as the products x E (the step's) and E^-1 u (the shift
+    layer's), on the same route: over E's diagonals and its LDL^T on
+    ``"ldlt"``, the sparse product and E's SuperLU factors on
+    ``"superlu"``, and the identity when E is None (see
+    :func:`scare_radi.kernels.mass_matrix`).  A singular E raises
+    :class:`AssumptionViolationError` in :meth:`of`.
     """
 
     a: sp.csc_matrix
@@ -235,7 +244,7 @@ class OperatorForms:
     a_norm1: float
     at: sp.csc_matrix
     et: sp.csc_matrix
-    e_lu: object
+    mass: MassMatrix
     tridiag: tuple | None
 
     @property
@@ -248,20 +257,17 @@ class OperatorForms:
         """Operator forms of a sparse or dense A and an optional E (None is I)."""
         a = sp.csc_matrix(a, dtype=float)
         e = None if e is None else sp.csc_matrix(e, dtype=float)
-        try:
-            e_lu = None if e is None else splu(e)
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
-            raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
         at = a.T.tocsc()
         et = sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc()
+        tridiag = _spd_tridiagonal(at, et)
         return cls(
             a=a,
             e=e,
             a_norm1=float(np.max(np.asarray(abs(a).sum(axis=0)).ravel())),
             at=at,
             et=et,
-            e_lu=e_lu,
-            tridiag=_spd_tridiagonal(at, et),
+            mass=mass_matrix(e, tridiag),
+            tridiag=tridiag,
         )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 __all__ = ["IterationRecord", "RunReport", "CSV_COLUMNS"]
 
@@ -33,7 +33,18 @@ class IterationRecord:
     cap_discard: float = 0.0  # energy the row cap moved into the truncation's discard
 
     def csv_row(self):
-        return [_csv_cell(f, getattr(self, f.name)) for f in fields(self)]
+        return [_csv_cell(f, getattr(self, f.name)) for f in _FIELDS]
+
+    def as_dict(self) -> dict:
+        """The record as a flat dict of its fields, as ``dataclasses.asdict`` gives it.
+
+        Every field is a scalar, so no field needs the deep copy ``asdict``
+        makes.
+        """
+        return {f.name: getattr(self, f.name) for f in _FIELDS}
+
+
+_FIELDS = fields(IterationRecord)
 
 
 def _csv_cell(f, value):
@@ -46,7 +57,7 @@ def _csv_cell(f, value):
 # The CSV header is the record's field names, three of them renamed.
 CSV_COLUMNS = [
     {"k": "iter", "cols_c": "cols_C", "cols_xi": "cols_Xi"}.get(f.name, f.name)
-    for f in fields(IterationRecord)
+    for f in _FIELDS
 ]
 
 
@@ -106,14 +117,19 @@ class RunReport:
         """Everything except wall times, for determinism comparisons."""
         rows = []
         for row in self.rows:
-            d = asdict(row)
+            d = row.as_dict()
             for name in TIMING_FIELDS:
                 d.pop(name)
             rows.append(d)
         return {"rows": rows, "summary": self.summary_dict(include_timings=False)}
 
     def to_json(self, path):
+        """The summary and every row, in one line of compact JSON.
+
+        ``json.dumps`` without indentation runs json's C encoder, where
+        ``json.dump`` or an indent would run its pure-Python one.
+        """
         payload = self.summary_dict()
-        payload["rows"] = [asdict(r) for r in self.rows]
+        payload["rows"] = [r.as_dict() for r in self.rows]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))

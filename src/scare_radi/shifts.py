@@ -46,6 +46,11 @@ _EPS = np.finfo(float).eps
 # LAPACK's sqrt(dlamch('E')), with dlamch('E') = eps / 2: a downdated norm whose
 # square has shrunk below this share of its last computed value is recomputed.
 _TOL3Z = np.sqrt(_EPS / 2)
+# A row whose deflation has kept at least this share of its norm is
+# orthogonal to the basis to rounding; only one that lost more is projected
+# again (Kahan's "twice is enough" test, Parlett, The Symmetric Eigenvalue
+# Problem, 1980, sec. 6-9).
+_REORTH = np.sqrt(0.5)
 
 
 @dataclass
@@ -96,29 +101,35 @@ def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarra
     max(p, n) eps |r_11|.  The remaining norms are downdated each step and
     recomputed once the downdate cancels, by the sqrt(eps) test of LAPACK's
     ``xLAQPS`` (Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998), so
-    that the pivots are LAPACK ``dgeqp3``'s on graded stacks too.  The window's
-    blocks are only read: the steps deflate a stacked copy.
+    that the pivots are LAPACK ``dgeqp3``'s on graded stacks too.  A pivot
+    row is projected out of the basis a second time only when its deflation
+    has cancelled more than a 1 - 1/sqrt(2) share of its norm.  Each step
+    makes one product of the remaining rows with the pivot row, for its
+    norm and the deflation.  The window's blocks are only read: the steps
+    deflate a stacked copy.
     """
     mats = [m for m in window if m.size]
     if not mats:
         mats = [np.atleast_2d(np.asarray(fallback, dtype=float))]
     rest = np.vstack(mats)
-    vn1 = np.sqrt(np.einsum("ij,ij->i", rest, rest))  # downdated norms of the deflated rows
-    if not vn1.any():
+    vn0 = np.sqrt(np.einsum("ij,ij->i", rest, rest))  # the rows' norms before any step
+    if not vn0.any():
         raise BasisFailureError("cannot orthonormalize an all-zero factor stack")
-    vn2 = vn1.copy()  # each row's norm when last computed
+    vn1 = vn0.copy()  # downdated norms of the deflated rows
+    vn2 = vn0.copy()  # each row's norm when last computed
     p, n = rest.shape
     steps = min(p, n) if q is None else min(q, p, n)
     basis = np.empty((steps, n))
     for j in range(steps):
         pick = j + int(np.argmax(vn1[j:]))
         if pick != j:  # swap as LAPACK does, which sets the order ties break in
-            rest[[j, pick]] = rest[[pick, j]]
-            vn1[j], vn1[pick], vn2[j], vn2[pick] = vn1[pick], vn1[j], vn2[pick], vn2[j]
+            for a in (rest, vn0, vn1, vn2):
+                a[[j, pick]] = a[[pick, j]]
         v = rest[j]
-        if j:  # reorthogonalize once, as deflation alone loses orthogonality on cancellation
+        if vn1[j] < _REORTH * vn0[j]:
             add_product(rest[j : j + 1], -(basis[:j] @ v)[None, :], basis[:j])
-        norm = np.sqrt(v @ v)
+        vt = rest[j:] @ v  # |v|^2, then the tail's products with v
+        norm = np.sqrt(vt[0])
         if j == 0:
             tol = max(p, n) * _EPS * norm
         elif norm <= tol:
@@ -128,8 +139,8 @@ def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarra
         if j + 1 == steps:
             break
         tail, old, ref = rest[j + 1 :], vn1[j + 1 :], vn2[j + 1 :]
-        coef = tail @ basis[j]
-        add_product(tail, -coef[:, None], basis[j : j + 1])
+        coef = vt[1:] / norm
+        tail -= coef[:, None] * basis[j]
         ratio = np.divide(np.abs(coef), old, out=np.zeros_like(coef), where=old > 0.0)
         left = np.maximum((1.0 + ratio) * (1.0 - ratio), 0.0)
         stale = left * old**2 <= _TOL3Z * ref**2
@@ -140,11 +151,16 @@ def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarra
 
 
 def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
-    """U^T (A + B F) E^-1 U and E^-1 U, solved with ``ops.e_lu`` (U itself when E is I)."""
-    w = u if ops.e_lu is None else ops.e_lu.solve(np.ascontiguousarray(u))
-    aw = ops.a @ w
-    abar = u.T @ aw + (u.T @ p.b) @ (f @ w)
-    return abar, w
+    """U^T (A + B F) E^-1 U, E^-1 U and U^T B.
+
+    E^-1 U is the solve with ``ops.mass``, on the shifted solve's route (U
+    itself when E is I).  U^T B is returned because the Hamiltonian needs it
+    too.
+    """
+    w = ops.mass.solve(u)
+    ub = u.T @ p.b
+    abar = u.T @ (ops.a @ w) + ub @ (f @ w)
+    return abar, w, ub
 
 
 def projection_shifts(
@@ -156,7 +172,7 @@ def projection_shifts(
     first; the first is the primary shift.  ``ops`` is the solve's
     :class:`~scare_radi.problems.OperatorForms`, holding A and the factored E.
     """
-    abar, _ = _projected_closed_loop(u, p, f, ops)
+    abar = _projected_closed_loop(u, p, f, ops)[0]
     lam = np.linalg.eigvals(abar)
     stable = lam[lam.real < 0]
     if stable.size == 0:
@@ -180,9 +196,8 @@ def hamiltonian_shifts(
     available it degrades to the projection strategy.  ``ops`` is the solve's
     operator forms, as for :func:`projection_shifts`.
     """
-    abar, w = _projected_closed_loop(u, p, f, ops)
-    bk = right_tri_solve(kpi, p.b)
-    ub = u.T @ bk
+    abar, w, ub = _projected_closed_loop(u, p, f, ops)
+    ub = right_tri_solve(kpi, ub)  # U^T B_k
     gbar = ub @ ub.T
     cu = np.atleast_2d(ccur) @ w
     qbar = cu.T @ cu

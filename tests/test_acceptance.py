@@ -215,7 +215,7 @@ def test_criterion_07_smw_vs_dense():
         f = rng.standard_normal((m, n)) / n
         rows = rng.standard_normal((4, n))
         gamma = float(rng.uniform(0.1, 5.0))
-        out = smw_row_solve(factor_shifted(OperatorForms.of(a), gamma), b, f, rows)
+        out, _ = smw_row_solve(factor_shifted(OperatorForms.of(a), gamma), b, f, rows)
         oracle = sla.solve((a.toarray() + b @ f - gamma * np.eye(n)).T, rows.T).T
         worst = max(worst, np.linalg.norm(out - oracle) / np.linalg.norm(oracle))
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,7 @@ import argparse
 import csv
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from scare_radi.cli import main
 from scare_radi.engine import SolveOptions
 from scare_radi.errors import NumericalBreakdownError, ProblemLoadError
 from scare_radi.problems import OriginalProblem, StandardProblem
-from scare_radi.report import CSV_COLUMNS, IterationRecord
+from scare_radi.report import CSV_COLUMNS, TIMING_FIELDS, IterationRecord
 from scare_radi.shifts import ShiftConfig
 from scare_radi.testing import random_original_problem, random_standard_problem
 
@@ -325,6 +325,25 @@ def test_report_nres_history_matches_rows(tmp_path):
     assert data["converged"] is True
     assert [row["nres"] for row in data["rows"]] == report.nres_history
     assert data["rows"][0]["nres"] == 1.0
+
+
+def test_report_files_hold_every_field_of_every_row(tmp_path):
+    # The JSON rows are the records' full asdict, and each CSV cell is its
+    # field formatted by type, in field order: no field is dropped or moved.
+    p = random_standard_problem(n=25, m=2, l=2, r=2, seed=20)
+    report = run_single(p, SolveOptions(), "unit", tmp_path)
+    with open(tmp_path / "unit.json") as fh:
+        data = json.load(fh)
+    np.testing.assert_equal(data["rows"], [asdict(r) for r in report.rows])  # NaN == NaN
+    with open(tmp_path / "unit.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == CSV_COLUMNS and len(rows) == len(report.rows) > 1
+    for cells, record in zip(rows, report.rows):
+        for cell, (name, value) in zip(cells, asdict(record).items(), strict=True):
+            if name in TIMING_FIELDS:
+                assert cell == f"{value:.6f}"
+            else:
+                assert cell == (repr(value) if isinstance(value, float) else str(value))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_h
 
-from scare_radi import engine, kernels, problems, shifts
+from scare_radi import engine, kernels, shifts
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import (
     SolveOptions,
@@ -32,7 +32,7 @@ from scare_radi.oracles import (
     one_step_approximant,
 )
 from scare_radi.problems import adapt_in_place, residual_dense
-from scare_radi.shifts import ShiftConfig
+from scare_radi.shifts import ShiftConfig, next_shift
 from scare_radi.testing import random_original_problem, random_standard_problem
 
 SQRT2 = np.sqrt(2.0)
@@ -60,7 +60,7 @@ def test_scalar_one_step_at_optimal_shift(scalar_problem):
 def test_zero_feedback_step_reduces_to_plain_shifted_solve():
     p = random_standard_problem(n=20, m=2, l=2, r=2, seed=0)
     gamma = 1.7
-    got = smw_row_solve(factor_shifted(p.operators(), gamma), p.b, np.zeros((p.m, p.n)), p.c)
+    got, _ = smw_row_solve(factor_shifted(p.operators(), gamma), p.b, np.zeros((p.m, p.n)), p.c)
     a = p.a_sparse().toarray()
     expected = np.linalg.solve((a - gamma * np.eye(20)).T, p.c.T).T
     np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -167,17 +167,18 @@ def test_cached_solve_factors_e_once(monkeypatch):
     # solve however many projections solve with it.
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=13, with_e=True)
     factored, projections = [], []
-    real_splu, real_hami = problems.splu, shifts.hamiltonian_shifts
+    real_splu, real_hami = kernels.splu, shifts.hamiltonian_shifts
 
     def counting_splu(m, *args, **kwargs):
-        factored.append(m.shape)
+        if abs(m - p.e).max() == 0.0:  # not a shifted matrix
+            factored.append(m.shape)
         return real_splu(m, *args, **kwargs)
 
     def counting_hami(*args, **kwargs):
         projections.append(1)
         return real_hami(*args, **kwargs)
 
-    monkeypatch.setattr(problems, "splu", counting_splu)
+    monkeypatch.setattr(kernels, "splu", counting_splu)
     monkeypatch.setattr(shifts, "hamiltonian_shifts", counting_hami)
     _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
     assert report.converged
@@ -420,7 +421,7 @@ def _stacked_residual_factor(p, state, gamma):
     |C_top|_F^2 + |X|_F^2.
     """
     sqrt2g = np.sqrt(2.0 * gamma)
-    c_f = smw_row_solve(factor_shifted(state.ops, gamma), p.b, state.f, state.ccur)
+    c_f, _ = smw_row_solve(factor_shifted(state.ops, gamma), p.b, state.f, state.ccur)
     c_gamma = sqrt2g * c_f
     y = c_f @ p.b @ np.linalg.inv(state.kpi)
     w = engine._inv_sqrt_gram(y)
@@ -459,6 +460,45 @@ def test_tall_step_gram_matches_the_stacked_factor(monkeypatch, noise, with_e):
             gap = np.linalg.norm(grams[-1] - stack.T @ stack)
             assert gap <= 50 * np.finfo(float).eps * scale, gap / scale
     assert tall >= 2 and len(grams) == tall
+
+
+def _twice_scaled_block(p, state, gamma):
+    """S, C_top and F_mid with W applied twice: S = W C_gamma, then sqrt(2 gamma) W S."""
+    sqrt2g = np.sqrt(2.0 * gamma)
+    c_f, _ = smw_row_solve(factor_shifted(state.ops, gamma), p.b, state.f, state.ccur)
+    y = c_f @ p.b @ np.linalg.inv(state.kpi)
+    w = engine._inv_sqrt_gram(y)
+    s = w(sqrt2g * c_f)
+    w8 = sqrt2g * w(s.copy())  # the map overwrites its argument
+    w8e = w8 if p.e is None else np.asarray((p.e.T @ w8.T).T)
+    return s, state.ccur + w8e, state.f - np.linalg.solve(state.kpi, y.T) @ w8e
+
+
+@pytest.mark.parametrize("shape", ["det-mass", "c9"])
+def test_new_block_takes_w_and_w_squared_from_one_projection(shape):
+    # An r = 1 step at n = 5000 with the mass matrix (l = 6), and an r = 5
+    # step at n = 300 whose residual factor has 300 graded rows.  One step
+    # first makes F (and for r = 5, Kpi) nontrivial; the compared step takes
+    # the shift the solver would.
+    if shape == "det-mass":
+        p = gen_heat_problem(5000, 7, 6, seed=0, mass_matrix=True)
+        st = init_state(p)
+    else:
+        base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
+        p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+        st = init_state(p)
+        grade = 10.0 ** -np.linspace(0.0, 12.0, 300)[:, None]
+        st.ccur = np.random.default_rng(0).standard_normal((300, 300)) * grade
+        st.nu0 = float(np.linalg.norm(st.ccur) ** 2)
+    gamma, _ = next_shift(ShiftConfig(), None, p, st)
+    st, _ = step_once(p, st, gamma, SolveOptions(cap_cols=1500))
+    gamma, _ = next_shift(ShiftConfig(), None, p, st)
+    assert np.linalg.norm(st.f) > 0.0
+    want = _twice_scaled_block(p, st, gamma)
+    c_f, c_fb = smw_row_solve(factor_shifted(st.ops, gamma), p.b, st.f, st.ccur)
+    got = engine._new_block(st, gamma, c_f, c_fb)
+    for g, w in zip(got, want, strict=True):
+        assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
 
 def test_nu_omega_monotone_and_width_bounded():

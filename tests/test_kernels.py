@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from scare_radi import kernels
 from scare_radi.errors import (
+    AssumptionViolationError,
     ConformabilityError,
     ShiftRejectionError,
     SpdViolationError,
@@ -118,7 +119,7 @@ def test_stacked_mat_holds_transposed_blocks():
 def test_stacked_mat_and_operator_forms_are_immutable():
     stack = StackedMat.from_blocks([np.eye(2)])
     ops = OperatorForms.of(sp.identity(3, format="csc"), sp.identity(3, format="csc"))
-    for obj, name in ((stack, "blocks"), (stack, "stacked"), (ops, "e_lu"), (ops, "a")):
+    for obj, name in ((stack, "blocks"), (stack, "stacked"), (ops, "mass"), (ops, "a")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
 
@@ -284,13 +285,56 @@ def test_ldlt_row_solves_match_dense():
     ops = OperatorForms.of(a, e)
     assert ops.route == "ldlt"
     fac = factor_shifted(ops, gamma)
+    x, xb = smw_row_solve(fac, b, f, rows)
+    assert np.linalg.norm(xb - x @ b) <= 1e-12 * np.linalg.norm(x @ b)
     checks = (
         (fac.row_solve(rows), a_d - gamma * e_d),
-        (smw_row_solve(fac, b, f, rows), a_d + b @ f - gamma * e_d),
+        (x, a_d + b @ f - gamma * e_d),
     )
     for out, shifted in checks:
         oracle = sla.solve(shifted.T, rows.T).T
         assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("case", ["ldlt", "superlu", "identity"])
+def test_mass_matrix_times_and_solve_follow_the_route(case):
+    # Nonconstant diagonals on the LDL^T route; a nonsymmetric tridiagonal E
+    # on SuperLU; E = None is I.
+    rng = np.random.default_rng(17)
+    n = 90
+    off = rng.uniform(0.1, 0.4, n - 1)
+    e = {
+        "ldlt": sp.diags([off, rng.uniform(1.0, 2.0, n), off], [-1, 0, 1], format="csc"),
+        "superlu": convection_diffusion(n) + 60.0 * sp.identity(n),
+        "identity": None,
+    }[case]
+    ops = OperatorForms.of(tridiagonal(n), e)
+    assert ops.route == ("superlu" if case == "superlu" else "ldlt")
+    x = rng.standard_normal((6, n))
+    u = np.asfortranarray(rng.standard_normal((n, 4)))  # a basis is Fortran-ordered
+    got = ops.mass.times(x)
+    if case == "identity":
+        want, e_dense = x, np.eye(n)
+    else:
+        want, e_dense = np.asarray((ops.e.T @ x.T).T), ops.e.toarray()
+    if case == "ldlt":
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    w = ops.mass.solve(u)
+    assert np.linalg.norm(e_dense @ w - u) <= 1e-13 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+def test_singular_mass_matrix_is_rejected_when_operators_are_built(symmetric):
+    # A symmetric tridiagonal E with a zero row and column would be on the
+    # LDL^T route if it were definite; neither E can be factored.
+    n = 30
+    e = (mass(n) if symmetric else convection_diffusion(n) + 60.0 * sp.identity(n)).tolil()
+    e[7, :] = 0.0
+    e[:, 7] = 0.0
+    with pytest.raises(AssumptionViolationError, match="singular"):
+        OperatorForms.of(tridiagonal(n), sp.csc_matrix(e))
 
 
 def test_ldlt_route_rejects_a_numerically_singular_shift():
@@ -316,7 +360,7 @@ def test_smw_zero_feedback_is_plain_solve():
     fac = factor_shifted(OperatorForms.of(a), gamma)
     shifted = a.toarray() - gamma * np.eye(n)
     rows = np.eye(n)[2:3] @ shifted
-    out = smw_row_solve(fac, np.zeros((n, 2)), np.zeros((2, n)), rows)
+    out = smw_row_solve(fac, np.zeros((n, 2)), np.zeros((2, n)), rows)[0]
     np.testing.assert_allclose(out, np.eye(n)[2:3], atol=1e-12)
 
 
@@ -326,7 +370,7 @@ def test_smw_rank_one_against_dense_inverse():
     b = np.array([[1.0], [0.0], [0.0]])
     f = np.array([[0.0, 1.0, 0.0]])
     fac = factor_shifted(OperatorForms.of(a, sp.identity(3, format="csc")), gamma)
-    out = smw_row_solve(fac, b, f, np.eye(3))
+    out = smw_row_solve(fac, b, f, np.eye(3))[0]
     dense = np.linalg.inv(a.toarray() + b @ f - np.eye(3))
     np.testing.assert_allclose(out, dense, atol=1e-13)
 
@@ -341,7 +385,7 @@ def test_smw_matches_dense_lu_n200():
     rows = rng.standard_normal((5, n))
     gamma = 2.3
     fac = factor_shifted(OperatorForms.of(a), gamma)
-    out = smw_row_solve(fac, b, f, rows)
+    out = smw_row_solve(fac, b, f, rows)[0]
     oracle = sla.solve((a.toarray() + b @ f - gamma * np.eye(n)).T, rows.T).T
     assert np.linalg.norm(out - oracle) <= 1e-11 * np.linalg.norm(oracle)
 
@@ -358,7 +402,7 @@ def test_smw_property_random_stable_instances():
         rows = rng.standard_normal((4, n))
         gamma = float(rng.uniform(0.1, 5.0))
         fac = factor_shifted(OperatorForms.of(a), gamma)
-        out = smw_row_solve(fac, b, f, rows)
+        out = smw_row_solve(fac, b, f, rows)[0]
         oracle = sla.solve((a.toarray() + b @ f - gamma * np.eye(n)).T, rows.T).T
         worst = max(worst, np.linalg.norm(out - oracle) / np.linalg.norm(oracle))
     assert worst <= 1e-10
@@ -435,9 +479,11 @@ def test_row_solves_on_nonsymmetric_a_and_e():
         ops = OperatorForms.of(a, e)
         assert ops.route == "superlu"
         fac = factor_shifted(ops, gamma)
+        x, xb = smw_row_solve(fac, b, f, rows)
+        assert np.linalg.norm(xb - x @ b) <= 1e-12 * np.linalg.norm(x @ b)
         checks = (
             (fac.row_solve(rows), a_d - gamma * e_d),
-            (smw_row_solve(fac, b, f, rows), a_d + b @ f - gamma * e_d),
+            (x, a_d + b @ f - gamma * e_d),
         )
         for out, shifted in checks:
             oracle = sla.solve(shifted.T, rows.T).T

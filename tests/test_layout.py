@@ -1,6 +1,7 @@
 """Module boundaries: the solve path does not depend on verification code."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,13 @@ def test_the_shift_window_is_known_to_shifts_alone(name):
     # The shift window is the tail of Xi's block list, and only shifts reads
     # it: the engine neither sizes nor keeps a window of its own.
     assert name not in (PACKAGE / "engine.py").read_text()
+
+
+@pytest.mark.parametrize("module", ["engine", "shifts"])
+def test_the_mass_matrix_is_reached_through_kernels(module):
+    # x E and E^-1 U follow the shifted solve's route, which kernels decides:
+    # the step and the shift layer use ops.mass, never E's sparse form or
+    # factors of their own.
+    text = (PACKAGE / f"{module}.py").read_text()
+    assert "e_lu" not in text and "splu" not in text
+    assert not re.search(r"\bops\.e\b", text)

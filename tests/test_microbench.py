@@ -14,7 +14,7 @@ from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, step_once
 from scare_radi.kernels import factor_shifted, gram_upper, ltimes, trunc_gram, trunc_svd
 from scare_radi.problems import OperatorForms
-from scare_radi.shifts import build_basis, hamiltonian_shifts
+from scare_radi.shifts import ShiftConfig, build_basis, hamiltonian_shifts, next_shift
 
 N = 5000
 
@@ -150,6 +150,20 @@ def test_capped_basis_and_hamiltonian_shifts_c9_shape(benchmark):
     u, cache = benchmark.pedantic(recompute, rounds=5, warmup_rounds=1)
     assert u.shape == (300, 6)
     assert cache.pending and all(g > 0 for g in cache.pending)
+
+
+def test_step_once_det_mass_shape(benchmark):
+    # One step of a det-mass solve: r = 1 at n = 5000 with the mass matrix,
+    # l = 6 and m = 7, on the LDL^T route, at the solver's first shift.
+    p = gen_heat_problem(N, 7, 6, seed=0, mass_matrix=True)
+    gamma, _ = next_shift(ShiftConfig(), None, p, init_state(p))
+
+    def fresh_state():
+        return (p, init_state(p), gamma), {}
+
+    st, row = benchmark.pedantic(step_once, setup=fresh_state, rounds=20, warmup_rounds=2)
+    assert st.ops.route == "ldlt"
+    assert (st.k, st.xi_width) == (1, 6) and row.nres < 1.0
 
 
 def test_step_once_c9_shape(benchmark):

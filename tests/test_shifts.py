@@ -131,6 +131,22 @@ def test_basis_matches_full_pivoted_qr(seed, kind, q):
         np.testing.assert_array_equal(h, b)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_basis_stays_orthonormal_on_nearly_dependent_rows(seed):
+    # Each row is the previous one plus a perturbation 1e-4 smaller than the
+    # last, so deflation cancels all but 1e-4 .. 1e-12 of each later row:
+    # without a second projection the basis loses orthogonality to about 1e-4.
+    v = np.random.default_rng(seed).standard_normal((4, 40))
+    rows = [v[0]]
+    for k in range(1, 4):
+        rows.append(rows[-1] + 10.0 ** (-4 * k) * v[k])
+    stack = np.array(rows)
+    u = build_basis([stack], None)
+    assert u.shape == (40, 4)
+    assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-13
+    assert np.linalg.norm(stack - (stack @ u) @ u.T) <= 1e-13 * np.linalg.norm(stack)
+
+
 def test_basis_recomputes_a_cancelled_norm_as_dgeqp3_does():
     # Once row 0 is taken, row 1's downdated norm cancels to rounding, while
     # its true remainder (about 1e-9) exceeds row 2's norm: only a recomputed
