@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Print a fingerprint of every solve of the benchmark's workloads.
+
+    python3 scripts/fingerprint.py [--seeds 0 1 2]
+
+For each seed and each workload of ``perfbench/workloads.py`` (imported, not
+changed) every solve is run once with BLAS on one thread.  One line per solve
+gives the iterations, the final ``xi_width``, the repr of the final nres, and
+the SHA-256 of the shift column (``gamma`` of every iteration row, as float64
+bytes) and of the solution factor Xi in C order.  Two checkouts whose outputs
+are equal made bit-identical solves; no time is printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(a.tobytes(order="C")).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    args = ap.parse_args(argv)
+
+    import numpy as np
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from scare_radi import engine
+    from workloads import WORKLOADS
+
+    for seed in args.seeds:
+        for name, workload in WORKLOADS.items():
+            for j, (problem, opts) in enumerate(workload.build(seed)):
+                state, report = engine.radi_solve(problem, opts)
+                gammas = np.array([row.gamma for row in report.rows], dtype=float)
+                print(f"{name} seed={seed} solve={j} iterations={report.iterations} "
+                      f"xi_width={report.xi_width} nres={report.final_nres!r} "
+                      f"gamma={_sha(gammas)} xi={_sha(np.ascontiguousarray(state.xi))}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    # Set before numpy loads its BLAS.
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    sys.exit(main())

@@ -35,6 +35,7 @@ from .errors import (
     SpdViolationError,
 )
 from .kernels import (
+    OperatorForms,
     add_product,
     chol_spd,
     factor_shifted,
@@ -47,7 +48,7 @@ from .kernels import (
     trunc_gram,
     trunc_svd,
 )
-from .problems import OperatorForms, StandardProblem
+from .problems import StandardProblem
 from .report import IterationRecord, RunReport
 from .shifts import ShiftConfig, next_shift
 

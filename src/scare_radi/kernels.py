@@ -1,19 +1,20 @@
 """Block linear-algebra kernels.
 
 The left semi-tensor product with vertically stacked blocks as one product,
-the shifted factorization (a LAPACK LDL^T for a symmetric-definite
-tridiagonal pencil, SuperLU otherwise; the choice between the two is made
-here, by :func:`_spd_tridiagonal`) and its SMW-corrected row solves, the
-mass matrix's product and solve on the same route (:func:`mass_matrix`), right
-triangular solves, small SPD Cholesky factorization, the BLAS ``dgemm``
-accumulation of a product into its target in place, the BLAS ``dsyrk``
-accumulation of a signed sum of Grams A^T A into one upper triangle, and the
-truncation of a residual factor with exact accounting of the discarded energy:
-a wide factor by an SVD taken through its Gram C C^T with no division by the
-singular values (:func:`trunc_svd`), a tall one from its Gram G = C^T C alone
-by a pivoted Cholesky (:func:`trunc_gram`; ``trunc_svd`` forms C^T C and calls
-it).  This module holds the package's only direct BLAS and LAPACK calls.
-Everything here is a pure function of its inputs; factorization handles may be
+the operator forms of one solve (:meth:`OperatorForms.of` chooses the shifted
+factorization's route, a LAPACK LDL^T for a symmetric-definite tridiagonal
+pencil or SuperLU otherwise, prepares its operands, and builds the mass
+matrix's product and solve on the same route), the shifted factorization and
+its SMW-corrected row solves, right triangular solves, small SPD Cholesky
+factorization, the BLAS ``dgemm`` accumulation of a product into its target
+in place, the BLAS ``dsyrk`` accumulation of a signed sum of Grams A^T A into
+one upper triangle, and the truncation of a residual factor with exact
+accounting of the discarded energy: a wide factor by an SVD taken through its
+Gram C C^T with no division by the singular values (:func:`trunc_svd`), a
+tall one from its Gram G = C^T C alone by a pivoted Cholesky
+(:func:`trunc_gram`; ``trunc_svd`` forms C^T C and calls it).  This module
+holds the package's only direct BLAS and LAPACK calls.  Everything here is a
+pure function of its inputs; operator forms and factorization handles may be
 shared read-only across threads.
 """
 
@@ -40,7 +41,7 @@ __all__ = [
     "StackedMat",
     "ShiftedFactorization",
     "MassMatrix",
-    "mass_matrix",
+    "OperatorForms",
     "TruncationResult",
     "ltimes",
     "right_tri_solve",
@@ -166,77 +167,13 @@ class ShiftedFactorization:
         return self._solve(rows.T).T
 
 
-def _spd_tridiagonal(at: sp.spmatrix, et: sp.spmatrix):
-    """(a_d, a_o, e_d, e_o): diagonals and off-diagonals of A and E, or None.
-
-    ``at`` and ``et`` are A^T and E^T.  The diagonals are kept only when
-    n >= 2, the pattern of |A^T| + |E^T| lies inside the tridiagonal band,
-    both matrices are exactly symmetric, and -A and E are positive definite
-    (LAPACK ``dpttrf`` completes); then gamma*E - A is symmetric positive
-    definite for every gamma > 0.  The arrays are read-only, so they can be
-    shared across threads.
-    """
-    pattern = (abs(at) + abs(et)).tocoo()
-    if at.shape[0] < 2 or np.any(np.abs(pattern.row - pattern.col) > 1):
-        return None
-    diags = []
-    for m in (at, et):
-        off = m.diagonal(1)
-        if not np.array_equal(off, m.diagonal(-1)):
-            return None
-        diags += [m.diagonal(0), off]
-    a_d, a_o, e_d, e_o = diags
-    if dpttrf(-a_d, -a_o)[2] != 0 or dpttrf(e_d, e_o)[2] != 0:
-        return None
-    for d in diags:
-        d.flags.writeable = False
-    return tuple(diags)
-
-
-def _ldlt_solve(d, e, cols):
-    """(A - gamma*E)^-1 cols as -(gamma*E - A)^-1 cols from its LDL^T (d, e)."""
-    x = dpttrs(d, e, cols)[0]  # info < 0 (an illegal argument) cannot occur here
-    return np.negative(x, out=x)
-
-
-def factor_shifted(ops, gamma: float) -> ShiftedFactorization:
-    """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
-
-    ``ops`` is a :class:`scare_radi.problems.OperatorForms`; its ``route``
-    picks the factorization.  On ``"ldlt"`` (see :func:`_spd_tridiagonal`)
-    the SPD tridiagonal gamma*E - A, built from ``ops.tridiag``, is factored
-    by LAPACK ``dpttrf`` (LDL^T, no pivoting needed) and every solve negates
-    its ``dpttrs``.  On ``"superlu"`` ``ops.at - gamma*ops.et`` is factored
-    by SuperLU with partial pivoting and its default fill-reducing ordering.
-    A shifted matrix that is exactly singular (a zero pivot), or on the LDL^T
-    route not numerically positive definite (a rounding-level near
-    singularity for gamma > 0), raises :class:`ShiftRejectionError`.
-    """
-    n = ops.a.shape[0]
-    if ops.route == "ldlt":
-        a_d, a_o, e_d, e_o = ops.tridiag
-        d, e, info = dpttrf(gamma * e_d - a_d, gamma * e_o - a_o, overwrite_d=1, overwrite_e=1)
-        if info > 0:
-            raise ShiftRejectionError(
-                f"LDL^T of {gamma}*E - A failed: pivot {info} is not positive"
-            )
-        return ShiftedFactorization(n=n, _solve=functools.partial(_ldlt_solve, d, e))
-    try:
-        lu = splu(ops.at - gamma * ops.et)
-    except RuntimeError as exc:  # SuperLU signals exact singularity this way
-        raise ShiftRejectionError(
-            f"factorization of A - {gamma}*E failed: {exc}"
-        ) from exc
-    return ShiftedFactorization(n=n, _solve=lu.solve)
-
-
 @dataclass(frozen=True)
 class MassMatrix:
     """The mass matrix E of one solve, as the maps x -> x E and u -> E^-1 u.
 
     ``times(x)`` is x E for a k x n array x, and ``solve(u)`` is E^-1 u for
     an n x k array u; both follow the shifted solve's route (see
-    :func:`mass_matrix`).  With E = I both return their argument itself.
+    :class:`OperatorForms`).  With E = I both return their argument itself.
     The handle is read-only after construction and safe to share across
     threads.
     """
@@ -247,6 +184,9 @@ class MassMatrix:
 
 def _identity(x):
     return x
+
+
+_IDENTITY_MASS = MassMatrix(_identity, _identity)
 
 
 def _tridiagonal_times(d, o, x):
@@ -273,31 +213,136 @@ def _ldlt_mass_solve(d, o, u):
     return dpttrs(d, o, u)[0]  # info < 0 (an illegal argument) cannot occur here
 
 
-def mass_matrix(e, tridiag) -> MassMatrix:
-    """The mass matrix E (CSC, or None for I) of one solve, on that solve's route.
+def _ldlt_forms(a: sp.csc_matrix, e: sp.csc_matrix | None):
+    """The ``"ldlt"`` route's (a_d, a_o, e_d, e_o) and E's maps, or None off it.
 
-    ``tridiag`` is the solve's ``(a_d, a_o, e_d, e_o)`` from
-    :func:`_spd_tridiagonal`, or None off the LDL^T route.  On the LDL^T
-    route E is a symmetric positive definite tridiagonal: x E is three
-    vector passes over its diagonals, and E^-1 u a LAPACK ``dpttrs`` on the
-    LDL^T of E, factored here once.  On the SuperLU route x E is the sparse
-    product, and E^-1 u a solve with E's SuperLU factors; a singular E
-    raises :class:`AssumptionViolationError`.
+    Tests the route's conditions (see :class:`OperatorForms`), with I for a
+    None E.  LAPACK ``dpttrf`` completing on -A and E shows them positive
+    definite, so gamma*E - A is SPD for every gamma > 0, and E's solves use
+    that LDL^T of E.  The arrays are read-only, so they can be shared across
+    threads.
     """
-    if e is None:
-        return MassMatrix(_identity, _identity)
-    if tridiag is not None:
-        e_d, e_o = tridiag[2:]
-        d, o, _ = dpttrf(e_d, e_o)  # info = 0: _spd_tridiagonal found E positive definite
-        return MassMatrix(
+    n = a.shape[0]
+    if n < 2:
+        return None
+    e_or_i = sp.identity(n, format="csc") if e is None else e
+    pattern = (abs(a) + abs(e_or_i)).tocoo()
+    if np.any(np.abs(pattern.row - pattern.col) > 1):
+        return None
+    diags = []
+    for m in (a, e_or_i):
+        off = m.diagonal(-1)
+        if not np.array_equal(off, m.diagonal(1)):
+            return None
+        diags += [m.diagonal(0), off]
+    a_d, a_o, e_d, e_o = diags
+    if dpttrf(-a_d, -a_o)[2] != 0:
+        return None
+    mass = _IDENTITY_MASS
+    if e is not None:
+        d, o, info = dpttrf(e_d, e_o)
+        if info != 0:
+            return None
+        mass = MassMatrix(
             functools.partial(_tridiagonal_times, e_d, e_o),
             functools.partial(_ldlt_mass_solve, d, o),
         )
+    for arr in diags:
+        arr.flags.writeable = False
+    return tuple(diags), mass
+
+
+@dataclass(frozen=True)
+class OperatorForms:
+    """The fixed operators of one solve, in the forms its iterations use.
+
+    :meth:`of` converts A and E to CSC, takes ||A||_1, chooses the route of
+    :func:`factor_shifted`, prepares its operands and factors E, once per
+    solve; the instance is immutable after that.  ``route`` is one of:
+
+    - ``"ldlt"``: the pattern of |A| + |E| is tridiagonal (n >= 2), A and E
+      are exactly symmetric, and -A and E are positive definite.
+      ``tridiag`` holds their diagonals and off-diagonals (a_d, a_o, e_d,
+      e_o), and each step factors the SPD tridiagonal gamma*E - A by LDL^T.
+    - ``"superlu"``: any other pattern or values (a nonsymmetric or
+      indefinite tridiagonal, a wider band, a 2-D stencil, a general sparse
+      A).  ``at`` and ``et`` are A^T and E^T (I when E is None) in CSC, and
+      each step factors (A - gamma*E)^T as ``at - gamma*et`` by SuperLU.
+
+    ``mass`` is E as the products x E (the step's) and E^-1 u (the shift
+    layer's) on the same route: over E's diagonals and its LDL^T, or the
+    sparse product and E's SuperLU factors; the identity when E is None.  A
+    singular E raises :class:`AssumptionViolationError` in :meth:`of`.
+    """
+
+    a: sp.csc_matrix
+    a_norm1: float
+    mass: MassMatrix
+    tridiag: tuple | None = None
+    at: sp.csc_matrix | None = None
+    et: sp.csc_matrix | None = None
+
+    @property
+    def route(self) -> str:
+        """The shifted factorization's route: ``"ldlt"`` or ``"superlu"``."""
+        return "ldlt" if self.tridiag is not None else "superlu"
+
+    @classmethod
+    def of(cls, a, e=None) -> "OperatorForms":
+        """Operator forms of a sparse or dense A and an optional E (None is I)."""
+        a = sp.csc_matrix(a, dtype=float)
+        e = None if e is None else sp.csc_matrix(e, dtype=float)
+        a_norm1 = float(np.max(np.asarray(abs(a).sum(axis=0)).ravel()))
+        ldlt = _ldlt_forms(a, e)
+        if ldlt is not None:
+            tridiag, mass = ldlt
+            return cls(a=a, a_norm1=a_norm1, mass=mass, tridiag=tridiag)
+        mass = _IDENTITY_MASS
+        if e is not None:
+            try:
+                lu = splu(e)
+            except RuntimeError as exc:  # SuperLU signals exact singularity this way
+                raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
+            mass = MassMatrix(functools.partial(_sparse_times, e.T), lu.solve)
+        et = sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc()
+        return cls(a=a, a_norm1=a_norm1, mass=mass, at=a.T.tocsc(), et=et)
+
+
+def _ldlt_solve(d, e, cols):
+    """(A - gamma*E)^-1 cols as -(gamma*E - A)^-1 cols from its LDL^T (d, e)."""
+    x = dpttrs(d, e, cols)[0]  # info < 0 (an illegal argument) cannot occur here
+    return np.negative(x, out=x)
+
+
+def factor_shifted(ops: OperatorForms, gamma: float) -> ShiftedFactorization:
+    """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
+
+    ``ops.route`` picks the factorization (see :class:`OperatorForms`).  On
+    ``"ldlt"`` the SPD tridiagonal gamma*E - A, built from ``ops.tridiag``,
+    is factored by LAPACK ``dpttrf`` (LDL^T, no pivoting needed) and every
+    solve negates its ``dpttrs``.  On ``"superlu"`` ``ops.at - gamma*ops.et``
+    is factored by SuperLU with partial pivoting and its default
+    fill-reducing ordering.  A shifted matrix that is exactly singular (a
+    zero pivot), or on the LDL^T route not numerically positive definite (a
+    rounding-level near singularity for gamma > 0), raises
+    :class:`ShiftRejectionError`.
+    """
+    n = ops.a.shape[0]
+    if ops.route == "ldlt":
+        a_d, a_o, e_d, e_o = ops.tridiag
+        d, e, info = dpttrf(gamma * e_d - a_d, gamma * e_o - a_o, overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise ShiftRejectionError(
+                f"LDL^T of {gamma}*E - A failed: pivot {info} is not positive"
+            )
+        return ShiftedFactorization(n=n, _solve=functools.partial(_ldlt_solve, d, e))
     try:
-        lu = splu(e)
+        lu = splu(ops.at - gamma * ops.et)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
-        raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
-    return MassMatrix(functools.partial(_sparse_times, e.T), lu.solve)
+        raise ShiftRejectionError(
+            f"factorization of A - {gamma}*E failed: {exc}"
+        ) from exc
+    return ShiftedFactorization(n=n, _solve=lu.solve)
 
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:

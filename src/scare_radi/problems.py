@@ -1,9 +1,10 @@
-"""Problem containers, operator forms and the dense residual.
+"""Problem containers and the dense residual.
 
 Holds the original, standard-form, and generalized (mass-matrix) quadratic
-matrix equations with sparse coefficients and low-rank factors, a solve's
-operator forms, and the in-place adapter that lets the iteration run on
-unmodified original coefficients.  The dense residual and feedback
+matrix equations with sparse coefficients and low-rank factors, and the
+in-place adapter that lets the iteration run on unmodified original
+coefficients; a solve's operator forms are built from a container by
+:class:`scare_radi.kernels.OperatorForms`.  The dense residual and feedback
 evaluators (guarded to ``DENSE_GUARD``) stay here because the benchmark's
 correctness check uses them; every other dense, verification-only tool
 (the explicit standardizing transform, the original-coordinates feedback,
@@ -29,20 +30,12 @@ from .errors import (
     ConformabilityError,
     DefinitenessError,
 )
-from .kernels import (
-    MassMatrix,
-    StackedMat,
-    _spd_tridiagonal,
-    chol_spd,
-    mass_matrix,
-    right_tri_solve,
-)
+from .kernels import OperatorForms, StackedMat, chol_spd, right_tri_solve
 
 __all__ = [
     "OriginalProblem",
     "StandardProblem",
     "DenseCoefficients",
-    "OperatorForms",
     "adapt_in_place",
     "residual_dense",
     "feedback_dense",
@@ -180,8 +173,8 @@ class StandardProblem:
     def e_sparse(self):
         return None if self.e is None else sp.csc_matrix(self.e)
 
-    def operators(self) -> "OperatorForms":
-        """Fresh operator forms of A and E for one solve."""
+    def operators(self) -> OperatorForms:
+        """Fresh operator forms of A and E for one solve (see :class:`OperatorForms`)."""
         return OperatorForms.of(self.a, self.e)
 
     def dense_coefficients(self) -> "DenseCoefficients":
@@ -206,68 +199,6 @@ class StandardProblem:
                   for blk, bb in zip(self.ahat.blocks, self.bhat.blocks)],
             bhat=[right_tri_solve(self.kpi0, _as_dense(bb)) for bb in self.bhat.blocks],
             e=None if self.e is None else _as_dense(self.e),
-        )
-
-
-@dataclass(frozen=True)
-class OperatorForms:
-    """The fixed operators of one solve, in the forms its iterations use.
-
-    Converting A and E to CSC, taking ||A||_1, transposing them for the
-    shifted solve and factoring E are the same work at every step, so
-    :meth:`of` does them once, and the instance is immutable after that.
-    ``at`` and ``et`` are A^T and E^T (I when E is None) in CSC, so each step
-    factors (A - gamma*E)^T as ``at - gamma*et``, which
-    :func:`scare_radi.kernels.factor_shifted` does on one of two routes
-    (``route``):
-
-    - ``"ldlt"``: the pattern of |A^T| + |E^T| is tridiagonal (n >= 2), A
-      and E are exactly symmetric, and -A and E are positive definite.
-      ``tridiag`` holds the diagonals (a_d, a_o, e_d, e_o) (see
-      :func:`scare_radi.kernels._spd_tridiagonal`), and each step factors
-      the SPD tridiagonal gamma*E - A by LDL^T.
-    - ``"superlu"``: any other pattern or values (a nonsymmetric or
-      indefinite tridiagonal, a wider band, a 2-D stencil, a general sparse
-      A); ``tridiag`` is None, and each step factors ``at - gamma*et`` by
-      SuperLU.
-
-    ``mass`` is E as the products x E (the step's) and E^-1 u (the shift
-    layer's), on the same route: over E's diagonals and its LDL^T on
-    ``"ldlt"``, the sparse product and E's SuperLU factors on
-    ``"superlu"``, and the identity when E is None (see
-    :func:`scare_radi.kernels.mass_matrix`).  A singular E raises
-    :class:`AssumptionViolationError` in :meth:`of`.
-    """
-
-    a: sp.csc_matrix
-    e: sp.csc_matrix | None
-    a_norm1: float
-    at: sp.csc_matrix
-    et: sp.csc_matrix
-    mass: MassMatrix
-    tridiag: tuple | None
-
-    @property
-    def route(self) -> str:
-        """The shifted factorization's route: ``"ldlt"`` or ``"superlu"``."""
-        return "ldlt" if self.tridiag is not None else "superlu"
-
-    @classmethod
-    def of(cls, a, e=None) -> "OperatorForms":
-        """Operator forms of a sparse or dense A and an optional E (None is I)."""
-        a = sp.csc_matrix(a, dtype=float)
-        e = None if e is None else sp.csc_matrix(e, dtype=float)
-        at = a.T.tocsc()
-        et = sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc()
-        tridiag = _spd_tridiagonal(at, et)
-        return cls(
-            a=a,
-            e=e,
-            a_norm1=float(np.max(np.asarray(abs(a).sum(axis=0)).ravel())),
-            at=at,
-            et=et,
-            mass=mass_matrix(e, tridiag),
-            tridiag=tridiag,
         )
 
 

@@ -163,16 +163,8 @@ def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
     return abar, w, ub
 
 
-def projection_shifts(
-    u: np.ndarray, p, f: np.ndarray, *, gamma_floor: float, ops
-) -> ShiftCache:
-    """Shifts from the stable spectrum of the projected closed-loop matrix.
-
-    Returns the negated real parts of every stable eigenvalue, most negative
-    first; the first is the primary shift.  ``ops`` is the solve's
-    :class:`~scare_radi.problems.OperatorForms`, holding A and the factored E.
-    """
-    abar = _projected_closed_loop(u, p, f, ops)[0]
+def _closed_loop_shifts(abar: np.ndarray, gamma_floor: float) -> ShiftCache:
+    """The negated real parts of Abar's stable eigenvalues, most negative first."""
     lam = np.linalg.eigvals(abar)
     stable = lam[lam.real < 0]
     if stable.size == 0:
@@ -180,6 +172,18 @@ def projection_shifts(
     order = np.argsort(stable.real)
     gammas = list(dict.fromkeys(max(-z.real, gamma_floor) for z in stable[order]))
     return ShiftCache(pending=gammas)
+
+
+def projection_shifts(
+    u: np.ndarray, p, f: np.ndarray, *, gamma_floor: float, ops
+) -> ShiftCache:
+    """Shifts from the stable spectrum of the projected closed-loop matrix.
+
+    Returns the negated real parts of every stable eigenvalue, most negative
+    first; the first is the primary shift.  ``ops`` is the solve's
+    :class:`~scare_radi.kernels.OperatorForms`, holding A and E's solve.
+    """
+    return _closed_loop_shifts(_projected_closed_loop(u, p, f, ops)[0], gamma_floor)
 
 
 def hamiltonian_shifts(
@@ -193,8 +197,9 @@ def hamiltonian_shifts(
     stable eigenvalues ordered by descending lower-block eigenvector norm.
     Norms at the rounding floor (2d eps) count as zero.  Ties prefer real
     eigenvalues, then real parts closest to zero.  With no stable eigenpair
-    available it degrades to the projection strategy.  ``ops`` is the solve's
-    operator forms, as for :func:`projection_shifts`.
+    available it degrades to the projection strategy on the same Abar, which
+    is not projected again.  ``ops`` is the solve's operator forms, as for
+    :func:`projection_shifts`.
     """
     abar, w, ub = _projected_closed_loop(u, p, f, ops)
     ub = right_tri_solve(kpi, ub)  # U^T B_k
@@ -211,7 +216,7 @@ def hamiltonian_shifts(
 
     stable = lam.real < 0
     if not np.any(stable):
-        return projection_shifts(u, p, f, gamma_floor=gamma_floor, ops=ops)
+        return _closed_loop_shifts(abar, gamma_floor)
     idx = np.nonzero(stable)[0]
     # descending |q|, then smallest |Im|, then real part closest to zero
     order = idx[np.lexsort((-lam[idx].real, np.abs(lam[idx].imag), -qnorm[idx]))]

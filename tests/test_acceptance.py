@@ -24,8 +24,7 @@ from scare_radi.engine import (
     radi_solve,
     step_once,
 )
-from scare_radi.kernels import smw_row_solve, factor_shifted
-from scare_radi.problems import OperatorForms
+from scare_radi.kernels import OperatorForms, factor_shifted, smw_row_solve
 from scare_radi.oracles import (
     alg1_init,
     alg1_step,

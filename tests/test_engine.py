@@ -232,7 +232,7 @@ def test_mass_matrix_step_truncates_a_c_contiguous_c_top(monkeypatch):
 
     monkeypatch.setattr(engine, "trunc_svd", recording_trunc)
     st = init_state(p)
-    assert st.ops.e is not None
+    assert p.e is not None
     step_once(p, st, 1e3)
     assert seen == [((p.l, p.n), True)]
 

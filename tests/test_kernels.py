@@ -15,6 +15,7 @@ from scare_radi.errors import (
     SpdViolationError,
 )
 from scare_radi.kernels import (
+    OperatorForms,
     StackedMat,
     add_product,
     chol_spd,
@@ -26,7 +27,6 @@ from scare_radi.kernels import (
     trunc_svd,
 )
 from scare_radi.oracles import ltimes_dense, ltimes_identities_check
-from scare_radi.problems import OperatorForms
 
 
 def random_conformable_pair(rng):
@@ -316,13 +316,30 @@ def test_mass_matrix_times_and_solve_follow_the_route(case):
     if case == "identity":
         want, e_dense = x, np.eye(n)
     else:
-        want, e_dense = np.asarray((ops.e.T @ x.T).T), ops.e.toarray()
+        want, e_dense = np.asarray((e.T @ x.T).T), e.toarray()
     if case == "ldlt":
         np.testing.assert_array_equal(got, want)
     else:
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
     w = ops.mass.solve(u)
     assert np.linalg.norm(e_dense @ w - u) <= 1e-13 * np.linalg.norm(u)
+
+
+def test_ldlt_route_factors_the_mass_matrix_once(monkeypatch):
+    # The LDL^T of E that shows E positive definite is the one E^-1 u uses.
+    n = 40
+    e = mass(n)
+    factored = []
+    real_dpttrf = kernels.dpttrf
+
+    def recording_dpttrf(d, o, *args, **kwargs):
+        factored.append(np.array(d))
+        return real_dpttrf(d, o, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "dpttrf", recording_dpttrf)
+    ops = OperatorForms.of(tridiagonal(n), e)
+    assert ops.route == "ldlt"
+    assert sum(np.array_equal(d, e.diagonal()) for d in factored) == 1
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])

@@ -67,3 +67,17 @@ def test_the_mass_matrix_is_reached_through_kernels(module):
     text = (PACKAGE / f"{module}.py").read_text()
     assert "e_lu" not in text and "splu" not in text
     assert not re.search(r"\bops\.e\b", text)
+
+
+def test_operator_forms_are_built_in_kernels():
+    # The route, its operands and E's maps are decided in one place, so the
+    # problem containers reach kernels through its public names only.
+    assert scare_radi.kernels.OperatorForms.__module__ == "scare_radi.kernels"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "problems.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "kernels"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

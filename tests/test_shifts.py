@@ -297,6 +297,35 @@ def test_hamiltonian_selection_invariant_under_basis_permutation():
     assert abs(g1 - g2) <= 1e-10 * abs(g1)
 
 
+def test_hamiltonian_without_stable_eigenvalue_falls_back_on_the_same_projection(monkeypatch):
+    # With Gbar and Qbar Grams, the Hamiltonian's imaginary eigenvalues are
+    # Abar's, so only rounding can leave it without a stable eigenvalue while
+    # Abar has one; reflecting its spectrum onto the right reaches that
+    # branch.  The fallback's shifts are the projection strategy's, taken
+    # from the closed loop the Hamiltonian already projected.
+    p = random_standard_problem(n=40, m=2, l=3, r=2, seed=7)
+    st = init_state(p)
+    u = build_basis([], st.ccur)
+    want = projection_shifts(u, p, st.f, gamma_floor=1e-14, ops=st.ops).pending
+    real_eig, real_projection = np.linalg.eig, shifts._projected_closed_loop
+    projections = []
+
+    def reflected_eig(m):
+        lam, vecs = real_eig(m)
+        return np.abs(lam.real) + 1j * lam.imag, vecs
+
+    def recording_projection(*args):
+        projections.append(args[0].shape)
+        return real_projection(*args)
+
+    monkeypatch.setattr(np.linalg, "eig", reflected_eig)
+    monkeypatch.setattr(shifts, "_projected_closed_loop", recording_projection)
+    got = hamiltonian_shifts(u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops)
+    assert len(want) >= 2
+    assert got.pending == want
+    assert projections == [u.shape]
+
+
 def test_gamma_floor_clamps():
     p = diag_problem([-1e-15, -2e-15])
     cache = projection_shifts(
