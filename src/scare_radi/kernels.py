@@ -146,8 +146,9 @@ class ShiftedFactorization:
     """Factorization of (A - gamma*E)^T, reusable for many row solves.
 
     Factoring the transpose turns every row solve rows @ (A - gamma*E)^-1
-    into a plain (non-transposed) column solve ``_solve`` of the factors:
-    the negated LAPACK ``dpttrs`` on the LDL^T of gamma*E - A, or
+    into a plain (non-transposed) column solve ``_solve(cols, overwrite)``
+    of the factors: the negated LAPACK ``dpttrs`` on the LDL^T of
+    gamma*E - A, which may overwrite ``cols`` when ``overwrite`` is set, or
     ``SuperLU.solve``.  The handle is read-only after construction and safe
     to share across threads for simultaneous solves.
     """
@@ -155,8 +156,12 @@ class ShiftedFactorization:
     n: int
     _solve: object = field(repr=False)
 
-    def row_solve(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ (A - gamma*E)^-1 as the column solve (A - gamma*E)^-T rows^T."""
+    def row_solve(self, rows: np.ndarray, *, overwrite_rows: bool = False) -> np.ndarray:
+        """rows @ (A - gamma*E)^-1 as the column solve (A - gamma*E)^-T rows^T.
+
+        ``rows`` is left untouched unless ``overwrite_rows`` is set, which
+        lets the LDL^T route solve a C-contiguous float64 ``rows`` in place.
+        """
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.shape[1] != self.n:
             raise ConformabilityError(
@@ -164,7 +169,7 @@ class ShiftedFactorization:
             )
         if rows.shape[0] == 0:
             return rows.copy()
-        return self._solve(rows.T).T
+        return self._solve(rows.T, overwrite_rows).T
 
 
 @dataclass(frozen=True)
@@ -308,10 +313,18 @@ class OperatorForms:
         return cls(a=a, a_norm1=a_norm1, mass=mass, at=a.T.tocsc(), et=et)
 
 
-def _ldlt_solve(d, e, cols):
-    """(A - gamma*E)^-1 cols as -(gamma*E - A)^-1 cols from its LDL^T (d, e)."""
-    x = dpttrs(d, e, cols)[0]  # info < 0 (an illegal argument) cannot occur here
+def _ldlt_solve(d, e, cols, overwrite):
+    """(A - gamma*E)^-1 cols as -(gamma*E - A)^-1 cols from its LDL^T (d, e).
+
+    With ``overwrite`` set, a Fortran-contiguous ``cols`` holds the result.
+    """
+    x = dpttrs(d, e, cols, overwrite_b=overwrite)[0]  # info < 0 cannot occur here
     return np.negative(x, out=x)
+
+
+def _superlu_solve(lu, cols, overwrite):
+    """(A - gamma*E)^-T cols from the SuperLU factors of (A - gamma*E)^T; ``cols`` is only read."""
+    return lu.solve(cols)
 
 
 def factor_shifted(ops: OperatorForms, gamma: float) -> ShiftedFactorization:
@@ -342,7 +355,7 @@ def factor_shifted(ops: OperatorForms, gamma: float) -> ShiftedFactorization:
         raise ShiftRejectionError(
             f"factorization of A - {gamma}*E failed: {exc}"
         ) from exc
-    return ShiftedFactorization(n=n, _solve=lu.solve)
+    return ShiftedFactorization(n=n, _solve=functools.partial(_superlu_solve, lu))
 
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -369,14 +382,15 @@ def smw_row_solve(
     ``X = R - R B (I + F A_g^-1 B)^-1 F A_g^-1`` for R = rows A_g^-1, with
     the rows and F pushed through one stacked sparse solve, [R; F A_g^-1] B
     taken as one product, and the correction subtracted in place; with F = 0
-    this is the plain shifted solve.  The core's right-hand side comes out
+    this is the plain shifted solve.  The sparse solve overwrites the stack,
+    which no caller sees.  The core's right-hand side comes out
     as X B: R B - R B core^-1 F A_g^-1 B = R B core^-1 (core - F A_g^-1 B)
     = R B core^-1, so X B costs no product of its own.  X is C-contiguous.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     k = rows.shape[0]
-    both = fac.row_solve(np.vstack([rows, np.atleast_2d(f)]))
+    both = fac.row_solve(np.vstack([rows, np.atleast_2d(f)]), overwrite_rows=True)
     both_b = both @ b
     core = np.eye(b.shape[1]) + both_b[k:]
     xb = _solve_core(core, both_b[:k])

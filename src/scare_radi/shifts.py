@@ -5,6 +5,10 @@ small projected Hamiltonian matrix (picking the eigenvalue whose eigenvector
 has the largest lower-block norm), and the spectrum of the projected
 closed-loop matrix.  Each runs either once per iteration or in a cached mode
 that consumes all stable eigenvalues of one projection before recomputing.
+A projection's first shift is its primary, the strategy's top priority;
+the cached mode takes the rest in a greedy Leja-type order, each time the
+pending shift that the shifts applied so far damp least (see
+:func:`next_shift`).
 
 Both project onto at most l*s directions: the leading pivoted directions of
 the last s solution blocks, as the residual-Hamiltonian and projection shifts
@@ -72,16 +76,21 @@ class ShiftConfig:
 
 @dataclass
 class ShiftCache:
-    """Pending shifts from one projection, highest priority first.
+    """Pending shifts from one projection, highest priority first, and the solve's shift history.
 
     ``source_iteration`` is the iteration count the projection was computed
     at, and ``basis_dim`` the dimension of the basis it projected onto.
-    Which shifts a solve has rejected is kept by the solver, not here.
+    ``taken`` maps each iteration count of the solve to the shift popped
+    there; a retry at the same count overwrites the rejected shift, so the
+    entries before the current count are the applied shifts.  A recompute
+    carries ``taken`` over.  Which shifts the solve has rejected at the
+    current iteration is kept by the solver, not here.
     """
 
     pending: list = field(default_factory=list)
     source_iteration: int = 0
     basis_dim: int = 0
+    taken: dict = field(default_factory=dict)
 
 
 def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarray:
@@ -248,13 +257,37 @@ def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state, rejected=()
     ``rejected`` holds the shifts the solver has rejected at the current
     iteration: a recompute there reproduces the projection, so it drops them,
     and raises :class:`NoProgressError` when none is left.
+
+    A fresh projection gives its primary shift, ``pending[0]``.  Every later
+    pick from it is the greedy Leja-type choice of ADI parameters from a
+    fixed set (Reichel, BIT 1990; Starke, SIAM J. Numer. Anal. 1991): the
+    pending gamma that maximizes sum_j log(|gamma - gamma_j| / (gamma + gamma_j))
+    over the shifts gamma_j applied so far in the solve, the one the applied
+    shifts damp least.  The sum is taken in log space, so that long
+    histories cannot underflow; the first maximum wins, so ties keep the
+    strategy's priority order, and a repeat of an applied shift (log 0)
+    comes last.  Per-iteration mode takes only primaries, except on retries.
     """
+    taken = cache.taken if cache else {}
     if not (cache and cache.pending
             and (cfg.mode == "cached" or cache.source_iteration == state.k)):
         cache = _compute(cfg, p, state)
+        cache.taken = taken
         cache.pending = [g for g in cache.pending if g not in rejected]
         if not cache.pending:
             raise NoProgressError(
                 f"every candidate shift at iteration {state.k} was rejected: {list(rejected)}"
             )
-    return cache.pending.pop(0), cache
+        pick = 0
+    else:
+        pick = _least_damped(cache.pending, [g for k, g in taken.items() if k < state.k])
+    gamma = taken[state.k] = cache.pending.pop(pick)
+    return gamma, cache
+
+
+def _least_damped(pending: list, applied: list) -> int:
+    """Index of the first pending g maximizing sum log(|g - a| / (g + a)) over ``applied``."""
+    g, a = np.array(pending)[:, None], np.array(applied)
+    with np.errstate(divide="ignore"):
+        score = np.log(np.abs(g - a) / (g + a)).sum(axis=1)
+    return int(np.argmax(score))

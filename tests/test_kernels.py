@@ -472,6 +472,25 @@ def test_factorization_shared_across_threads(a, route):
         np.testing.assert_array_equal(s, t)
 
 
+@pytest.mark.parametrize("a", [tridiagonal(60), convection_diffusion(60)], ids=["ldlt", "superlu"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_row_solves_leave_the_callers_rows_untouched(a, order):
+    # On LDL^T a C-ordered rows array is the Fortran-ordered column block
+    # that dpttrs could overwrite; only smw_row_solve's own stack may be.
+    rng = np.random.default_rng(5)
+    n = a.shape[0]
+    fac = factor_shifted(OperatorForms.of(a), 0.8)
+    rows = np.asarray(rng.standard_normal((4, n)), order=order)
+    b, f = rng.standard_normal((n, 2)), rng.standard_normal((2, n)) / n
+    inputs = (rows, b, f)
+    before = [x.copy() for x in inputs]
+    x = fac.row_solve(rows)
+    smw_row_solve(fac, b, f, rows)
+    for now, then in zip(inputs, before, strict=True):
+        np.testing.assert_array_equal(now, then)
+    np.testing.assert_array_equal(x, fac.row_solve(rows.copy(), overwrite_rows=True))
+
+
 def test_row_solves_on_nonsymmetric_a_and_e():
     # A and E nonsymmetric, and E has entries outside A's pattern, so a slip
     # in transposing A or E, or in the solve, cannot cancel out.  The first

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -436,6 +437,76 @@ def test_next_shift_skips_the_rejected_shifts(monkeypatch, mode):
     assert next_shift(cfg, ShiftCache(), p, st)[0] == 0.5
     with pytest.raises(NoProgressError):
         next_shift(cfg, ShiftCache(), p, st, rejected=[0.5])
+
+
+def test_cached_picks_take_the_pending_shift_the_applied_ones_damp_least():
+    cfg = ShiftConfig("hamiltonian", 1, "cached")
+    at = types.SimpleNamespace
+    # After 4.1 the damping factors |g - 4.1| / (g + 4.1) are 0.32, 0.34 and
+    # 0.61, so 1.0 goes first although it has the lowest priority.
+    cache = ShiftCache(pending=[8.0, 2.0, 1.0], taken={0: 4.1})
+    g, cache = next_shift(cfg, cache, None, at(k=1))
+    assert g == 1.0 and cache.taken == {0: 4.1, 1: 1.0}
+    # A retry at the same count: the rejected 1.0 is no applied shift, so
+    # 2.0 leads (8.0 would if 1.0 counted).
+    g, cache = next_shift(cfg, cache, None, at(k=1), rejected=[1.0])
+    assert g == 2.0 and cache.taken == {0: 4.1, 1: 2.0}
+    assert next_shift(cfg, cache, None, at(k=2))[0] == 8.0
+    # Equal damping (1/3 for both) keeps the priority order.
+    for pending in ([2.0, 0.5], [0.5, 2.0]):
+        cache = ShiftCache(pending=list(pending), taken={0: 1.0})
+        assert next_shift(cfg, cache, None, at(k=1))[0] == pending[0]
+    # A repeat of an applied shift comes last, even at the highest priority.
+    cache = ShiftCache(pending=[3.0, 9.0, 7.0], taken={0: 3.0, 1: 8.0})
+    order = [next_shift(cfg, cache, None, at(k=k))[0] for k in (2, 3, 4)]
+    assert order == [9.0, 7.0, 3.0]
+
+
+_SHIFT_VALUES = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, 3.0, 40.0, 1e3]),  # repeats across projections
+    st.floats(1e-3, 1e6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_SHIFT_VALUES, min_size=1, max_size=6, unique=True),
+                min_size=1, max_size=8))
+def test_cached_mode_uses_each_projection_up_from_its_primary(projections):
+    # Each projection's list is popped as a permutation of itself that starts
+    # with its primary, and after the primary every shift that repeats an
+    # applied one comes after every shift that does not.
+    fresh = iter(projections)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shifts, "_compute", lambda cfg, p, state: ShiftCache(pending=list(next(fresh))))
+        cfg, cache, applied = ShiftConfig(mode="cached"), None, []
+        state = types.SimpleNamespace(k=0)
+        for listed in projections:
+            before = set(applied)
+            popped = []
+            for _ in listed:
+                g, cache = next_shift(cfg, cache, None, state)
+                popped.append(g)
+                applied.append(g)
+                state.k += 1
+            assert popped[0] == listed[0] and sorted(popped) == sorted(listed)
+            repeats = [g in before for g in popped[1:]]
+            assert repeats == sorted(repeats)
+
+
+def test_per_iteration_solve_takes_each_fresh_projections_primary(monkeypatch):
+    p = gen_heat_problem(400, 3, 2, seed=4, mass_matrix=True)
+    primaries, real_compute = {}, shifts._compute
+
+    def spy(cfg, prob, state):
+        cache = real_compute(cfg, prob, state)
+        primaries[state.k] = cache.pending[0]
+        return cache
+
+    monkeypatch.setattr(shifts, "_compute", spy)
+    _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "per_iteration")))
+    assert report.converged and report.iterations > 5
+    assert not any(row.rejections for row in report.rows)
+    assert [row.gamma for row in report.rows[1:]] == [primaries[k] for k in range(len(primaries))]
 
 
 def test_shift_order_ignores_rounding_level_priorities(monkeypatch):
