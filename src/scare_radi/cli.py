@@ -6,7 +6,9 @@ the grid's path, so its problem, noise blocks and label are those of the
 matching grid cell.  The solver flags take their defaults from
 :class:`~scare_radi.engine.SolveOptions`.  ``solve`` and ``grid`` exit 1
 unless every run converged: a run stopped by flag ``t`` or ``m``, out of
-iterations, or raising (``x``, in a grid) has not.
+iterations, or by an error (``x``) has not.  ``grid`` prints any error on
+its cell's row; ``solve`` prints a solver error (:class:`ScareError`) on its
+one line and lets any other exception propagate.
 """
 
 from __future__ import annotations
@@ -96,7 +98,11 @@ def _solve_config(args) -> ExperimentConfig:
 def cmd_solve(args) -> int:
     with _exit_on_bad_input("solve input"):
         [(label, p, opts)] = grid_cells(_solve_config(args))
-    report = run_single(p, opts, label, args.out)
+    try:
+        report = run_single(p, opts, label, args.out)
+    except ScareError as exc:
+        print(f"{label} (n={p.n}, r={p.r}): stopped [x] {type(exc).__name__}: {exc}")
+        return 1
     status = "converged" if report.converged else f"stopped [{report.flags or 'max-iter'}]"
     print(
         f"{label} (n={p.n}, r={p.r}): {status} after {report.iterations} iterations, "

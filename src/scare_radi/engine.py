@@ -21,6 +21,7 @@ The dense prototype this iteration is checked against (`alg1_init`/
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -74,6 +75,11 @@ MAX_NRES = 1e8
 XI_GROUP_ROWS = 128
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SolveOptions:
     """Stopping, truncation, and shift knobs for one solve.
@@ -97,11 +103,12 @@ class SolveOptions:
     def __post_init__(self):
         if not (0 < self.tol_nres < np.inf and 0 < self.trunc_rel < np.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        if not (_is_count(self.max_iter) and self.max_iter >= 0):
+            raise ValueError("max_iter must be an integer >= 0")
         for name in ("cap_cols", "max_cols_xi"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if value is not None and not (_is_count(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass
@@ -116,7 +123,8 @@ class SolverState:
     as one C-contiguous n x xi_width array, which then stands, transposed,
     as the only block; until then ``xi`` assembles Xi on each call.  ``ops``
     holds the problem's operators in the forms the steps and the shift layer
-    use, built once per solve.
+    use, built once per solve.  ``shifts`` lists the solve's applied shifts,
+    one per committed step: the shift layer's record of them.
     """
 
     xi_blocks: list
@@ -128,6 +136,7 @@ class SolverState:
     xi_width: int = 0
     nu_omega: float = 0.0
     k: int = 0
+    shifts: list = field(default_factory=list)
 
     @property
     def xi(self) -> np.ndarray:
@@ -339,6 +348,7 @@ def step_once(
 
     # Commit.
     state.append_xi(s)
+    state.shifts.append(gamma)
     state.ccur = trunc.factor
     state.f = f_new
     state.kpi = kpi_new

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 __all__ = ["IterationRecord", "RunReport", "CSV_COLUMNS"]
@@ -126,10 +127,23 @@ class RunReport:
     def to_json(self, path):
         """The summary and every row, in one line of compact JSON.
 
-        ``json.dumps`` without indentation runs json's C encoder, where
-        ``json.dump`` or an indent would run its pure-Python one.
+        A non-finite float (the initial row's ``gamma`` is NaN) is written as
+        ``null``, since JSON has no NaN or infinity.  ``json.dumps`` without
+        indentation runs json's C encoder, where ``json.dump`` or an indent
+        would run its pure-Python one.
         """
         payload = self.summary_dict()
         payload["rows"] = [r.as_dict() for r in self.rows]
         with open(path, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
+            fh.write(json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False))
+
+
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(value) for value in obj]
+    return obj

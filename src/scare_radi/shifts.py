@@ -22,12 +22,14 @@ of them costs a Hamiltonian eig of twice that width and yields poorer shifts
 rows, so there the cap never binds.
 
 Only real shifts are produced: complex eigenvalues contribute their shared
-real part once.  Emitted shifts are clamped to a positive floor (the solver
-uses 1e-8 |A|_1), since the iteration scales its update by sqrt(2 gamma).
+real part once.  Emitted shifts are clamped to 1e-8 |A|_1, since the
+iteration scales its update by sqrt(2 gamma).  The strategies read what they
+project from the solve state, and the cached pick its applied shifts.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,27 +72,24 @@ class ShiftConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.window_s < 1:
-            raise ValueError("window_s must be >= 1")
+        s = self.window_s
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1:
+            raise ValueError("window_s must be an integer >= 1")
 
 
 @dataclass
 class ShiftCache:
-    """Pending shifts from one projection, highest priority first, and the solve's shift history.
+    """Pending shifts from one projection, highest priority first.
 
     ``source_iteration`` is the iteration count the projection was computed
-    at, and ``basis_dim`` the dimension of the basis it projected onto.
-    ``taken`` maps each iteration count of the solve to the shift popped
-    there; a retry at the same count overwrites the rejected shift, so the
-    entries before the current count are the applied shifts.  A recompute
-    carries ``taken`` over.  Which shifts the solve has rejected at the
-    current iteration is kept by the solver, not here.
+    at, and ``basis_dim`` the dimension of the basis it projected onto.  The
+    shifts the solve has applied are the state's ``shifts``, and those it has
+    rejected at the current iteration are kept by the solver, not here.
     """
 
     pending: list = field(default_factory=list)
     source_iteration: int = 0
     basis_dim: int = 0
-    taken: dict = field(default_factory=dict)
 
 
 def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarray:
@@ -159,61 +158,61 @@ def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarra
     return basis[:steps].T
 
 
-def _projected_closed_loop(u: np.ndarray, p, f: np.ndarray, ops):
+def _projected_closed_loop(u: np.ndarray, p, state):
     """U^T (A + B F) E^-1 U, E^-1 U and U^T B.
 
-    E^-1 U is the solve with ``ops.mass``, on the shifted solve's route (U
-    itself when E is I).  U^T B is returned because the Hamiltonian needs it
-    too.
+    E^-1 U is the solve with ``state.ops.mass``, on the shifted solve's route
+    (U itself when E is I).  U^T B is returned because the Hamiltonian needs
+    it too.
     """
-    w = ops.mass.solve(u)
+    w = state.ops.mass.solve(u)
     ub = u.T @ p.b
-    abar = u.T @ (ops.a @ w) + ub @ (f @ w)
+    abar = u.T @ (state.ops.a @ w) + ub @ (state.f @ w)
     return abar, w, ub
 
 
-def _closed_loop_shifts(abar: np.ndarray, gamma_floor: float) -> ShiftCache:
+def _closed_loop_shifts(abar: np.ndarray, state) -> list:
     """The negated real parts of Abar's stable eigenvalues, most negative first."""
     lam = np.linalg.eigvals(abar)
     stable = lam[lam.real < 0]
     if stable.size == 0:
         raise ShiftFailureError("projected closed-loop matrix has no stable eigenvalue")
     order = np.argsort(stable.real)
-    gammas = list(dict.fromkeys(max(-z.real, gamma_floor) for z in stable[order]))
-    return ShiftCache(pending=gammas)
+    return _clamped(-stable[order].real, state)
 
 
-def projection_shifts(
-    u: np.ndarray, p, f: np.ndarray, *, gamma_floor: float, ops
-) -> ShiftCache:
+def _clamped(gammas, state) -> list:
+    """``gammas`` clamped to 1e-8 |A|_1, repeats dropped, order kept."""
+    floor = 1e-8 * state.ops.a_norm1
+    return list(dict.fromkeys(max(g, floor) for g in gammas))
+
+
+def projection_shifts(u: np.ndarray, p, state) -> list:
     """Shifts from the stable spectrum of the projected closed-loop matrix.
 
     Returns the negated real parts of every stable eigenvalue, most negative
-    first; the first is the primary shift.  ``ops`` is the solve's
-    :class:`~scare_radi.kernels.OperatorForms`, holding A and E's solve.
+    first; the first is the primary shift.  Reads the feedback F and the
+    operator forms (A and E's solve) from ``state``.
     """
-    return _closed_loop_shifts(_projected_closed_loop(u, p, f, ops)[0], gamma_floor)
+    return _closed_loop_shifts(_projected_closed_loop(u, p, state)[0], state)
 
 
-def hamiltonian_shifts(
-    u: np.ndarray, p, f: np.ndarray, kpi: np.ndarray, ccur: np.ndarray, *,
-    gamma_floor: float, ops,
-) -> ShiftCache:
+def hamiltonian_shifts(u: np.ndarray, p, state) -> list:
     """Shifts from the eigenpairs of the projected 2d x 2d Hamiltonian matrix.
 
     Builds Abar = U^T (A + B F) E^-1 U, Gbar = (U^T B_k)(U^T B_k)^T with
-    B_k = B Kpi^-1, and Qbar from the projected residual factor, then selects
-    stable eigenvalues ordered by descending lower-block eigenvector norm.
-    Norms at the rounding floor (2d eps) count as zero.  Ties prefer real
-    eigenvalues, then real parts closest to zero.  With no stable eigenpair
-    available it degrades to the projection strategy on the same Abar, which
-    is not projected again.  ``ops`` is the solve's operator forms, as for
-    :func:`projection_shifts`.
+    B_k = B Kpi^-1, and Qbar from the projected residual factor, all read
+    from ``state``, then returns the stable eigenvalues' negated real parts
+    ordered by descending lower-block eigenvector norm.  Norms at the
+    rounding floor (2d eps) count as zero.  Ties prefer real eigenvalues,
+    then real parts closest to zero.  With no stable eigenpair available it
+    degrades to the projection strategy on the same Abar, which is not
+    projected again.
     """
-    abar, w, ub = _projected_closed_loop(u, p, f, ops)
-    ub = right_tri_solve(kpi, ub)  # U^T B_k
+    abar, w, ub = _projected_closed_loop(u, p, state)
+    ub = right_tri_solve(state.kpi, ub)  # U^T B_k
     gbar = ub @ ub.T
-    cu = np.atleast_2d(ccur) @ w
+    cu = np.atleast_2d(state.ccur) @ w
     qbar = cu.T @ cu
     d = abar.shape[0]
     ham = np.block([[abar, gbar], [qbar, -abar.T]])
@@ -225,25 +224,17 @@ def hamiltonian_shifts(
 
     stable = lam.real < 0
     if not np.any(stable):
-        return _closed_loop_shifts(abar, gamma_floor)
+        return _closed_loop_shifts(abar, state)
     idx = np.nonzero(stable)[0]
     # descending |q|, then smallest |Im|, then real part closest to zero
     order = idx[np.lexsort((-lam[idx].real, np.abs(lam[idx].imag), -qnorm[idx]))]
-    gammas = list(dict.fromkeys(max(-lam[i].real, gamma_floor) for i in order))
-    return ShiftCache(pending=gammas)
+    return _clamped(-lam[order].real, state)
 
 
 def _compute(cfg: ShiftConfig, p, state) -> ShiftCache:
-    floor = 1e-8 * state.ops.a_norm1
     u = build_basis(state.xi_blocks[-cfg.window_s:], state.ccur, q=p.l * cfg.window_s)
-    if cfg.strategy == "hamiltonian":
-        cache = hamiltonian_shifts(
-            u, p, state.f, state.kpi, state.ccur, gamma_floor=floor, ops=state.ops
-        )
-    else:
-        cache = projection_shifts(u, p, state.f, gamma_floor=floor, ops=state.ops)
-    cache.source_iteration, cache.basis_dim = state.k, u.shape[1]
-    return cache
+    strategy = hamiltonian_shifts if cfg.strategy == "hamiltonian" else projection_shifts
+    return ShiftCache(strategy(u, p, state), state.k, u.shape[1])
 
 
 def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state, rejected=()):
@@ -262,17 +253,15 @@ def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state, rejected=()
     pick from it is the greedy Leja-type choice of ADI parameters from a
     fixed set (Reichel, BIT 1990; Starke, SIAM J. Numer. Anal. 1991): the
     pending gamma that maximizes sum_j log(|gamma - gamma_j| / (gamma + gamma_j))
-    over the shifts gamma_j applied so far in the solve, the one the applied
-    shifts damp least.  The sum is taken in log space, so that long
-    histories cannot underflow; the first maximum wins, so ties keep the
-    strategy's priority order, and a repeat of an applied shift (log 0)
-    comes last.  Per-iteration mode takes only primaries, except on retries.
+    over the shifts gamma_j the solve has applied, ``state.shifts``, the one
+    they damp least.  The sum is taken in log space, so that long histories
+    cannot underflow; the first maximum wins, so ties keep the strategy's
+    priority order, and a repeat of an applied shift (log 0) comes last.
+    Per-iteration mode takes only primaries, except on retries.
     """
-    taken = cache.taken if cache else {}
     if not (cache and cache.pending
             and (cfg.mode == "cached" or cache.source_iteration == state.k)):
         cache = _compute(cfg, p, state)
-        cache.taken = taken
         cache.pending = [g for g in cache.pending if g not in rejected]
         if not cache.pending:
             raise NoProgressError(
@@ -280,9 +269,8 @@ def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state, rejected=()
             )
         pick = 0
     else:
-        pick = _least_damped(cache.pending, [g for k, g in taken.items() if k < state.k])
-    gamma = taken[state.k] = cache.pending.pop(pick)
-    return gamma, cache
+        pick = _least_damped(cache.pending, state.shifts)
+    return cache.pending.pop(pick), cache
 
 
 def _least_damped(pending: list, applied: list) -> int:

@@ -25,7 +25,7 @@ from scare_radi.bench import (
 )
 from scare_radi.cli import main
 from scare_radi.engine import SolveOptions
-from scare_radi.errors import NumericalBreakdownError, ProblemLoadError
+from scare_radi.errors import NoProgressError, NumericalBreakdownError, ProblemLoadError
 from scare_radi.problems import OriginalProblem, StandardProblem
 from scare_radi.report import CSV_COLUMNS, TIMING_FIELDS, IterationRecord
 from scare_radi.shifts import ShiftConfig
@@ -332,9 +332,16 @@ def test_report_files_hold_every_field_of_every_row(tmp_path):
     # field formatted by type, in field order: no field is dropped or moved.
     p = random_standard_problem(n=25, m=2, l=2, r=2, seed=20)
     report = run_single(p, SolveOptions(), "unit", tmp_path)
-    with open(tmp_path / "unit.json") as fh:
-        data = json.load(fh)
-    np.testing.assert_equal(data["rows"], [asdict(r) for r in report.rows])  # NaN == NaN
+    text = (tmp_path / "unit.json").read_text()
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data = json.loads(text, parse_constant=reject)  # strict RFC 8259: no NaN or Infinity
+    want = [asdict(r) for r in report.rows]
+    assert np.isnan(want[0]["gamma"])
+    want[0]["gamma"] = None  # the initial row's NaN shift is written as null
+    assert data["rows"] == want
     with open(tmp_path / "unit.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == CSV_COLUMNS and len(rows) == len(report.rows) > 1
@@ -453,6 +460,21 @@ def test_cli_grid_prints_a_failed_cells_error(tmp_path, monkeypatch, capsys):
     assert " x NumericalBreakdownError: residual or feedback not finite at iteration 3" in out
 
 
+def test_cli_solve_prints_a_solver_error_in_one_line(monkeypatch, capsys):
+    def failing(p, opts, label, out_dir=None):
+        raise NoProgressError("every candidate shift at iteration 4 was rejected: [0.5]")
+
+    monkeypatch.setattr(cli, "run_single", failing)
+    assert main(["solve", "--generate", "heat:n=30,m=2,l=2"]) == 1
+    out = capsys.readouterr().out
+    assert out == ("r1__hami 1 (n=30, r=1): stopped [x] NoProgressError: "
+                   "every candidate shift at iteration 4 was rejected: [0.5]\n")
+    # Other exceptions are no solver outcome: they propagate.
+    monkeypatch.setattr(cli, "run_single", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["solve", "--generate", "heat:n=30,m=2,l=2"])
+
+
 def cli_solve(monkeypatch, argv):
     """Run ``scare-radi solve`` on argv; returns its report and problem."""
     seen = []
@@ -508,6 +530,7 @@ def test_cli_noise_builds_criterion_9_blocks(monkeypatch):
         ({"variants": [["hamiltonian", 0, "cached"]]}, "window_s"),
         ({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1, "width": 2}}, "width"),
         ({"stop_on_stall": True}, "unknown config keys"),
+        ({"cap_cols": 2.5}, "invalid grid config .*cap_cols must be an integer"),
     ],
 )
 def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):

@@ -130,12 +130,29 @@ def test_same_iteration_recompute_drops_rejected_shifts(monkeypatch, mode):
         raise ShiftRejectionError("rejected for the test")
 
     monkeypatch.setattr(engine, "step_once", rejecting_step)
-    monkeypatch.setattr(
-        shifts, "hamiltonian_shifts", lambda *a, **k: shifts.ShiftCache(pending=[0.5])
-    )
+    monkeypatch.setattr(shifts, "hamiltonian_shifts", lambda *a: [0.5])
     with pytest.raises(NoProgressError):
         radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, mode)))
     assert attempts == {0: [0.5]}
+
+
+def test_state_shifts_are_the_committed_steps_shifts(monkeypatch):
+    # A rejected shift never enters the state's record of applied shifts: it
+    # is the report's gamma column, one entry per committed step.
+    p = random_standard_problem(n=30, m=2, l=2, r=2, seed=20)
+    tried = []
+
+    def rejecting_step(p, st, gamma, opts=None):
+        tried.append(gamma)
+        if len(tried) in (2, 5):
+            raise ShiftRejectionError("rejected for the test")
+        return step_once(p, st, gamma, opts)
+
+    monkeypatch.setattr(engine, "step_once", rejecting_step)
+    state, report = radi_solve(p, SolveOptions())
+    assert report.converged and sum(row.rejections for row in report.rows) == 2
+    assert state.shifts == [row.gamma for row in report.rows[1:]]
+    assert len(state.shifts) == state.k == report.iterations
 
 
 def test_stochastic_shift_basis_is_capped(monkeypatch, tmp_path):
@@ -297,6 +314,11 @@ def test_step_counter_and_width_growth():
         dict(tol_nres=np.inf),
         dict(trunc_rel=np.nan),
         dict(trunc_rel=np.inf),
+        dict(cap_cols=2.5),
+        dict(max_cols_xi=100.0),
+        dict(max_iter=10.5),
+        dict(cap_cols=True),
+        dict(max_iter=False),
     ],
 )
 def test_solve_options_reject_out_of_range(bad):

@@ -1,13 +1,15 @@
 """Module boundaries: the solve path does not depend on verification code."""
 
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import scare_radi
-from scare_radi import problems
+from scare_radi import problems, shifts
 
 PACKAGE = Path(scare_radi.__file__).parent
 
@@ -81,3 +83,13 @@ def test_operator_forms_are_built_in_kernels():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_the_applied_shifts_are_recorded_on_the_solve_state_alone():
+    # The shift cache holds one projection's pending shifts and where they
+    # came from; the solve's applied shifts are the state's, and the
+    # strategies read the shift floor from the state's operators.
+    fields = [f.name for f in dataclasses.fields(shifts.ShiftCache)]
+    assert fields == ["pending", "source_iteration", "basis_dim"]
+    for strategy in (shifts.hamiltonian_shifts, shifts.projection_shifts):
+        assert "gamma_floor" not in inspect.signature(strategy).parameters

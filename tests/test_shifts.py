@@ -221,9 +221,7 @@ def test_hamiltonian_shifts_on_the_basis_match_the_full_qr_basis(make):
     p, state, block = make()
 
     def shifts_on(u):
-        return hamiltonian_shifts(
-            u, p, state.f, state.kpi, state.ccur, gamma_floor=1e-14, ops=state.ops
-        ).pending
+        return hamiltonian_shifts(u, p, state)
 
     got = shifts_on(build_basis([block], None, q=6))
     want = shifts_on(pivoted_qr_basis(block, 6))
@@ -237,28 +235,21 @@ def test_hamiltonian_shifts_on_the_basis_match_the_full_qr_basis(make):
 
 def test_hamiltonian_scalar_closed_form(scalar_problem):
     p = scalar_problem()
-    cache = hamiltonian_shifts(
-        np.eye(1), p, np.zeros((1, 1)), np.eye(1), p.c, gamma_floor=1e-12, ops=p.operators()
-    )
-    np.testing.assert_allclose(cache.pending, [np.sqrt(2.0)], atol=1e-12)
+    got = hamiltonian_shifts(np.eye(1), p, init_state(p))
+    np.testing.assert_allclose(got, [np.sqrt(2.0)], atol=1e-12)
 
 
 def test_hamiltonian_degenerate_blocks_pick_mildest_stable():
     p = diag_problem([-1.0, -3.0, -2.0])
-    cache = hamiltonian_shifts(
-        np.eye(3), p, np.zeros((1, 3)), np.eye(1), np.zeros((1, 3)),
-        gamma_floor=1e-12, ops=p.operators(),
-    )
-    np.testing.assert_allclose(cache.pending[0], 1.0, atol=1e-12)
+    got = hamiltonian_shifts(np.eye(3), p, init_state(p))
+    np.testing.assert_allclose(got[0], 1.0, atol=1e-12)
 
 
 def test_hamiltonian_matches_dense_oracle_selection():
     p = random_standard_problem(n=40, m=2, l=3, r=2, seed=7)
     st = init_state(p)
     u = build_basis([], st.ccur)
-    got = hamiltonian_shifts(
-        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
-    ).pending[0]
+    got = hamiltonian_shifts(u, p, st)[0]
 
     # independent dense reconstruction of the same selection rule
     a = p.a_sparse().toarray()
@@ -278,10 +269,7 @@ def test_hamiltonian_cached_returns_ordered_distinct_shifts():
     p = random_standard_problem(n=50, m=2, l=4, r=2, seed=8)
     st = init_state(p)
     u = build_basis([], st.ccur)
-    cache = hamiltonian_shifts(
-        u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
-    )
-    gammas = cache.pending
+    gammas = hamiltonian_shifts(u, p, st)
     assert len(gammas) >= 2
     assert all(g > 0 for g in gammas)
     assert len(set(np.round(gammas, 12))) == len(gammas)
@@ -291,10 +279,8 @@ def test_hamiltonian_selection_invariant_under_basis_permutation():
     p = random_standard_problem(n=40, m=2, l=3, r=2, seed=9)
     st = init_state(p)
     u = build_basis([], st.ccur)
-    g1 = hamiltonian_shifts(u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops).pending[0]
-    g2 = hamiltonian_shifts(
-        u[:, [2, 0, 1]], p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops
-    ).pending[0]
+    g1 = hamiltonian_shifts(u, p, st)[0]
+    g2 = hamiltonian_shifts(u[:, [2, 0, 1]], p, st)[0]
     assert abs(g1 - g2) <= 1e-10 * abs(g1)
 
 
@@ -307,7 +293,7 @@ def test_hamiltonian_without_stable_eigenvalue_falls_back_on_the_same_projection
     p = random_standard_problem(n=40, m=2, l=3, r=2, seed=7)
     st = init_state(p)
     u = build_basis([], st.ccur)
-    want = projection_shifts(u, p, st.f, gamma_floor=1e-14, ops=st.ops).pending
+    want = projection_shifts(u, p, st)
     real_eig, real_projection = np.linalg.eig, shifts._projected_closed_loop
     projections = []
 
@@ -321,18 +307,18 @@ def test_hamiltonian_without_stable_eigenvalue_falls_back_on_the_same_projection
 
     monkeypatch.setattr(np.linalg, "eig", reflected_eig)
     monkeypatch.setattr(shifts, "_projected_closed_loop", recording_projection)
-    got = hamiltonian_shifts(u, p, st.f, st.kpi, st.ccur, gamma_floor=1e-14, ops=st.ops)
+    got = hamiltonian_shifts(u, p, st)
     assert len(want) >= 2
-    assert got.pending == want
+    assert got == want
     assert projections == [u.shape]
 
 
 def test_gamma_floor_clamps():
-    p = diag_problem([-1e-15, -2e-15])
-    cache = projection_shifts(
-        np.eye(2), p, np.zeros((1, 2)), gamma_floor=1e-6, ops=p.operators()
-    )
-    assert cache.pending == [1e-6]  # both clamped shifts collapse into one
+    # |A|_1 = 100 puts the floor 1e-8 |A|_1 at 1e-6, far above the two
+    # eigenvalues the basis projects onto.
+    p = diag_problem([-1e-15, -2e-15, -100.0])
+    got = projection_shifts(np.eye(3)[:, :2], p, init_state(p))
+    assert got == [1e-8 * 100.0]  # both clamped shifts collapse into one
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +327,27 @@ def test_gamma_floor_clamps():
 
 def test_projection_reads_diagonal():
     p = diag_problem([-1.0, -3.0, -2.0])
-    cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)),
-                              gamma_floor=1e-12, ops=p.operators())
-    np.testing.assert_allclose(cache.pending[0], 3.0)
+    got = projection_shifts(np.eye(3), p, init_state(p))
+    np.testing.assert_allclose(got[0], 3.0)
 
 
 def test_projection_scalar(scalar_problem):
     p = scalar_problem()
-    cache = projection_shifts(np.eye(1), p, np.zeros((1, 1)),
-                              gamma_floor=1e-12, ops=p.operators())
-    np.testing.assert_allclose(cache.pending, [1.0])
+    got = projection_shifts(np.eye(1), p, init_state(p))
+    np.testing.assert_allclose(got, [1.0])
 
 
 def test_projection_cached_order():
     p = diag_problem([-1.0, -3.0, -2.0])
-    cache = projection_shifts(np.eye(3), p, np.zeros((1, 3)),
-                              gamma_floor=1e-12, ops=p.operators())
-    np.testing.assert_allclose(cache.pending, [3.0, 2.0, 1.0])
+    got = projection_shifts(np.eye(3), p, init_state(p))
+    np.testing.assert_allclose(got, [3.0, 2.0, 1.0])
 
 
 def test_projection_matches_dense_eigs():
     p = random_standard_problem(n=40, m=2, l=2, r=2, seed=10)
     st = init_state(p)
     u = build_basis([], st.ccur)
-    got = projection_shifts(u, p, st.f, gamma_floor=1e-14, ops=st.ops).pending[0]
+    got = projection_shifts(u, p, st)[0]
     a = p.a_sparse().toarray()
     lam = np.linalg.eigvals(u.T @ (a + p.b @ st.f) @ u)
     assert abs(got - (-lam.real.min())) <= 1e-10 * got
@@ -373,8 +356,7 @@ def test_projection_matches_dense_eigs():
 def test_projection_unstable_projection_fails():
     p = diag_problem([1.0, 2.0])
     with pytest.raises(ShiftFailureError):
-        projection_shifts(np.eye(2), p, np.zeros((1, 2)),
-                          gamma_floor=1e-12, ops=p.operators())
+        projection_shifts(np.eye(2), p, init_state(p))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +370,11 @@ def test_shift_config_validation():
         ShiftConfig(mode="sometimes")
     with pytest.raises(ValueError):
         ShiftConfig(window_s=0)
+    # The window counts blocks: it slices Xi's block list.
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="window_s must be an integer"):
+            ShiftConfig(window_s=bad)
+    assert ShiftConfig(window_s=np.int64(2)).window_s == 2
 
 
 def test_next_shift_pops_cache():
@@ -433,7 +420,7 @@ def test_next_shift_skips_the_rejected_shifts(monkeypatch, mode):
     g, _ = next_shift(cfg, ShiftCache(), p, st, rejected=[first])
     assert g != first
     # A projection with a single candidate has nothing left once it is rejected.
-    monkeypatch.setattr(shifts, "hamiltonian_shifts", lambda *a, **k: ShiftCache(pending=[0.5]))
+    monkeypatch.setattr(shifts, "hamiltonian_shifts", lambda *a: [0.5])
     assert next_shift(cfg, ShiftCache(), p, st)[0] == 0.5
     with pytest.raises(NoProgressError):
         next_shift(cfg, ShiftCache(), p, st, rejected=[0.5])
@@ -441,24 +428,34 @@ def test_next_shift_skips_the_rejected_shifts(monkeypatch, mode):
 
 def test_cached_picks_take_the_pending_shift_the_applied_ones_damp_least():
     cfg = ShiftConfig("hamiltonian", 1, "cached")
-    at = types.SimpleNamespace
+    # A state holds the shifts of its committed steps; a rejected shift is
+    # never one of them.
+    state = types.SimpleNamespace(k=1, shifts=[4.1])
     # After 4.1 the damping factors |g - 4.1| / (g + 4.1) are 0.32, 0.34 and
     # 0.61, so 1.0 goes first although it has the lowest priority.
-    cache = ShiftCache(pending=[8.0, 2.0, 1.0], taken={0: 4.1})
-    g, cache = next_shift(cfg, cache, None, at(k=1))
-    assert g == 1.0 and cache.taken == {0: 4.1, 1: 1.0}
+    cache = ShiftCache(pending=[8.0, 2.0, 1.0])
+    g, cache = next_shift(cfg, cache, None, state)
+    assert g == 1.0 and cache.pending == [8.0, 2.0]
     # A retry at the same count: the rejected 1.0 is no applied shift, so
     # 2.0 leads (8.0 would if 1.0 counted).
-    g, cache = next_shift(cfg, cache, None, at(k=1), rejected=[1.0])
-    assert g == 2.0 and cache.taken == {0: 4.1, 1: 2.0}
-    assert next_shift(cfg, cache, None, at(k=2))[0] == 8.0
+    g, cache = next_shift(cfg, cache, None, state, rejected=[1.0])
+    assert g == 2.0 and cache.pending == [8.0]
+    state.k, state.shifts = 2, [4.1, 2.0]
+    assert next_shift(cfg, cache, None, state)[0] == 8.0
     # Equal damping (1/3 for both) keeps the priority order.
     for pending in ([2.0, 0.5], [0.5, 2.0]):
-        cache = ShiftCache(pending=list(pending), taken={0: 1.0})
-        assert next_shift(cfg, cache, None, at(k=1))[0] == pending[0]
+        cache = ShiftCache(pending=list(pending))
+        state = types.SimpleNamespace(k=1, shifts=[1.0])
+        assert next_shift(cfg, cache, None, state)[0] == pending[0]
     # A repeat of an applied shift comes last, even at the highest priority.
-    cache = ShiftCache(pending=[3.0, 9.0, 7.0], taken={0: 3.0, 1: 8.0})
-    order = [next_shift(cfg, cache, None, at(k=k))[0] for k in (2, 3, 4)]
+    cache = ShiftCache(pending=[3.0, 9.0, 7.0])
+    state = types.SimpleNamespace(k=2, shifts=[3.0, 8.0])
+    order = []
+    for _ in range(3):
+        g, cache = next_shift(cfg, cache, None, state)
+        order.append(g)
+        state.k += 1
+        state.shifts.append(g)
     assert order == [9.0, 7.0, 3.0]
 
 
@@ -478,8 +475,9 @@ def test_cached_mode_uses_each_projection_up_from_its_primary(projections):
     fresh = iter(projections)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(shifts, "_compute", lambda cfg, p, state: ShiftCache(pending=list(next(fresh))))
-        cfg, cache, applied = ShiftConfig(mode="cached"), None, []
-        state = types.SimpleNamespace(k=0)
+        cfg, cache = ShiftConfig(mode="cached"), None
+        state = types.SimpleNamespace(k=0, shifts=[])
+        applied = state.shifts
         for listed in projections:
             before = set(applied)
             popped = []
