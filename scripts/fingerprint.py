@@ -11,8 +11,10 @@ the SHA-256 of the shift column (``gamma`` of every iteration row, as float64
 bytes) and of the solution factor Xi in C order.  With ``--grid`` the solves
 are instead the cells of that grid config, built by ``bench.grid_cells`` and
 run one after another; one line per cell gives its label, iterations,
-``xi_width`` and shift-column SHA-256.  Two checkouts whose outputs are equal
-made bit-identical solves (on the grid: the same shift sequences); no time is
+``xi_width`` and shift-column SHA-256, and after the cells one line per shift
+variant (the label after ``__``) gives its iterations summed over the cases,
+then one line the grid's total.  Two checkouts whose outputs are equal made
+bit-identical solves (on the grid: the same shift sequences); no time is
 printed.
 """
 
@@ -47,10 +49,17 @@ def main(argv=None) -> int:
         return _sha(np.array([row.gamma for row in report.rows], dtype=float))
 
     if args.grid:
-        for label, problem, opts in bench.grid_cells(bench.ExperimentConfig.from_json(args.grid)):
+        per_variant = {}
+        cells = bench.grid_cells(bench.ExperimentConfig.from_json(args.grid))
+        for label, problem, opts in cells:
             _, report = engine.radi_solve(problem, opts)
             print(f"{label} iterations={report.iterations} xi_width={report.xi_width} "
                   f"gamma={gamma_sha(report)}", flush=True)
+            variant = label.split("__", 1)[1]
+            per_variant[variant] = per_variant.get(variant, 0) + report.iterations
+        for variant, iterations in per_variant.items():
+            print(f"variant {variant} iterations={iterations}")
+        print(f"total cells={len(cells)} iterations={sum(per_variant.values())}")
         return 0
 
     from workloads import WORKLOADS

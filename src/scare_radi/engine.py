@@ -101,8 +101,11 @@ class SolveOptions:
     max_cols_xi: int | None = None
 
     def __post_init__(self):
-        if not (0 < self.tol_nres < np.inf and 0 < self.trunc_rel < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+        for name in ("tol_nres", "trunc_rel"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and 0 < value < np.inf):
+                raise ValueError(f"{name} must be a positive finite real number")
         if not (_is_count(self.max_iter) and self.max_iter >= 0):
             raise ValueError("max_iter must be an integer >= 0")
         for name in ("cap_cols", "max_cols_xi"):

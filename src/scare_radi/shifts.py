@@ -4,10 +4,10 @@ Two strategies over the last s solution blocks: eigenpairs of a
 small projected Hamiltonian matrix (picking the eigenvalue whose eigenvector
 has the largest lower-block norm), and the spectrum of the projected
 closed-loop matrix.  Each runs either once per iteration or in a cached mode
-that consumes all stable eigenvalues of one projection before recomputing.
-A projection's first shift is its primary, the strategy's top priority;
-the cached mode takes the rest in a greedy Leja-type order, each time the
-pending shift that the shifts applied so far damp least (see
+in which one projection serves two committed steps.  A projection's first
+shift is its primary, the strategy's top priority; the cached mode's second
+step takes, in a greedy Leja-type order, the pending shift that the shifts
+applied so far damp least, and the step after projects again (see
 :func:`next_shift`).
 
 Both project onto at most l*s directions: the leading pivoted directions of
@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 STRATEGIES = ("hamiltonian", "projection")
-MODES = ("cached", "per_iteration")
+# The modes, and the committed steps one projection serves in each (see
+# :func:`next_shift`).
+SERVES = {"cached": 2, "per_iteration": 1}
 _EPS = np.finfo(float).eps
 # LAPACK's sqrt(dlamch('E')), with dlamch('E') = eps / 2: a downdated norm whose
 # square has shrunk below this share of its last computed value is recomputed.
@@ -61,7 +63,11 @@ _REORTH = np.sqrt(0.5)
 
 @dataclass
 class ShiftConfig:
-    """Strategy grid knob: which spectrum, how wide a window, how often."""
+    """Strategy grid knob: which spectrum, how wide a window, how often.
+
+    ``mode`` sets how many committed steps one projection serves:
+    ``"per_iteration"`` one, ``"cached"`` two (``SERVES``).
+    """
 
     strategy: str = "hamiltonian"
     window_s: int = 1
@@ -70,8 +76,8 @@ class ShiftConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        if self.mode not in SERVES:
+            raise ValueError(f"mode must be one of {tuple(SERVES)}")
         s = self.window_s
         if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1:
             raise ValueError("window_s must be an integer >= 1")
@@ -82,9 +88,11 @@ class ShiftCache:
     """Pending shifts from one projection, highest priority first.
 
     ``source_iteration`` is the iteration count the projection was computed
-    at, and ``basis_dim`` the dimension of the basis it projected onto.  The
-    shifts the solve has applied are the state's ``shifts``, and those it has
-    rejected at the current iteration are kept by the solver, not here.
+    at; the projection serves the steps from there up to that count plus
+    ``SERVES[mode]``.  ``basis_dim`` is the dimension of the basis it
+    projected onto.  The shifts the solve has applied are the state's
+    ``shifts``, and those it has rejected at the current iteration are kept
+    by the solver, not here.
     """
 
     pending: list = field(default_factory=list)
@@ -167,7 +175,7 @@ def _projected_closed_loop(u: np.ndarray, p, state):
     """
     w = state.ops.mass.solve(u)
     ub = u.T @ p.b
-    abar = u.T @ (state.ops.a @ w) + ub @ (state.f @ w)
+    abar = u.T @ state.ops.a_times(w) + ub @ (state.f @ w)
     return abar, w, ub
 
 
@@ -240,27 +248,29 @@ def _compute(cfg: ShiftConfig, p, state) -> ShiftCache:
 def next_shift(cfg: ShiftConfig, cache: ShiftCache | None, p, state, rejected=()):
     """Pop the next shift, recomputing per mode.
 
-    Cached mode consumes the pending list and recomputes only when it runs
-    dry.  Per-iteration mode recomputes once the iteration count has moved
-    past the cache's ``source_iteration``.  A rejected step leaves the count
-    unchanged, so in both modes a retry takes the projection's next pending
-    candidate, a shift different from the rejected one, while any remain.
-    ``rejected`` holds the shifts the solver has rejected at the current
-    iteration: a recompute there reproduces the projection, so it drops them,
-    and raises :class:`NoProgressError` when none is left.
+    A projection serves ``SERVES[cfg.mode]`` committed steps: one in
+    per-iteration mode and two in cached mode.  The cache is reused while it
+    has pending shifts and the iteration count is below its
+    ``source_iteration`` plus that number; otherwise the projection is
+    recomputed.  A rejected step leaves the count unchanged, so in both
+    modes a retry takes the projection's next pending candidate, a shift
+    different from the rejected one, while any remain.  ``rejected`` holds
+    the shifts the solver has rejected at the current iteration: a recompute
+    there reproduces the projection, so it drops them, and raises
+    :class:`NoProgressError` when none is left.
 
-    A fresh projection gives its primary shift, ``pending[0]``.  Every later
-    pick from it is the greedy Leja-type choice of ADI parameters from a
-    fixed set (Reichel, BIT 1990; Starke, SIAM J. Numer. Anal. 1991): the
-    pending gamma that maximizes sum_j log(|gamma - gamma_j| / (gamma + gamma_j))
-    over the shifts gamma_j the solve has applied, ``state.shifts``, the one
-    they damp least.  The sum is taken in log space, so that long histories
-    cannot underflow; the first maximum wins, so ties keep the strategy's
-    priority order, and a repeat of an applied shift (log 0) comes last.
-    Per-iteration mode takes only primaries, except on retries.
+    A fresh projection gives its primary shift, ``pending[0]``.  A later
+    pick from it (cached mode's second step, or a retry) is the greedy
+    Leja-type choice of ADI parameters from a fixed set (Reichel, BIT 1990;
+    Starke, SIAM J. Numer. Anal. 1991): the pending gamma that maximizes
+    sum_j log(|gamma - gamma_j| / (gamma + gamma_j)) over the shifts gamma_j
+    the solve has applied, ``state.shifts``, the one they damp least.  The
+    sum is taken in log space, so that long histories cannot underflow; the
+    first maximum wins, so ties keep the strategy's priority order, and a
+    repeat of an applied shift (log 0) comes last.
     """
     if not (cache and cache.pending
-            and (cfg.mode == "cached" or cache.source_iteration == state.k)):
+            and state.k < cache.source_iteration + SERVES[cfg.mode]):
         cache = _compute(cfg, p, state)
         cache.pending = [g for g in cache.pending if g not in rejected]
         if not cache.pending:

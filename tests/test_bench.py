@@ -531,6 +531,11 @@ def test_cli_noise_builds_criterion_9_blocks(monkeypatch):
         ({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1, "width": 2}}, "width"),
         ({"stop_on_stall": True}, "unknown config keys"),
         ({"cap_cols": 2.5}, "invalid grid config .*cap_cols must be an integer"),
+        ({"r_cases": [1.5]}, "invalid grid config .*r_cases entry must be an integer"),
+        ({"seed": 2.5}, "invalid grid config .*seed must be an integer"),
+        ({"generate": {"kind": "heat", "n": 10, "m": 2.5, "l": 1}},
+         "invalid grid config .*generate.m must be an integer"),
+        ({"tol_nres": "1e-12"}, "invalid grid config .*tol_nres must be a positive finite real"),
     ],
 )
 def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):

@@ -557,11 +557,12 @@ def test_c9_n300_seeds_converge_with_independent_nres():
     # criterion-9 solve at n = 300 pin the iteration count, and the dense
     # trace-norm residual of X = Xi Xi^T checks the reported nres.
     opts = SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached"), cap_cols=1500)
+    iterations = [12, 11, 12, 12, 12, 11, 12, 12, 12, 12]
     for seed in range(10):
         base = gen_heat_problem(300, 7, 6, seed=seed, scale=100.0, damping=100.0)
         p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=seed + 100)
         st, rep = radi_solve(p, opts)
-        assert rep.converged and rep.iterations == 14, seed
+        assert rep.converged and rep.iterations == iterations[seed], seed
         res = residual_dense(p, st.xi @ st.xi.T)
         dense_nres = np.abs(np.linalg.eigvalsh(res)).sum() / st.nu0
         assert dense_nres <= 1e-12, seed

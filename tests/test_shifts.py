@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from scare_radi import engine, kernels, shifts
 from scare_radi.bench import gen_heat_problem, with_noise_blocks
 from scare_radi.engine import SolveOptions, init_state, radi_solve, step_once
-from scare_radi.errors import BasisFailureError, NoProgressError, ShiftFailureError
+from scare_radi.errors import (
+    BasisFailureError,
+    NoProgressError,
+    ShiftFailureError,
+    ShiftRejectionError,
+)
 from scare_radi.kernels import StackedMat
 from scare_radi.problems import StandardProblem
 from scare_radi.shifts import (
@@ -426,14 +431,15 @@ def test_next_shift_skips_the_rejected_shifts(monkeypatch, mode):
         next_shift(cfg, ShiftCache(), p, st, rejected=[0.5])
 
 
-def test_cached_picks_take_the_pending_shift_the_applied_ones_damp_least():
+def test_cached_picks_take_the_pending_shift_the_applied_ones_damp_least(monkeypatch):
     cfg = ShiftConfig("hamiltonian", 1, "cached")
-    # A state holds the shifts of its committed steps; a rejected shift is
-    # never one of them.
+    # Each pick is a projection's second step: the projection was computed
+    # one committed step earlier, at ``source_iteration``.  A state holds the
+    # shifts of its committed steps; a rejected shift is never one of them.
     state = types.SimpleNamespace(k=1, shifts=[4.1])
     # After 4.1 the damping factors |g - 4.1| / (g + 4.1) are 0.32, 0.34 and
     # 0.61, so 1.0 goes first although it has the lowest priority.
-    cache = ShiftCache(pending=[8.0, 2.0, 1.0])
+    cache = ShiftCache(pending=[8.0, 2.0, 1.0], source_iteration=0)
     g, cache = next_shift(cfg, cache, None, state)
     assert g == 1.0 and cache.pending == [8.0, 2.0]
     # A retry at the same count: the rejected 1.0 is no applied shift, so
@@ -441,10 +447,11 @@ def test_cached_picks_take_the_pending_shift_the_applied_ones_damp_least():
     g, cache = next_shift(cfg, cache, None, state, rejected=[1.0])
     assert g == 2.0 and cache.pending == [8.0]
     state.k, state.shifts = 2, [4.1, 2.0]
+    cache.source_iteration = 1
     assert next_shift(cfg, cache, None, state)[0] == 8.0
     # Equal damping (1/3 for both) keeps the priority order.
     for pending in ([2.0, 0.5], [0.5, 2.0]):
-        cache = ShiftCache(pending=list(pending))
+        cache = ShiftCache(pending=list(pending), source_iteration=0)
         state = types.SimpleNamespace(k=1, shifts=[1.0])
         assert next_shift(cfg, cache, None, state)[0] == pending[0]
     # A repeat of an applied shift comes last, even at the highest priority.
@@ -452,11 +459,17 @@ def test_cached_picks_take_the_pending_shift_the_applied_ones_damp_least():
     state = types.SimpleNamespace(k=2, shifts=[3.0, 8.0])
     order = []
     for _ in range(3):
+        cache.source_iteration = state.k - 1
         g, cache = next_shift(cfg, cache, None, state)
         order.append(g)
         state.k += 1
         state.shifts.append(g)
     assert order == [9.0, 7.0, 3.0]
+    # Past its two steps a projection is recomputed, though shifts remain.
+    monkeypatch.setattr(shifts, "_compute", lambda cfg, p, state: ShiftCache([5.0], state.k))
+    state = types.SimpleNamespace(k=2, shifts=[4.1, 2.0])
+    g, cache = next_shift(cfg, ShiftCache(pending=[8.0, 1.0], source_iteration=0), None, state)
+    assert g == 5.0 and cache.source_iteration == 2
 
 
 _SHIFT_VALUES = st.one_of(
@@ -469,26 +482,76 @@ _SHIFT_VALUES = st.one_of(
 @given(st.lists(st.lists(_SHIFT_VALUES, min_size=1, max_size=6, unique=True),
                 min_size=1, max_size=8))
 def test_cached_mode_uses_each_projection_up_from_its_primary(projections):
-    # Each projection's list is popped as a permutation of itself that starts
-    # with its primary, and after the primary every shift that repeats an
-    # applied one comes after every shift that does not.
+    # With no rejections each projection serves min(2, its length) steps:
+    # its primary, then the pending shift the applied ones damp least.  The
+    # next call computes the next projection.
     fresh = iter(projections)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(shifts, "_compute", lambda cfg, p, state: ShiftCache(pending=list(next(fresh))))
+        m.setattr(shifts, "_compute",
+                  lambda cfg, p, state: ShiftCache(list(next(fresh)), state.k))
         cfg, cache = ShiftConfig(mode="cached"), None
         state = types.SimpleNamespace(k=0, shifts=[])
-        applied = state.shifts
         for listed in projections:
-            before = set(applied)
-            popped = []
-            for _ in listed:
+            source, want = state.k, [listed[0]]
+            if len(listed) > 1:
+                rest = listed[1:]
+                want.append(rest[shifts._least_damped(rest, state.shifts + [listed[0]])])
+            for g_want in want:
                 g, cache = next_shift(cfg, cache, None, state)
-                popped.append(g)
-                applied.append(g)
+                assert g == g_want and cache.source_iteration == source
+                state.shifts.append(g)
                 state.k += 1
-            assert popped[0] == listed[0] and sorted(popped) == sorted(listed)
-            repeats = [g in before for g in popped[1:]]
-            assert repeats == sorted(repeats)
+        assert next(fresh, None) is None
+
+
+@pytest.mark.parametrize("strategy", ["hamiltonian", "projection"])
+def test_a_projection_serves_two_cached_steps_and_one_per_iteration_step(
+    monkeypatch, strategy
+):
+    # Every projection of these solves offers at least two shifts, and no
+    # step is rejected, so a cached solve of k steps projects ceil(k / 2)
+    # times and a per-iteration solve k times.
+    p = gen_heat_problem(200, 2, 3, seed=1)
+    computed_at, real_compute = [], shifts._compute
+
+    def spy(cfg, prob, state):
+        computed_at.append(state.k)
+        return real_compute(cfg, prob, state)
+
+    monkeypatch.setattr(shifts, "_compute", spy)
+    for mode, serves in (("cached", 2), ("per_iteration", 1)):
+        computed_at.clear()
+        _, report = radi_solve(p, SolveOptions(shift=ShiftConfig(strategy, 1, mode)))
+        assert report.converged and report.iterations > 10
+        assert not any(row.rejections for row in report.rows)
+        assert computed_at == list(range(0, report.iterations, serves))
+
+
+def test_a_rejection_at_a_projections_second_step_retries_from_that_projection(monkeypatch):
+    p = gen_heat_problem(200, 2, 3, seed=1)
+    projections, attempts, real_compute = {}, {}, shifts._compute
+
+    def spy(cfg, prob, state):
+        cache = real_compute(cfg, prob, state)
+        projections[state.k] = list(cache.pending)
+        return cache
+
+    def rejecting_step(prob, st, gamma, opts=None):
+        attempts.setdefault(st.k, []).append(gamma)
+        if st.k == 3 and len(attempts[3]) == 1:
+            raise ShiftRejectionError("rejected once for the test")
+        return step_once(prob, st, gamma, opts)
+
+    monkeypatch.setattr(shifts, "_compute", spy)
+    monkeypatch.setattr(engine, "step_once", rejecting_step)
+    _, report = radi_solve(p, SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached")))
+    assert report.converged
+    # Step 3 is the second of the projection made at step 2: the retry takes
+    # another of its pending shifts, and the projections keep their pairs.
+    rejected, retried = attempts[3]
+    assert retried != rejected and {rejected, retried} <= set(projections[2][1:])
+    assert report.rows[4].gamma == retried and report.rows[4].rejections == 1
+    assert sorted(projections) == list(range(0, report.iterations, 2))
 
 
 def test_per_iteration_solve_takes_each_fresh_projections_primary(monkeypatch):
