@@ -22,7 +22,7 @@ import scipy.io as sio
 import scipy.sparse as sp
 
 from . import __version__
-from .engine import SolveOptions, _is_count, radi_solve
+from .engine import SolveOptions, is_count, radi_solve
 from .errors import ProblemLoadError
 from .kernels import StackedMat, chol_spd
 from .problems import OriginalProblem, StandardProblem, adapt_in_place
@@ -252,7 +252,7 @@ class ExperimentConfig:
         counts += [(f"generate.{key}", value) for key, value in (self.generate or {}).items()
                    if key in ("n", "m", "l", "seed")]
         for name, value in counts:
-            if not _is_count(value):
+            if not is_count(value):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
 
     @classmethod

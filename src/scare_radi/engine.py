@@ -57,6 +57,7 @@ __all__ = [
     "SolveOptions",
     "SolverState",
     "init_state",
+    "is_count",
     "step_once",
     "nres_trace",
     "radi_solve",
@@ -75,7 +76,7 @@ MAX_NRES = 1e8
 XI_GROUP_ROWS = 128
 
 
-def _is_count(value) -> bool:
+def is_count(value) -> bool:
     """Whether ``value`` is an integer, numpy's included, and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -106,11 +107,11 @@ class SolveOptions:
             if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
                     and 0 < value < np.inf):
                 raise ValueError(f"{name} must be a positive finite real number")
-        if not (_is_count(self.max_iter) and self.max_iter >= 0):
+        if not (is_count(self.max_iter) and self.max_iter >= 0):
             raise ValueError("max_iter must be an integer >= 0")
         for name in ("cap_cols", "max_cols_xi"):
             value = getattr(self, name)
-            if value is not None and not (_is_count(value) and value >= 1):
+            if value is not None and not (is_count(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
 
 

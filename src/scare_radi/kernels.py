@@ -278,7 +278,6 @@ class OperatorForms:
     layer's) on the same route: over E's diagonals and its LDL^T, or the
     sparse product and E's SuperLU factors; the identity when E is None.  A
     singular E raises :class:`AssumptionViolationError` in :meth:`of`.
-    :meth:`a_times` is the shift layer's product A w, on the route too.
     """
 
     a: sp.csc_matrix
@@ -292,18 +291,6 @@ class OperatorForms:
     def route(self) -> str:
         """The shifted factorization's route: ``"ldlt"`` or ``"superlu"``."""
         return "ldlt" if self.tridiag is not None else "superlu"
-
-    def a_times(self, w: np.ndarray) -> np.ndarray:
-        """A w for an n x k array w, as a C-contiguous n x k array.
-
-        On ``"ldlt"`` A is symmetric, so A w is (w^T A)^T over A's diagonals,
-        summed in the order of the CSC product ``a @ w`` and equal to it bit
-        for bit; on ``"superlu"`` it is that product.
-        """
-        if self.tridiag is None:
-            return self.a @ w
-        a_d, a_o = self.tridiag[:2]
-        return np.ascontiguousarray(_tridiagonal_times(a_d, a_o, w.T).T)
 
     @classmethod
     def of(cls, a, e=None) -> "OperatorForms":

@@ -175,7 +175,7 @@ def _projected_closed_loop(u: np.ndarray, p, state):
     """
     w = state.ops.mass.solve(u)
     ub = u.T @ p.b
-    abar = u.T @ state.ops.a_times(w) + ub @ (state.f @ w)
+    abar = u.T @ (state.ops.a @ w) + ub @ (state.f @ w)
     return abar, w, ub
 
 

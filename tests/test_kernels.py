@@ -296,26 +296,6 @@ def test_ldlt_row_solves_match_dense():
         assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-@pytest.mark.parametrize("route", ["ldlt", "superlu"])
-def test_a_times_is_the_sparse_product_bit_for_bit(route):
-    # Nonconstant diagonals on the LDL^T route; a nonsymmetric A on SuperLU.
-    # The product is C-contiguous whatever the layout of w, so that the
-    # shift layer's U^T (A W) rounds as it did with the CSC product.
-    rng = np.random.default_rng(18)
-    n = 90
-    off = rng.uniform(0.1, 0.4, n - 1)
-    a = {
-        "ldlt": sp.diags([off, -rng.uniform(1.0, 2.0, n), off], [-1, 0, 1], format="csc"),
-        "superlu": convection_diffusion(n),
-    }[route]
-    ops = OperatorForms.of(a)
-    assert ops.route == route
-    for w in (rng.standard_normal((n, 6)), np.asfortranarray(rng.standard_normal((n, 6)))):
-        got = ops.a_times(w)
-        assert got.flags.c_contiguous
-        np.testing.assert_array_equal(got, a @ w)
-
-
 @pytest.mark.parametrize("case", ["ldlt", "superlu", "identity"])
 def test_mass_matrix_times_and_solve_follow_the_route(case):
     # Nonconstant diagonals on the LDL^T route; a nonsymmetric tridiagonal E

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -478,13 +479,21 @@ _SHIFT_VALUES = st.one_of(
 )
 
 
+def _damping_score(g, applied):
+    """sum_j log(|g - a_j| / (g + a_j)) over the applied a_j; -inf for a repeat."""
+    if g in applied:
+        return -math.inf
+    return math.fsum(math.log(abs(g - a) / (g + a)) for a in applied)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(_SHIFT_VALUES, min_size=1, max_size=6, unique=True),
                 min_size=1, max_size=8))
 def test_cached_mode_uses_each_projection_up_from_its_primary(projections):
     # With no rejections each projection serves min(2, its length) steps:
-    # its primary, then the pending shift the applied ones damp least.  The
-    # next call computes the next projection.
+    # its primary, then a pending shift that the applied ones damp least
+    # (up to rounding) and that repeats no applied shift while a non-repeat
+    # is pending.  The next call computes the next projection.
     fresh = iter(projections)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(shifts, "_compute",
@@ -492,13 +501,19 @@ def test_cached_mode_uses_each_projection_up_from_its_primary(projections):
         cfg, cache = ShiftConfig(mode="cached"), None
         state = types.SimpleNamespace(k=0, shifts=[])
         for listed in projections:
-            source, want = state.k, [listed[0]]
-            if len(listed) > 1:
-                rest = listed[1:]
-                want.append(rest[shifts._least_damped(rest, state.shifts + [listed[0]])])
-            for g_want in want:
+            source, rest = state.k, listed[1:]
+            g, cache = next_shift(cfg, cache, None, state)
+            assert g == listed[0] and cache.source_iteration == source
+            state.shifts.append(g)
+            state.k += 1
+            if rest:
                 g, cache = next_shift(cfg, cache, None, state)
-                assert g == g_want and cache.source_iteration == source
+                assert cache.source_iteration == source
+                assert sorted(cache.pending + [g]) == sorted(rest)
+                best = max(_damping_score(c, state.shifts) for c in rest)
+                assert _damping_score(g, state.shifts) >= best - 1e-9 * max(1.0, abs(best))
+                if any(c not in state.shifts for c in rest):
+                    assert g not in state.shifts
                 state.shifts.append(g)
                 state.k += 1
         assert next(fresh, None) is None
