@@ -22,9 +22,9 @@ import scipy.io as sio
 import scipy.sparse as sp
 
 from . import __version__
-from .engine import SolveOptions, is_count, radi_solve
-from .errors import ProblemLoadError
-from .kernels import StackedMat, chol_spd
+from .engine import SolveOptions, radi_solve
+from .errors import ConformabilityError, ProblemLoadError, check_count, check_real
+from .kernels import StackedMat
 from .problems import OriginalProblem, StandardProblem, adapt_in_place
 from .report import RunReport
 from .shifts import ShiftConfig
@@ -57,6 +57,10 @@ def variant_label(strategy: str, s: int, mode: str) -> str:
     return f"{stem} c {s}" if mode == "per_iteration" else f"{stem} {s}"
 
 
+# A stochastic file of a problem directory: A{i}.mtx or B{i}.mtx for i >= 1.
+_STOCHASTIC_FILE = re.compile(r"([AB])([1-9][0-9]*)\.mtx")
+
+
 def _read_mtx(path: Path, want_sparse: bool):
     try:
         mat = sio.mmread(path)
@@ -70,10 +74,14 @@ def _read_mtx(path: Path, want_sparse: bool):
 def load_problem(dir_path) -> StandardProblem | OriginalProblem:
     """Load a problem directory of Matrix Market files.
 
-    The stochastic order r is inferred from the consecutive ``A{i}.mtx``
-    files present; ``E.mtx`` makes the problem generalized, and the presence
-    of ``L.mtx``/``R.mtx`` marks original-form data (returned as
-    :class:`OriginalProblem` for the caller to adapt or standardize).
+    The stochastic order r is inferred from the consecutive pairs
+    ``A{i}.mtx``/``B{i}.mtx`` from i = 1 on; a stochastic file past the last
+    pair (a gap in the numbering, or a ``B{i}.mtx`` without its
+    ``A{i}.mtx``) raises.  ``E.mtx`` makes the problem generalized, and the
+    presence of ``L.mtx``/``R.mtx`` marks original-form data (returned as
+    :class:`OriginalProblem` for the caller to adapt or standardize, which
+    is where R is checked).  The containers check the shapes; their
+    :class:`ConformabilityError` is raised as :class:`ProblemLoadError`.
     """
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
@@ -84,61 +92,49 @@ def load_problem(dir_path) -> StandardProblem | OriginalProblem:
     a = _read_mtx(dir_path / "A.mtx", want_sparse=True)
     b = _read_mtx(dir_path / "B.mtx", want_sparse=False)
     c = _read_mtx(dir_path / "C.mtx", want_sparse=False)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n or c.shape[1] != n:
-        raise ProblemLoadError(
-            f"dimension mismatch: A {a.shape}, B {b.shape}, C {c.shape}"
-        )
     e = None
     if (dir_path / "E.mtx").exists():
         e = _read_mtx(dir_path / "E.mtx", want_sparse=True)
-        if e.shape != (n, n):
-            raise ProblemLoadError(f"dimension mismatch: E {e.shape} vs A {a.shape}")
 
     ahat_blocks, bhat_blocks = [], []
     i = 1
     while (dir_path / f"A{i}.mtx").exists():
         if not (dir_path / f"B{i}.mtx").exists():
             raise ProblemLoadError(f"A{i}.mtx present but B{i}.mtx missing")
-        ai = _read_mtx(dir_path / f"A{i}.mtx", want_sparse=True)
-        bi = _read_mtx(dir_path / f"B{i}.mtx", want_sparse=False)
-        if ai.shape != (n, n) or bi.shape != b.shape:
-            raise ProblemLoadError(f"dimension mismatch in stochastic pair {i}")
-        ahat_blocks.append(ai)
-        bhat_blocks.append(bi)
+        ahat_blocks.append(_read_mtx(dir_path / f"A{i}.mtx", want_sparse=True))
+        bhat_blocks.append(_read_mtx(dir_path / f"B{i}.mtx", want_sparse=False))
         i += 1
+    numbered = [_STOCHASTIC_FILE.fullmatch(f.name) for f in dir_path.iterdir()]
+    stray = sorted((int(hit[2]), hit[1]) for hit in numbered if hit and int(hit[2]) >= i)
+    if stray:
+        j, kind = stray[0]
+        raise ProblemLoadError(f"{kind}{j}.mtx is stray: A{i}.mtx is missing")
 
     has_l = (dir_path / "L.mtx").exists()
     has_r = (dir_path / "R.mtx").exists()
     if has_l != has_r:
         raise ProblemLoadError("L.mtx and R.mtx must be present together")
-    if has_l:
-        l = _read_mtx(dir_path / "L.mtx", want_sparse=False)
-        r_weight = _read_mtx(dir_path / "R.mtx", want_sparse=False)
-        # The adapter factors R itself, so it must be the symmetric weight.
-        if np.linalg.norm(r_weight - r_weight.T) > 1e-12 * np.linalg.norm(r_weight):
-            raise ProblemLoadError("R.mtx is not symmetric")
-        try:
-            chol_spd(r_weight)
-        except Exception as exc:
-            raise ProblemLoadError(f"R.mtx is not positive definite: {exc}") from exc
-        return OriginalProblem(
-            a_list=[a, *ahat_blocks],
-            b_list=[b, *bhat_blocks],
-            c0=c,
-            l=l,
-            r_weight=r_weight,
+    try:
+        if has_l:
+            return OriginalProblem(
+                a_list=[a, *ahat_blocks],
+                b_list=[b, *bhat_blocks],
+                c0=c,
+                l=_read_mtx(dir_path / "L.mtx", want_sparse=False),
+                r_weight=_read_mtx(dir_path / "R.mtx", want_sparse=False),
+                e=e,
+            )
+        n, m = a.shape[0], b.shape[1]
+        return StandardProblem(
+            a=a,
+            b=b,
+            c=c,
+            ahat=StackedMat.from_blocks(ahat_blocks, block_rows=n, block_cols=n),
+            bhat=StackedMat.from_blocks(bhat_blocks, block_rows=n, block_cols=m),
             e=e,
         )
-    m = b.shape[1]
-    return StandardProblem(
-        a=a,
-        b=b,
-        c=c,
-        ahat=StackedMat.from_blocks(ahat_blocks, block_rows=n, block_cols=n),
-        bhat=StackedMat.from_blocks(bhat_blocks, block_rows=n, block_cols=m),
-        e=e,
-    )
+    except ConformabilityError as exc:
+        raise ProblemLoadError(f"dimension mismatch in {dir_path}: {exc}") from exc
 
 
 def gen_noise_blocks(a, b, ns: float, seed: int = 0):
@@ -248,12 +244,28 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        counts = [("seed", self.seed)] + [("r_cases entry", r) for r in self.r_cases]
-        counts += [(f"generate.{key}", value) for key, value in (self.generate or {}).items()
-                   if key in ("n", "m", "l", "seed")]
-        for name, value in counts:
-            if not is_count(value):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("problem", "output_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ValueError(f"{name} must be a path, not {value!r}")
+        if self.generate is not None and not isinstance(self.generate, dict):
+            raise ValueError(f"generate must be an object, not {self.generate!r}")
+        for name in ("r_cases", "noise_scales", "variants"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, not {getattr(self, name)!r}")
+        check_count("seed", self.seed)
+        for r in self.r_cases:
+            check_count("r_cases entry", r, 1)
+        for ns in self.noise_scales:
+            check_real("noise_scales entry", ns, zero_ok=True)
+        for v in self.variants:
+            if not isinstance(v, (list, tuple)) or len(v) != 3:
+                raise ValueError(f"variants entry must be [strategy, window_s, mode], not {v!r}")
+        for key, value in (self.generate or {}).items():
+            if key in ("n", "m", "l", "seed"):
+                check_count(f"generate.{key}", value, 0 if key == "seed" else 1)
+            elif key in ("scale", "damping") and value is not None:
+                check_real(f"generate.{key}", value, zero_ok=key == "damping")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -267,8 +279,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
         options = SolveOptions(**{key: raw.pop(key) for key in option_keys & set(raw)})
-        if "variants" in raw:
-            raw["variants"] = [tuple(v) for v in raw["variants"]]
         return cls(**raw, options=options)
 
 

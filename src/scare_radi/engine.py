@@ -21,7 +21,6 @@ The dense prototype this iteration is checked against (`alg1_init`/
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -34,6 +33,8 @@ from .errors import (
     NumericalBreakdownError,
     ShiftRejectionError,
     SpdViolationError,
+    check_count,
+    check_real,
 )
 from .kernels import (
     OperatorForms,
@@ -57,7 +58,6 @@ __all__ = [
     "SolveOptions",
     "SolverState",
     "init_state",
-    "is_count",
     "step_once",
     "nres_trace",
     "radi_solve",
@@ -74,11 +74,6 @@ MAX_NRES = 1e8
 # n=5000 (73 blocks of 6 rows) took 18-25 ms a solve block by block, 11-13 ms
 # in runs.
 XI_GROUP_ROWS = 128
-
-
-def is_count(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -102,17 +97,12 @@ class SolveOptions:
     max_cols_xi: int | None = None
 
     def __post_init__(self):
-        for name in ("tol_nres", "trunc_rel"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and 0 < value < np.inf):
-                raise ValueError(f"{name} must be a positive finite real number")
-        if not (is_count(self.max_iter) and self.max_iter >= 0):
-            raise ValueError("max_iter must be an integer >= 0")
+        check_real("tol_nres", self.tol_nres)
+        check_real("trunc_rel", self.trunc_rel)
+        check_count("max_iter", self.max_iter)
         for name in ("cap_cols", "max_cols_xi"):
-            value = getattr(self, name)
-            if value is not None and not (is_count(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1")
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name), 1)
 
 
 @dataclass

@@ -1,4 +1,25 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and the value checks of its options.
+
+The one integer check and the one real-number check serve the solver
+options, the shift configuration and the grid configuration alike.
+"""
+
+import math
+import numbers
+
+
+def check_count(name: str, value, low: int = 0) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``low``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
+def check_real(name: str, value, zero_ok: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real > 0 (0 too if zero_ok)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 <= value < math.inf or (value == 0 and not zero_ok)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {sign} finite real number, not {value!r}")
 
 
 class ScareError(Exception):

@@ -4,18 +4,19 @@ The left semi-tensor product with vertically stacked blocks as one product,
 the operator forms of one solve (:meth:`OperatorForms.of` chooses the shifted
 factorization's route, a LAPACK LDL^T for a symmetric-definite tridiagonal
 pencil or SuperLU otherwise, prepares its operands, and builds the mass
-matrix's product and solve on the same route), the shifted factorization and
-its SMW-corrected row solves, right triangular solves, small SPD Cholesky
-factorization, the BLAS ``dgemm`` accumulation of a product into its target
-in place, the BLAS ``dsyrk`` accumulation of a signed sum of Grams A^T A into
-one upper triangle, and the truncation of a residual factor with exact
-accounting of the discarded energy: a wide factor by an SVD taken through its
-Gram C C^T with no division by the singular values (:func:`trunc_svd`), a
-tall one from its Gram G = C^T C alone by a pivoted Cholesky
-(:func:`trunc_gram`; ``trunc_svd`` forms C^T C and calls it).  This module
-holds the package's only direct BLAS and LAPACK calls.  Everything here is a
-pure function of its inputs; operator forms and factorization handles may be
-shared read-only across threads.
+matrix's product, one sparse product on both routes, and its solve on the
+route's factorization), the shifted factorization and its SMW-corrected row
+solves, right triangular solves, small SPD Cholesky factorization, the BLAS
+``dgemm`` accumulation of a product into its target in place, the BLAS
+``dsyrk`` accumulation of a signed sum of Grams A^T A into one upper
+triangle, and the truncation of a residual factor with exact accounting of
+the discarded energy: a wide factor by an SVD taken through its Gram C C^T
+with no division by the singular values (:func:`trunc_svd`), a tall one from
+its Gram G = C^T C alone by a pivoted Cholesky (:func:`trunc_gram`;
+``trunc_svd`` forms C^T C and calls it).  This module holds the package's
+only direct BLAS and LAPACK calls.  Everything here is a pure function of its
+inputs; operator forms and factorization handles may be shared read-only
+across threads.
 """
 
 from __future__ import annotations
@@ -176,11 +177,11 @@ class ShiftedFactorization:
 class MassMatrix:
     """The mass matrix E of one solve, as the maps x -> x E and u -> E^-1 u.
 
-    ``times(x)`` is x E for a k x n array x, and ``solve(u)`` is E^-1 u for
-    an n x k array u; both follow the shifted solve's route (see
-    :class:`OperatorForms`).  With E = I both return their argument itself.
-    The handle is read-only after construction and safe to share across
-    threads.
+    ``times(x)`` is x E for a k x n array x, the one sparse product on both
+    routes, and ``solve(u)`` is E^-1 u for an n x k array u, on the shifted
+    solve's route (see :class:`OperatorForms`).  With E = I both return
+    their argument itself.  The handle is read-only after construction and
+    safe to share across threads.
     """
 
     times: object = field(repr=False)
@@ -191,25 +192,8 @@ def _identity(x):
     return x
 
 
-_IDENTITY_MASS = MassMatrix(_identity, _identity)
-
-
-def _tridiagonal_times(d, o, x):
-    """x E for the symmetric tridiagonal E of diagonal d and off-diagonal o.
-
-    Column j of x E sums x_{j-1} o_{j-1}, x_j d_j and x_{j+1} o_j in the
-    order in which the CSR product E^T x^T accumulates row j of E^T, so the
-    two agree bit for bit.
-    """
-    out = x * d
-    off = np.multiply(x[:, :-1], o)
-    out[:, 1:] += off
-    out[:, :-1] += np.multiply(x[:, 1:], o, out=off)
-    return out
-
-
 def _sparse_times(et, x):
-    """x E as the sparse product (E^T x^T)^T; ``et`` is E^T."""
+    """x E as the sparse product (E^T x^T)^T; ``et`` is E^T in CSC."""
     return np.asarray(et @ x.T).T
 
 
@@ -219,13 +203,13 @@ def _ldlt_mass_solve(d, o, u):
 
 
 def _ldlt_forms(a: sp.csc_matrix, e: sp.csc_matrix | None):
-    """The ``"ldlt"`` route's (a_d, a_o, e_d, e_o) and E's maps, or None off it.
+    """The ``"ldlt"`` route's (a_d, a_o, e_d, e_o) and E's solve, or None off it.
 
     Tests the route's conditions (see :class:`OperatorForms`), with I for a
     None E.  LAPACK ``dpttrf`` completing on -A and E shows them positive
-    definite, so gamma*E - A is SPD for every gamma > 0, and E's solves use
-    that LDL^T of E.  The arrays are read-only, so they can be shared across
-    threads.
+    definite, so gamma*E - A is SPD for every gamma > 0, and E^-1 u uses
+    that LDL^T of E (the identity when E is None).  The arrays are
+    read-only, so they can be shared across threads.
     """
     n = a.shape[0]
     if n < 2:
@@ -243,18 +227,15 @@ def _ldlt_forms(a: sp.csc_matrix, e: sp.csc_matrix | None):
     a_d, a_o, e_d, e_o = diags
     if dpttrf(-a_d, -a_o)[2] != 0:
         return None
-    mass = _IDENTITY_MASS
+    e_solve = _identity
     if e is not None:
         d, o, info = dpttrf(e_d, e_o)
         if info != 0:
             return None
-        mass = MassMatrix(
-            functools.partial(_tridiagonal_times, e_d, e_o),
-            functools.partial(_ldlt_mass_solve, d, o),
-        )
+        e_solve = functools.partial(_ldlt_mass_solve, d, o)
     for arr in diags:
         arr.flags.writeable = False
-    return tuple(diags), mass
+    return tuple(diags), e_solve
 
 
 @dataclass(frozen=True)
@@ -275,9 +256,10 @@ class OperatorForms:
       each step factors (A - gamma*E)^T as ``at - gamma*et`` by SuperLU.
 
     ``mass`` is E as the products x E (the step's) and E^-1 u (the shift
-    layer's) on the same route: over E's diagonals and its LDL^T, or the
-    sparse product and E's SuperLU factors; the identity when E is None.  A
-    singular E raises :class:`AssumptionViolationError` in :meth:`of`.
+    layer's).  x E is the sparse product (E^T x^T)^T of E^T in CSC on both
+    routes; E^-1 u follows the route, by E's LDL^T or its SuperLU factors.
+    Both are the identity when E is None.  A singular E raises
+    :class:`AssumptionViolationError` in :meth:`of`.
     """
 
     a: sp.csc_matrix
@@ -299,18 +281,21 @@ class OperatorForms:
         e = None if e is None else sp.csc_matrix(e, dtype=float)
         a_norm1 = float(np.max(np.asarray(abs(a).sum(axis=0)).ravel()))
         ldlt = _ldlt_forms(a, e)
+        # E is exactly symmetric on the LDL^T route, so there E's CSC is E^T's.
+        et = None if e is None else e if ldlt is not None else e.T.tocsc()
+        times = _identity if et is None else functools.partial(_sparse_times, et)
         if ldlt is not None:
-            tridiag, mass = ldlt
-            return cls(a=a, a_norm1=a_norm1, mass=mass, tridiag=tridiag)
-        mass = _IDENTITY_MASS
+            tridiag, e_solve = ldlt
+            return cls(a=a, a_norm1=a_norm1, mass=MassMatrix(times, e_solve), tridiag=tridiag)
+        e_solve = _identity
         if e is not None:
             try:
-                lu = splu(e)
+                e_solve = splu(e).solve
             except RuntimeError as exc:  # SuperLU signals exact singularity this way
                 raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
-            mass = MassMatrix(functools.partial(_sparse_times, e.T), lu.solve)
-        et = sp.identity(a.shape[0], format="csc") if e is None else e.T.tocsc()
-        return cls(a=a, a_norm1=a_norm1, mass=mass, at=a.T.tocsc(), et=et)
+        if et is None:
+            et = sp.identity(a.shape[0], format="csc")
+        return cls(a=a, a_norm1=a_norm1, mass=MassMatrix(times, e_solve), at=a.T.tocsc(), et=et)
 
 
 def _ldlt_solve(d, e, cols, overwrite):

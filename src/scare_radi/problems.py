@@ -227,7 +227,13 @@ class DenseCoefficients:
 
 
 def _r_inv_lt(r_weight: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """R^-1 L^T through the Cholesky factor, rejecting non-SPD weights."""
+    """R^-1 L^T through the Cholesky factor, rejecting non-SPD weights.
+
+    The factorization reads only R's upper triangle, so R must be symmetric
+    (to 1e-12 relative) as well as positive definite.
+    """
+    if np.linalg.norm(r_weight - r_weight.T) > 1e-12 * np.linalg.norm(r_weight):
+        raise AssumptionViolationError("control weight R is not symmetric")
     try:
         p = chol_spd(r_weight)
     except Exception as exc:

@@ -29,12 +29,11 @@ project from the solve state, and the cached pick its applied shifts.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisFailureError, NoProgressError, ShiftFailureError
+from .errors import BasisFailureError, NoProgressError, ShiftFailureError, check_count
 from .kernels import add_product, right_tri_solve
 
 __all__ = [
@@ -78,9 +77,7 @@ class ShiftConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.mode not in SERVES:
             raise ValueError(f"mode must be one of {tuple(SERVES)}")
-        s = self.window_s
-        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1:
-            raise ValueError("window_s must be an integer >= 1")
+        check_count("window_s", self.window_s, 1)
 
 
 @dataclass

@@ -25,8 +25,13 @@ from scare_radi.bench import (
 )
 from scare_radi.cli import main
 from scare_radi.engine import SolveOptions
-from scare_radi.errors import NoProgressError, NumericalBreakdownError, ProblemLoadError
-from scare_radi.problems import OriginalProblem, StandardProblem
+from scare_radi.errors import (
+    AssumptionViolationError,
+    NoProgressError,
+    NumericalBreakdownError,
+    ProblemLoadError,
+)
+from scare_radi.problems import OriginalProblem, StandardProblem, adapt_in_place
 from scare_radi.report import CSV_COLUMNS, TIMING_FIELDS, IterationRecord
 from scare_radi.shifts import ShiftConfig
 from scare_radi.testing import random_original_problem, random_standard_problem
@@ -104,22 +109,45 @@ def test_load_dimension_mismatch(tmp_path):
         load_problem(tmp_path)
 
 
+def write_weighted_dir(path, r_weight):
+    write_problem_dir(path, random_standard_problem(n=8, m=2, l=1, r=1, seed=6))
+    sio.mmwrite(path / "L.mtx", np.zeros((8, 2)))
+    sio.mmwrite(path / "R.mtx", r_weight)
+
+
 def test_load_non_spd_weight(tmp_path):
-    p = random_standard_problem(n=8, m=2, l=1, r=1, seed=6)
-    write_problem_dir(tmp_path, p)
-    sio.mmwrite(tmp_path / "L.mtx", np.zeros((8, 2)))
-    sio.mmwrite(tmp_path / "R.mtx", np.diag([1.0, -1.0]))
-    with pytest.raises(ProblemLoadError, match="positive definite"):
-        load_problem(tmp_path)
+    # The loader leaves R to the adapter, which factors it.
+    write_weighted_dir(tmp_path, np.diag([1.0, -1.0]))
+    with pytest.raises(AssumptionViolationError, match="positive definite"):
+        adapt_in_place(load_problem(tmp_path))
+    with pytest.raises(SystemExit, match="invalid solve input: .*positive definite") as info:
+        main(["solve", "--problem", str(tmp_path)])
+    assert "\n" not in str(info.value)
 
 
 def test_load_rejects_nonsymmetric_weight(tmp_path):
     # Its symmetric part is positive definite, but the adapter factors R itself.
-    p = random_standard_problem(n=8, m=2, l=1, r=1, seed=6)
-    write_problem_dir(tmp_path, p)
-    sio.mmwrite(tmp_path / "L.mtx", np.zeros((8, 2)))
-    sio.mmwrite(tmp_path / "R.mtx", np.array([[2.0, 1.5], [-1.5, 2.0]]))
-    with pytest.raises(ProblemLoadError, match="symmetric"):
+    write_weighted_dir(tmp_path, np.array([[2.0, 1.5], [-1.5, 2.0]]))
+    with pytest.raises(AssumptionViolationError, match="symmetric"):
+        adapt_in_place(load_problem(tmp_path))
+    with pytest.raises(SystemExit, match="invalid solve input: .*not symmetric") as info:
+        main(["solve", "--problem", str(tmp_path)])
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "removed, stray",
+    [
+        (["A2", "B2", "A4", "B4", "A5"], "A3.mtx"),  # A1/B1, A3/B3 and B5: a gap
+        (["A2"], "B2.mtx"),  # B2 without A2
+        (["A5"], "B5.mtx"),  # B5 past the last pair
+    ],
+)
+def test_load_rejects_stray_stochastic_files(tmp_path, removed, stray):
+    write_problem_dir(tmp_path, random_standard_problem(n=8, m=1, l=1, r=6, seed=7))
+    for name in removed:
+        (tmp_path / f"{name}.mtx").unlink()
+    with pytest.raises(ProblemLoadError, match=f"^{stray} is stray"):
         load_problem(tmp_path)
 
 
@@ -536,6 +564,12 @@ def test_cli_noise_builds_criterion_9_blocks(monkeypatch):
         ({"generate": {"kind": "heat", "n": 10, "m": 2.5, "l": 1}},
          "invalid grid config .*generate.m must be an integer"),
         ({"tol_nres": "1e-12"}, "invalid grid config .*tol_nres must be a positive finite real"),
+        ({"noise_scales": ["x"]}, "invalid grid config .*noise_scales entry must be a nonnegative"),
+        ({"r_cases": 2}, "invalid grid config .*r_cases must be a list"),
+        ({"variants": [["hamiltonian", 1]]}, "invalid grid config .*variants entry must be"),
+        ({"output_dir": 5}, "invalid grid config .*output_dir must be a path"),
+        ({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1, "scale": "big"}},
+         "invalid grid config .*generate.scale must be a positive finite real"),
     ],
 )
 def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):

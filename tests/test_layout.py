@@ -63,9 +63,9 @@ def test_the_shift_window_is_known_to_shifts_alone(name):
 
 @pytest.mark.parametrize("module", ["engine", "shifts"])
 def test_the_mass_matrix_is_reached_through_kernels(module):
-    # x E and E^-1 U follow the shifted solve's route, which kernels decides:
-    # the step and the shift layer use ops.mass, never E's sparse form or
-    # factors of their own.
+    # x E and E^-1 U are built in kernels, E^-1 U on the shifted solve's
+    # route: the step and the shift layer use ops.mass, never E's sparse form
+    # or factors of their own.
     text = (PACKAGE / f"{module}.py").read_text()
     assert "e_lu" not in text and "splu" not in text
     assert not re.search(r"\bops\.e\b", text)

@@ -60,6 +60,16 @@ def test_standardize_rejects_indefinite_weight():
         standardize(orig)
 
 
+@pytest.mark.parametrize("setup", [adapt_in_place, standardize])
+def test_weight_setups_reject_nonsymmetric_weight(setup):
+    # Cholesky reads only R's upper triangle, so a nonsymmetric R would
+    # silently stand for the weight of that triangle.
+    orig = random_original_problem(20, 2, 2, 1, seed=0)
+    orig.r_weight[0, 1] += 0.5
+    with pytest.raises(AssumptionViolationError, match="not symmetric"):
+        setup(orig)
+
+
 def test_adapter_trivial_weights_is_identity_setup():
     orig = random_original_problem(n=10, m=2, l=2, r=3, seed=1, with_l=False)
     orig.r_weight = np.eye(2)
