@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -266,6 +267,8 @@ class ExperimentConfig:
                 check_count(f"generate.{key}", value, 0 if key == "seed" else 1)
             elif key in ("scale", "damping") and value is not None:
                 check_real(f"generate.{key}", value, zero_ok=key == "damping")
+            elif key == "mass_matrix" and not isinstance(value, bool):
+                raise ValueError(f"generate.mass_matrix must be true or false, not {value!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -314,7 +317,7 @@ def _grid_cases(cfg: ExperimentConfig, base: StandardProblem):
         elif r == 2:
             for ns in cfg.noise_scales:
                 p = with_noise_blocks(base, [ns], seed=cfg.seed + 100)
-                cases.append((f"r2_ns{ns:g}", p))
+                cases.append((f"r2_ns{float(ns)!r}", p))
         else:
             p = with_noise_blocks(base, list(cfg.noise_scales)[: r - 1], seed=cfg.seed + 100)
             cases.append((f"r{r}", p))
@@ -324,17 +327,24 @@ def _grid_cases(cfg: ExperimentConfig, base: StandardProblem):
 def grid_cells(cfg: ExperimentConfig) -> list[tuple[str, StandardProblem, SolveOptions]]:
     """Every (label, problem, options) cell of the grid, built before any runs.
 
-    A label reads ``"<case>__<variant>"``, e.g. ``"r5__hami 1"``.  A config
-    that cannot make its cells (a bad generator, an impossible case, a bad
-    variant) raises here.
+    A label reads ``"<case>__<variant>"``, e.g. ``"r5__hami 1"``; an r = 2
+    case carries its noise scale's shortest round-trip repr.  A config that
+    cannot make its cells (a bad generator, an impossible case, a bad
+    variant) raises here, and so does one whose cells share a label (a
+    repeated noise scale, variant or r case), since the label names a
+    cell's files and its summary row.
     """
     base = _base_problem(cfg)
-    return [
+    cells = [
         (f"{case}__{variant_label(*v)}", problem,
          replace(cfg.options, shift=ShiftConfig(*v)))
         for case, problem in _grid_cases(cfg, base)
         for v in cfg.variants
     ]
+    shared = sorted(label for label, count in Counter(c[0] for c in cells).items() if count > 1)
+    if shared:
+        raise ValueError(f"grid cells share the labels {shared}")
+    return cells
 
 
 def run_single(p: StandardProblem, opts: SolveOptions, label: str,

@@ -30,12 +30,18 @@ MODE_NAMES = {"cached": "cached", "per-iter": "per_iteration"}
 
 
 def _parse_generate(text: str) -> dict:
-    """'heat:n=1357,m=7,l=6,scale=100' -> {'kind': 'heat', 'n': 1357, ...}."""
+    """'heat:n=1357,m=7,l=6,scale=100,mass_matrix=true' -> {'kind': 'heat', 'n': 1357, ...}.
+
+    A value reads as true or false, else as an integer, else as a real.
+    """
     kind, _, rest = text.partition(":")
     out = {"kind": kind}
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
+            if val in ("true", "false"):
+                out[key.strip()] = val == "true"
+                continue
             try:
                 out[key.strip()] = int(val)
             except ValueError:

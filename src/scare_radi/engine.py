@@ -232,7 +232,7 @@ def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarr
     sqrt2g = np.sqrt(g2)
     s = add_product(sqrt2g * c_f, u, (sqrt2g * (lam**-0.5 - 1.0))[:, None] * t)
     w8 = add_product(np.multiply(c_f, g2, out=c_f), u, (g2 * (1.0 / lam - 1.0))[:, None] * t)
-    w8e = state.ops.mass.times(w8)
+    w8e = state.ops.e_times(w8)
     f_mid = add_product(
         state.f.copy(), -sla.solve_triangular(state.kpi, y.T, lower=False), w8e
     )

@@ -4,24 +4,26 @@ The left semi-tensor product with vertically stacked blocks as one product,
 the operator forms of one solve (:meth:`OperatorForms.of` chooses the shifted
 factorization's route, a LAPACK LDL^T for a symmetric-definite tridiagonal
 pencil or SuperLU otherwise, prepares its operands, and builds the mass
-matrix's product, one sparse product on both routes, and its solve on the
-route's factorization), the shifted factorization and its SMW-corrected row
-solves, right triangular solves, small SPD Cholesky factorization, the BLAS
+matrix's maps: x E, one sparse product on both routes, and E^-1 u, the
+route's solve), the shifted factorization and its SMW-corrected row solves,
+right triangular solves, small SPD Cholesky factorization, the BLAS
 ``dgemm`` accumulation of a product into its target in place, the BLAS
 ``dsyrk`` accumulation of a signed sum of Grams A^T A into one upper
 triangle, and the truncation of a residual factor with exact accounting of
 the discarded energy: a wide factor by an SVD taken through its Gram C C^T
 with no division by the singular values (:func:`trunc_svd`), a tall one from
 its Gram G = C^T C alone by a pivoted Cholesky (:func:`trunc_gram`;
-``trunc_svd`` forms C^T C and calls it).  This module holds the package's
-only direct BLAS and LAPACK calls.  Everything here is a pure function of its
-inputs; operator forms and factorization handles may be shared read-only
-across threads.
+``trunc_svd`` forms C^T C and calls it).  Each route has one
+factor-and-solve, ``_ldlt`` or ``_superlu``, and it makes every
+factorization of a solve: the definiteness test of -A, E's, and each
+shifted matrix's.  This module holds the package's only direct BLAS and
+LAPACK calls.  Everything public here is a pure function of its inputs;
+operator forms and factorization handles may be shared read-only across
+threads.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +43,6 @@ from .errors import (
 __all__ = [
     "StackedMat",
     "ShiftedFactorization",
-    "MassMatrix",
     "OperatorForms",
     "TruncationResult",
     "ltimes",
@@ -148,10 +149,10 @@ class ShiftedFactorization:
 
     Factoring the transpose turns every row solve rows @ (A - gamma*E)^-1
     into a plain (non-transposed) column solve ``_solve(cols, overwrite)``
-    of the factors: the negated LAPACK ``dpttrs`` on the LDL^T of
-    gamma*E - A, which may overwrite ``cols`` when ``overwrite`` is set, or
-    ``SuperLU.solve``.  The handle is read-only after construction and safe
-    to share across threads for simultaneous solves.
+    of the factors, the route's solve from :func:`factor_shifted`, which on
+    the LDL^T route may overwrite ``cols`` when ``overwrite`` is set.  The
+    handle is read-only after construction and safe to share across threads
+    for simultaneous solves.
     """
 
     n: int
@@ -173,43 +174,49 @@ class ShiftedFactorization:
         return self._solve(rows.T, overwrite_rows).T
 
 
-@dataclass(frozen=True)
-class MassMatrix:
-    """The mass matrix E of one solve, as the maps x -> x E and u -> E^-1 u.
-
-    ``times(x)`` is x E for a k x n array x, the one sparse product on both
-    routes, and ``solve(u)`` is E^-1 u for an n x k array u, on the shifted
-    solve's route (see :class:`OperatorForms`).  With E = I both return
-    their argument itself.  The handle is read-only after construction and
-    safe to share across threads.
-    """
-
-    times: object = field(repr=False)
-    solve: object = field(repr=False)
-
-
 def _identity(x):
     return x
 
 
-def _sparse_times(et, x):
-    """x E as the sparse product (E^T x^T)^T; ``et`` is E^T in CSC."""
-    return np.asarray(et @ x.T).T
+def _ldlt(d, o, negate=False):
+    """Factor the symmetric tridiagonal M of diagonal d and off-diagonal o by LAPACK ``dpttrf``.
+
+    Returns (solve, 0): solve(cols, overwrite=False) is M^-1 cols by
+    ``dpttrs``, or -M^-1 cols with ``negate``, and with ``overwrite`` set a
+    Fortran-contiguous ``cols`` holds the result.  When M is not positive
+    definite it returns (None, the 1-based index of the first non-positive
+    pivot) instead.  ``dpttrf`` overwrites d and o with the factors.
+    """
+    d, o, info = dpttrf(d, o, overwrite_d=1, overwrite_e=1)
+    if info > 0:
+        return None, info
+
+    def solve(cols, overwrite=False):
+        x = dpttrs(d, o, cols, overwrite_b=overwrite)[0]  # info < 0 cannot occur here
+        return np.negative(x, out=x) if negate else x
+
+    return solve, 0
 
 
-def _ldlt_mass_solve(d, o, u):
-    """E^-1 u from the LDL^T (d, o) of E."""
-    return dpttrs(d, o, u)[0]  # info < 0 (an illegal argument) cannot occur here
+def _superlu(m: sp.csc_matrix):
+    """Factor a square CSC ``m`` by SuperLU, with partial pivoting and its default ordering.
+
+    Returns (solve, None): solve(cols, overwrite=False) is M^-1 cols and
+    only reads ``cols``.  When M is exactly singular it returns (None,
+    SuperLU's error) instead.
+    """
+    try:
+        lu = splu(m)
+    except RuntimeError as exc:  # SuperLU signals exact singularity this way
+        return None, exc
+    return (lambda cols, overwrite=False: lu.solve(cols)), None
 
 
-def _ldlt_forms(a: sp.csc_matrix, e: sp.csc_matrix | None):
-    """The ``"ldlt"`` route's (a_d, a_o, e_d, e_o) and E's solve, or None off it.
+def _symmetric_tridiagonals(a: sp.csc_matrix, e: sp.csc_matrix | None):
+    """[a_d, a_o, e_d, e_o], the diagonals and off-diagonals of A and E (I for a None E).
 
-    Tests the route's conditions (see :class:`OperatorForms`), with I for a
-    None E.  LAPACK ``dpttrf`` completing on -A and E shows them positive
-    definite, so gamma*E - A is SPD for every gamma > 0, and E^-1 u uses
-    that LDL^T of E (the identity when E is None).  The arrays are
-    read-only, so they can be shared across threads.
+    None unless n >= 2, the pattern of |A| + |E| is tridiagonal, and A and
+    E are exactly symmetric.
     """
     n = a.shape[0]
     if n < 2:
@@ -224,18 +231,7 @@ def _ldlt_forms(a: sp.csc_matrix, e: sp.csc_matrix | None):
         if not np.array_equal(off, m.diagonal(1)):
             return None
         diags += [m.diagonal(0), off]
-    a_d, a_o, e_d, e_o = diags
-    if dpttrf(-a_d, -a_o)[2] != 0:
-        return None
-    e_solve = _identity
-    if e is not None:
-        d, o, info = dpttrf(e_d, e_o)
-        if info != 0:
-            return None
-        e_solve = functools.partial(_ldlt_mass_solve, d, o)
-    for arr in diags:
-        arr.flags.writeable = False
-    return tuple(diags), e_solve
+    return diags
 
 
 @dataclass(frozen=True)
@@ -243,36 +239,33 @@ class OperatorForms:
     """The fixed operators of one solve, in the forms its iterations use.
 
     :meth:`of` converts A and E to CSC, takes ||A||_1, chooses the route of
-    :func:`factor_shifted`, prepares its operands and factors E, once per
-    solve; the instance is immutable after that.  ``route`` is one of:
+    :func:`factor_shifted`, prepares the route's ``operands`` and factors E
+    on the route, once per solve; the instance is immutable after that.
+    ``route`` is one of:
 
     - ``"ldlt"``: the pattern of |A| + |E| is tridiagonal (n >= 2), A and E
-      are exactly symmetric, and -A and E are positive definite.
-      ``tridiag`` holds their diagonals and off-diagonals (a_d, a_o, e_d,
-      e_o), and each step factors the SPD tridiagonal gamma*E - A by LDL^T.
+      are exactly symmetric, and the LDL^T of -A and of E shows both
+      positive definite.  ``operands`` holds their read-only diagonals and
+      off-diagonals (a_d, a_o, e_d, e_o), and each step factors the SPD
+      tridiagonal gamma*E - A by LDL^T.
     - ``"superlu"``: any other pattern or values (a nonsymmetric or
       indefinite tridiagonal, a wider band, a 2-D stencil, a general sparse
-      A).  ``at`` and ``et`` are A^T and E^T (I when E is None) in CSC, and
-      each step factors (A - gamma*E)^T as ``at - gamma*et`` by SuperLU.
+      A).  ``operands`` holds A^T and E^T (I when E is None) in CSC, and
+      each step factors (A - gamma*E)^T by SuperLU.
 
-    ``mass`` is E as the products x E (the step's) and E^-1 u (the shift
-    layer's).  x E is the sparse product (E^T x^T)^T of E^T in CSC on both
-    routes; E^-1 u follows the route, by E's LDL^T or its SuperLU factors.
-    Both are the identity when E is None.  A singular E raises
-    :class:`AssumptionViolationError` in :meth:`of`.
+    ``e_times(x)`` is x E for a k x n array x (the step's product), the
+    sparse product (E^T x^T)^T of E^T in CSC on both routes.  ``e_solve(u)``
+    is E^-1 u for an n x k array u (the shift layer's), the route's solve
+    with E's factors.  Both return their argument itself when E is None.  A
+    singular E raises :class:`AssumptionViolationError` in :meth:`of`.
     """
 
     a: sp.csc_matrix
     a_norm1: float
-    mass: MassMatrix
-    tridiag: tuple | None = None
-    at: sp.csc_matrix | None = None
-    et: sp.csc_matrix | None = None
-
-    @property
-    def route(self) -> str:
-        """The shifted factorization's route: ``"ldlt"`` or ``"superlu"``."""
-        return "ldlt" if self.tridiag is not None else "superlu"
+    route: str
+    operands: tuple = field(repr=False)
+    e_times: object = field(repr=False)
+    e_solve: object = field(repr=False)
 
     @classmethod
     def of(cls, a, e=None) -> "OperatorForms":
@@ -280,67 +273,58 @@ class OperatorForms:
         a = sp.csc_matrix(a, dtype=float)
         e = None if e is None else sp.csc_matrix(e, dtype=float)
         a_norm1 = float(np.max(np.asarray(abs(a).sum(axis=0)).ravel()))
-        ldlt = _ldlt_forms(a, e)
-        # E is exactly symmetric on the LDL^T route, so there E's CSC is E^T's.
-        et = None if e is None else e if ldlt is not None else e.T.tocsc()
-        times = _identity if et is None else functools.partial(_sparse_times, et)
-        if ldlt is not None:
-            tridiag, e_solve = ldlt
-            return cls(a=a, a_norm1=a_norm1, mass=MassMatrix(times, e_solve), tridiag=tridiag)
+        # -A and E positive definite make gamma*E - A SPD for every gamma > 0.
+        diags = _symmetric_tridiagonals(a, e)
+        ldlt = diags is not None and _ldlt(-diags[0], -diags[1])[0] is not None
         e_solve = _identity
-        if e is not None:
-            try:
-                e_solve = splu(e).solve
-            except RuntimeError as exc:  # SuperLU signals exact singularity this way
-                raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
-        if et is None:
-            et = sp.identity(a.shape[0], format="csc")
-        return cls(a=a, a_norm1=a_norm1, mass=MassMatrix(times, e_solve), at=a.T.tocsc(), et=et)
+        if ldlt and e is not None:  # a copy: the shifts need E's diagonals intact
+            e_solve = _ldlt(diags[2].copy(), diags[3].copy())[0]
+            ldlt = e_solve is not None
+        if ldlt:
+            for arr in diags:
+                arr.flags.writeable = False
+            operands, et = tuple(diags), e  # E is exactly symmetric: its CSC is E^T's
+        else:
+            et = None if e is None else e.T.tocsc()
+            operands = (a.T.tocsc(), sp.identity(a.shape[0], format="csc") if et is None else et)
+            if e is not None:
+                e_solve, exc = _superlu(e)
+                if e_solve is None:
+                    raise AssumptionViolationError(f"mass matrix E is singular: {exc}") from exc
 
+        def e_times(x):
+            return np.asarray(et @ x.T).T
 
-def _ldlt_solve(d, e, cols, overwrite):
-    """(A - gamma*E)^-1 cols as -(gamma*E - A)^-1 cols from its LDL^T (d, e).
-
-    With ``overwrite`` set, a Fortran-contiguous ``cols`` holds the result.
-    """
-    x = dpttrs(d, e, cols, overwrite_b=overwrite)[0]  # info < 0 cannot occur here
-    return np.negative(x, out=x)
-
-
-def _superlu_solve(lu, cols, overwrite):
-    """(A - gamma*E)^-T cols from the SuperLU factors of (A - gamma*E)^T; ``cols`` is only read."""
-    return lu.solve(cols)
+        return cls(a=a, a_norm1=a_norm1, route="ldlt" if ldlt else "superlu", operands=operands,
+                   e_times=_identity if e is None else e_times, e_solve=e_solve)
 
 
 def factor_shifted(ops: OperatorForms, gamma: float) -> ShiftedFactorization:
     """Factor (A - gamma*E)^T for the operator forms ``ops`` of one solve.
 
     ``ops.route`` picks the factorization (see :class:`OperatorForms`).  On
-    ``"ldlt"`` the SPD tridiagonal gamma*E - A, built from ``ops.tridiag``,
-    is factored by LAPACK ``dpttrf`` (LDL^T, no pivoting needed) and every
-    solve negates its ``dpttrs``.  On ``"superlu"`` ``ops.at - gamma*ops.et``
-    is factored by SuperLU with partial pivoting and its default
-    fill-reducing ordering.  A shifted matrix that is exactly singular (a
-    zero pivot), or on the LDL^T route not numerically positive definite (a
-    rounding-level near singularity for gamma > 0), raises
-    :class:`ShiftRejectionError`.
+    ``"ldlt"`` the SPD tridiagonal gamma*E - A is factored by LAPACK
+    ``dpttrf`` (LDL^T, no pivoting needed) and every solve negates its
+    ``dpttrs``.  On ``"superlu"`` A^T - gamma*E^T is factored by SuperLU with
+    partial pivoting and its default fill-reducing ordering.  A shifted
+    matrix that is exactly singular, or on the LDL^T route not numerically
+    positive definite (a rounding-level near singularity for gamma > 0),
+    raises :class:`ShiftRejectionError` naming the failing pivot or carrying
+    SuperLU's reason.
     """
-    n = ops.a.shape[0]
     if ops.route == "ldlt":
-        a_d, a_o, e_d, e_o = ops.tridiag
-        d, e, info = dpttrf(gamma * e_d - a_d, gamma * e_o - a_o, overwrite_d=1, overwrite_e=1)
-        if info > 0:
+        a_d, a_o, e_d, e_o = ops.operands
+        solve, pivot = _ldlt(gamma * e_d - a_d, gamma * e_o - a_o, negate=True)
+        if solve is None:
             raise ShiftRejectionError(
-                f"LDL^T of {gamma}*E - A failed: pivot {info} is not positive"
+                f"LDL^T of {gamma}*E - A failed: pivot {pivot} is not positive"
             )
-        return ShiftedFactorization(n=n, _solve=functools.partial(_ldlt_solve, d, e))
-    try:
-        lu = splu(ops.at - gamma * ops.et)
-    except RuntimeError as exc:  # SuperLU signals exact singularity this way
-        raise ShiftRejectionError(
-            f"factorization of A - {gamma}*E failed: {exc}"
-        ) from exc
-    return ShiftedFactorization(n=n, _solve=functools.partial(_superlu_solve, lu))
+    else:
+        at, et = ops.operands
+        solve, exc = _superlu(at - gamma * et)
+        if solve is None:
+            raise ShiftRejectionError(f"factorization of A - {gamma}*E failed: {exc}") from exc
+    return ShiftedFactorization(n=ops.a.shape[0], _solve=solve)
 
 
 def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -166,11 +166,11 @@ def build_basis(window, fallback: np.ndarray, q: int | None = None) -> np.ndarra
 def _projected_closed_loop(u: np.ndarray, p, state):
     """U^T (A + B F) E^-1 U, E^-1 U and U^T B.
 
-    E^-1 U is the solve with ``state.ops.mass``, on the shifted solve's route
+    E^-1 U is ``state.ops.e_solve``, on the shifted solve's route
     (U itself when E is I).  U^T B is returned because the Hamiltonian needs
     it too.
     """
-    w = state.ops.mass.solve(u)
+    w = state.ops.e_solve(u)
     ub = u.T @ p.b
     abar = u.T @ (state.ops.a @ w) + ub @ (state.f @ w)
     return abar, w, ub

@@ -570,6 +570,10 @@ def test_cli_noise_builds_criterion_9_blocks(monkeypatch):
         ({"output_dir": 5}, "invalid grid config .*output_dir must be a path"),
         ({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1, "scale": "big"}},
          "invalid grid config .*generate.scale must be a positive finite real"),
+        ({"generate": {"kind": "heat", "n": 10, "m": 1, "l": 1, "mass_matrix": "no"}},
+         "invalid grid config .*generate.mass_matrix must be true or false, not 'no'"),
+        ({"r_cases": [2], "noise_scales": [1e-5, 1e-5]},
+         r"invalid grid config .*share the labels \['r2_ns1e-05__"),
     ],
 )
 def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):
@@ -578,6 +582,48 @@ def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):
     with pytest.raises(SystemExit, match=message) as info:
         main(["grid", "--config", str(path)])
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("flag, generalized", [("true", True), ("false", False)])
+def test_cli_generate_reads_a_boolean_mass_matrix(monkeypatch, flag, generalized):
+    _, p = cli_solve(monkeypatch, ["--generate", f"heat:n=10,m=1,l=1,mass_matrix={flag}"])
+    assert p.is_generalized == generalized
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_config_takes_mass_matrix_as_a_boolean_only(value):
+    with pytest.raises(ValueError, match="generate.mass_matrix must be true or false"):
+        ExperimentConfig(generate={"kind": "heat", "n": 10, "m": 1, "l": 1, "mass_matrix": value})
+
+
+def test_grid_labels_tell_close_noise_scales_apart():
+    # Scales equal to six digits used to share one label, and one cell's
+    # files overwrote the other's.
+    cfg = small_grid_config()
+    cfg.r_cases, cfg.noise_scales = [1, 2], [1e-5, 1.000001e-5]
+    labels = [label for label, _, _ in grid_cells(cfg)]
+    assert labels == [
+        "r1__hami 1", "r1__proj c 1",
+        "r2_ns1e-05__hami 1", "r2_ns1e-05__proj c 1",
+        "r2_ns1.000001e-05__hami 1", "r2_ns1.000001e-05__proj c 1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, shared",
+    [
+        ({"noise_scales": [1e-4, 1e-4]}, ["r2_ns0.0001__hami 1", "r2_ns0.0001__proj c 1"]),
+        ({"noise_scales": [1e-4, 1e-3], "variants": [("hamiltonian", 1, "cached")] * 2},
+         ["r1__hami 1", "r2_ns0.0001__hami 1", "r2_ns0.001__hami 1"]),
+    ],
+    ids=["scale", "variant"],
+)
+def test_grid_cells_reject_a_shared_label(change, shared):
+    cfg = small_grid_config()
+    for key, value in change.items():
+        setattr(cfg, key, value)
+    with pytest.raises(ValueError, match=re.escape(f"share the labels {shared}")):
+        grid_cells(cfg)
 
 
 def test_cli_rejects_conflicting_sources():

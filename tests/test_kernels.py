@@ -232,12 +232,15 @@ def stencil_2d(side):
     ids=["tridiagonal", "tridiagonal-mass", "pentadiagonal", "nonsymmetric-band",
          "stencil-2d", "random-sparse"],
 )
-def test_operator_forms_choose_band_route_for_narrow_patterns(a, e):
-    # Narrow patterns have no route of their own: outside the LDL^T route,
-    # every pattern is factored by SuperLU.
+def test_operator_forms_take_superlu_for_every_other_pattern(a, e):
+    # Outside the LDL^T route every pattern, narrow band or not, is factored
+    # by SuperLU, from A^T and E^T (I when E is None) in CSC.
     ops = OperatorForms.of(a, e)
     assert ops.route == "superlu"
-    assert ops.tridiag is None
+    e_d = np.eye(a.shape[0]) if e is None else e.toarray()
+    for got, want in zip(ops.operands, (a.toarray().T, e_d.T), strict=True):
+        assert got.format == "csc"
+        np.testing.assert_array_equal(got.toarray(), want)
 
 
 @pytest.mark.parametrize(
@@ -259,12 +262,11 @@ def test_operator_forms_take_ldlt_route_for_symmetric_definite_tridiagonals(a, e
     ops = OperatorForms.of(a, e)
     assert ops.route == route
     if route != "ldlt":
-        assert ops.tridiag is None
         return
     a_d = a.toarray()
     e_d = np.eye(a.shape[0]) if e is None else e.toarray()
     expected = (np.diag(a_d), np.diag(a_d, 1), np.diag(e_d), np.diag(e_d, 1))
-    for got, want in zip(ops.tridiag, expected, strict=True):
+    for got, want in zip(ops.operands, expected, strict=True):
         np.testing.assert_array_equal(got, want)
         assert not got.flags.writeable
 
@@ -312,13 +314,13 @@ def test_mass_matrix_times_and_solve_follow_the_route(case):
     assert ops.route == ("superlu" if case == "superlu" else "ldlt")
     x = rng.standard_normal((6, n))
     u = np.asfortranarray(rng.standard_normal((n, 4)))  # a basis is Fortran-ordered
-    got = ops.mass.times(x)
+    got = ops.e_times(x)
     if case == "identity":
         want, e_dense = x, np.eye(n)
     else:
         want, e_dense = np.asarray((e.T @ x.T).T), e.toarray()
     np.testing.assert_array_equal(got, want)
-    w = ops.mass.solve(u)
+    w = ops.e_solve(u)
     assert np.linalg.norm(e_dense @ w - u) <= 1e-13 * np.linalg.norm(u)
 
 

@@ -64,11 +64,31 @@ def test_the_shift_window_is_known_to_shifts_alone(name):
 @pytest.mark.parametrize("module", ["engine", "shifts"])
 def test_the_mass_matrix_is_reached_through_kernels(module):
     # x E and E^-1 U are built in kernels, E^-1 U on the shifted solve's
-    # route: the step and the shift layer use ops.mass, never E's sparse form
-    # or factors of their own.
+    # route: the step and the shift layer use ops.e_times and ops.e_solve,
+    # never E's sparse form or factors of their own.
     text = (PACKAGE / f"{module}.py").read_text()
     assert "e_lu" not in text and "splu" not in text
     assert not re.search(r"\bops\.e\b", text)
+
+
+@pytest.mark.parametrize("name", ["dpttrf", "dpttrs", "splu"])
+def test_each_route_factors_and_solves_at_one_site(name):
+    # Each route has one factor-and-solve, which makes the definiteness test
+    # of -A, E's factorization and every shifted one.
+    calls = [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "kernels.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+    assert len(calls) == 1
+
+
+def test_the_mass_matrix_has_no_class_of_its_own():
+    # E's maps x -> x E and u -> E^-1 u are fields of the operator forms.
+    assert not hasattr(scare_radi.kernels, "MassMatrix")
+    assert {"e_times", "e_solve"} <= {
+        f.name for f in dataclasses.fields(scare_radi.kernels.OperatorForms)
+    }
 
 
 def test_operator_forms_are_built_in_kernels():
