@@ -10,15 +10,19 @@ plus a compact summary table.  ``scare-radi solve`` runs a one-cell grid.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import platform
 import re
+import resource
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.io as sio
 import scipy.sparse as sp
 
@@ -347,12 +351,33 @@ def grid_cells(cfg: ExperimentConfig) -> list[tuple[str, StandardProblem, SolveO
     return cells
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _environment() -> dict:
+    """The interpreter, library versions, cores and BLAS thread settings, read once per process."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def run_single(p: StandardProblem, opts: SolveOptions, label: str,
                out_dir=None) -> RunReport:
-    """Solve one cell and optionally persist its trace and summary."""
+    """Solve one cell and optionally persist its trace and summary.
+
+    The summary's config records the environment (the same in every report
+    of a process) and the report the process's peak RSS after the solve.
+    """
     _, report = radi_solve(p, opts)
+    report.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     report.label = label
     report.config["provenance"] = f"scare-radi {__version__}"
+    report.config["environment"] = dict(_environment())
     report.config["problem"] = {"n": p.n, "m": p.m, "l": p.l, "r": p.r,
                                 "generalized": p.is_generalized}
     if out_dir is not None:

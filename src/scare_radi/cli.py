@@ -32,20 +32,27 @@ MODE_NAMES = {"cached": "cached", "per-iter": "per_iteration"}
 def _parse_generate(text: str) -> dict:
     """'heat:n=1357,m=7,l=6,scale=100,mass_matrix=true' -> {'kind': 'heat', 'n': 1357, ...}.
 
-    A value reads as true or false, else as an integer, else as a real.
+    A value reads as true or false, else as an integer, else as a real; any
+    other value raises ValueError naming its key.
     """
     kind, _, rest = text.partition(":")
     out = {"kind": kind}
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
+            key = key.strip()
             if val in ("true", "false"):
-                out[key.strip()] = val == "true"
+                out[key] = val == "true"
                 continue
             try:
-                out[key.strip()] = int(val)
+                out[key] = int(val)
             except ValueError:
-                out[key.strip()] = float(val)
+                try:
+                    out[key] = float(val)
+                except ValueError:
+                    raise ValueError(
+                        f"generate.{key} must be true, false or a number, not {val!r}"
+                    ) from None
     return out
 
 

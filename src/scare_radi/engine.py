@@ -7,13 +7,15 @@ append a rank-l block to the solution factor, refresh the residual factor and
 the feedback/accumulator pair through identity-plus-rank-m scalings (no
 factor beyond m x m), compress the new residual factor, and account the
 discarded energy exactly.  The scaling W = (I + Y Y^T)^-1/2 is applied once,
-to the new block S, and the stochastic couplings are taken from S.  While the
-new residual factor is wide it is stacked and truncated by an SVD through its
-Gram C C^T (`kernels.trunc_svd`); once it would be tall, only its n x n Gram
-C^T C is accumulated, never the stack, and truncated by a pivoted Cholesky
-(`kernels.trunc_gram`).  The trace-norm residual is then available for free
-as the squared Frobenius norm of the kept factor plus the accumulated
-discard.
+to the new block S, and the stochastic couplings are taken from S; their
+scaling by (I + Z Z^T)^-1 comes from the accumulator factor and the one
+projection the feedback update makes.  One rule, for every r, picks the
+truncation: while the new residual factor has at most n rows it is stacked
+and truncated by an SVD through its Gram C C^T (`kernels.trunc_svd`); once
+it would be tall, only its n x n Gram C^T C is accumulated, never the stack,
+and truncated by a pivoted Cholesky (`kernels.trunc_gram`).  The trace-norm
+residual is then available for free as the squared Frobenius norm of the
+kept factor plus the accumulated discard.
 
 The dense prototype this iteration is checked against (`alg1_init`/
 `alg1_step`) lives in :mod:`scare_radi.oracles`.
@@ -181,31 +183,6 @@ def nres_trace(state: SolverState) -> float:
     return (float(np.linalg.norm(state.ccur) ** 2) + state.nu_omega) / state.nu0
 
 
-def _gram_eig(z: np.ndarray):
-    """U and Lambda with I + Z Z^T = I + U (Lambda - I) U^T for any p x k Z.
-
-    Lambda (>= 1) is the spectrum of I + R R^T = V Lambda V^T for the thin
-    QR Z = Q R, and U = Q V has orthonormal columns, at most min(p, k).  Any
-    power of I + Z Z^T is then I + U (Lambda^a - I) U^T, applied in O(p k)
-    per column.
-    """
-    q, rz = np.linalg.qr(z)
-    lam, v = np.linalg.eigh(np.eye(rz.shape[0]) + rz @ rz.T)
-    return q @ v, lam
-
-
-def _inv_sqrt_gram(z: np.ndarray):
-    """The map x -> (I + Z Z^T)^-1/2 x for any p x k Z, in O(p k) per column of x.
-
-    It is x + U (Lambda^-1/2 - I) U^T x for U and Lambda of :func:`_gram_eig`.
-    The map overwrites x, a C- or Fortran-contiguous p x cols array, and
-    returns it.
-    """
-    u, lam = _gram_eig(z)
-    shrink = (lam**-0.5 - 1.0)[:, None]
-    return lambda x: add_product(x, u, shrink * (u.T @ x))
-
-
 def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarray):
     """The new block S, the residual factor's top C_top and the mid-step feedback.
 
@@ -217,8 +194,9 @@ def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarr
         F_mid = F - Kpi^-1 Y^T (2 gamma W^2 C_F E).
 
     W = (I + Y Y^T)^-1/2 = Q N^-1 for N N^T = I + Y Y^T and an orthogonal Q,
-    so S^T S and the Grams built from S are those N^-1 gives.  W and W^2 are
-    I + U (Lambda^a - I) U^T (:func:`_gram_eig`), so both take the one
+    so S^T S and the Grams built from S are those N^-1 gives.  For the thin
+    QR Y = Q_Y R and the eigh I + R R^T = V Lambda V^T, any power W^a is
+    I + U (Lambda^-a/2 - I) U^T with U = Q_Y V, so W and W^2 take the one
     projection T = U^T C_F: S = sqrt(2 gamma) (C_F + U D_1 T) with
     D_1 = Lambda^-1/2 - I, and 2 gamma W^2 C_F = 2 gamma (C_F + U D_2 T)
     with D_2 = Lambda^-1 - I, formed in place of ``c_f``, which is
@@ -226,7 +204,9 @@ def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarr
     and C_top is formed in place of 2 gamma W^2 C_F.
     """
     y = right_tri_solve(state.kpi, c_fb)
-    u, lam = _gram_eig(y)
+    q, rz = np.linalg.qr(y)
+    lam, v = np.linalg.eigh(np.eye(rz.shape[0]) + rz @ rz.T)
+    u = q @ v
     t = u.T @ c_f
     g2 = 2.0 * gamma
     sqrt2g = np.sqrt(g2)
@@ -238,6 +218,20 @@ def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarr
     )
     c_top = np.add(state.ccur, w8e, out=w8)
     return s, c_top, f_mid
+
+
+def _scale_couplings(x: np.ndarray, zt: np.ndarray, k: np.ndarray, t: np.ndarray):
+    """(I + Z Z^T)^-1/2 X in place of the p x n ``x``, from K and T alone.
+
+    ``zt`` is Z^T (m x p), ``k`` the upper-triangular K with K^T K = I + Z^T Z
+    and ``t`` = T = K^-T Z^T X.  For K K^T = Q Lambda Q^T (an m x m eigh) the
+    result is X - Z K^-1 Q D Q^T T with D = (I + Lambda^-1/2)^-1, which lies
+    in [1/2, 1) since Lambda >= 1, so nothing small is divided by.  ``x``
+    must be C- or Fortran-contiguous; it is overwritten and returned.
+    """
+    lam, q = np.linalg.eigh(k @ k.T)
+    corr = sla.solve_triangular(k, (q / (1.0 + lam**-0.5)) @ (q.T @ t))
+    return add_product(x, -zt.T, corr)
 
 
 def step_once(
@@ -256,12 +250,15 @@ def step_once(
     r = 1 the new residual factor is C_top and the new feedback F_mid.
     With r > 1 the new residual factor is [C_top; (I + Z Z^T)^-1/2 X] for the
     stochastic couplings X = Sa + Shat F_mid and Z = Shat Kpi^-1, where
-    Sa = S lt Ahat and Shat = S lt Bhat.
-    When its row count exceeds n the step assembles its Gram
-    C_top^T C_top + X^T X - T^T T (T = K^-T Z^T X for I + Z^T Z = K^T K, the
-    solve the feedback update makes anyway) by ``dsyrk`` and truncates that;
-    otherwise it stacks the factor and truncates it by an SVD.  The Gram
-    assembly counts as truncation time (``t_svd``).
+    Sa = S lt Ahat and Shat = S lt Bhat.  Both shapes of it take the
+    scaling from the accumulator factor K (K^T K = I + Z^T Z) and
+    T = K^-T Z^T X, which the feedback update makes anyway.  One rule picks
+    the shape for every r: when the new factor has more rows than n the step
+    assembles its Gram C_top^T C_top + X^T X - T^T T by ``dsyrk`` and
+    truncates that (:func:`trunc_gram`); otherwise it stacks
+    [C_top; (I + Z Z^T)^-1/2 X] (:func:`_scale_couplings`) and truncates it
+    by an SVD (:func:`trunc_svd`).  The Gram assembly counts as truncation
+    time (``t_svd``).
 
     Returns the state and the iteration's trace row; its ``t_shift`` is left
     to the caller, who picked the shift.  Raises :class:`ShiftRejectionError`
@@ -286,8 +283,10 @@ def step_once(
 
     s, c_top, f_mid = _new_block(state, gamma, c_f, c_fb)
 
-    t_ltimes = t_gram = 0.0
-    stacked = gram = None
+    # One rule for every r: a new residual factor of more rows than n is
+    # truncated from its Gram, which is accumulated without stacking it.
+    tall = c_top.shape[0] + (r - 1) * s.shape[0] > n
+    add, subtract, t_ltimes = [c_top], [], 0.0
     if r > 1:
         # W acts on the left, so (I (x) W)(C_gamma lt M) = S lt M.  The blocks
         # are kept as the C-contiguous transposes ltimes gives, (r - 1, ., ell):
@@ -306,39 +305,41 @@ def step_once(
         ztx = np.matmul(zt.reshape(m, r - 1, ell).transpose(1, 0, 2), xt.transpose(0, 2, 1))
         kzx = sla.solve_triangular(k_factor, ztx.sum(axis=0), trans="T")
         f_new = f_mid - sla.solve_triangular(kpi_new, kzx)
-        if c_top.shape[0] + (r - 1) * ell > n:
-            # X^T (I + Z Z^T)^-1 X = X^T X - T^T T.  Building the Gram replaces
-            # the C^T C that truncating a tall stack would form, so it is timed
-            # as truncation.
-            t0 = time.perf_counter()
-            gram = gram_upper(n, [c_top, *(x_i.T for x_i in xt)], [kzx])
-            t_gram = time.perf_counter() - t0
+        if tall:  # X^T (I + Z Z^T)^-1 X = X^T X - T^T T
+            add += [x_i.T for x_i in xt]
+            subtract.append(kzx)
         else:
             x_mat = xt.transpose(0, 2, 1).reshape(-1, n)
-            stacked = np.vstack([c_top, _inv_sqrt_gram(zt.T)(x_mat)])
+            add.append(_scale_couplings(x_mat, zt, k_factor, kzx))
     else:
         # No stochastic blocks: the accumulator Gram is I, so its factor is I
         # and the update leaves Kpi and the mid-step feedback as they are.
-        kpi_new, f_new, stacked = state.kpi, f_mid, c_top
+        kpi_new, f_new = state.kpi, f_mid
 
-    # The trace of the new residual's Gram is its energy before truncation.
-    # Once it or the feedback is no longer finite the iteration has diverged.
+    # The tall Gram replaces the C^T C a truncation of the stack would form,
+    # so it is built in the truncation's time.  Its trace, or the stack's
+    # squared norm, is the new residual's energy; once that or the feedback
+    # is no longer finite the iteration has diverged.
+    t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = np.trace(gram) if stacked is None else np.linalg.norm(stacked) ** 2
+        if tall:
+            gram = gram_upper(n, add, subtract)
+            energy = np.trace(gram)
+        else:
+            stacked = np.vstack(add) if r > 1 else c_top
+            energy = np.linalg.norm(stacked) ** 2
         finite = np.isfinite(energy) and np.isfinite(f_new).all()
     if not finite:
         raise NumericalBreakdownError(
             state.k + 1, f"residual or feedback not finite at iteration {state.k + 1}"
         )
-
-    t0 = time.perf_counter()
     cap = opts.cap_cols if opts.cap_cols is not None else 10 * r * max(p.l, 1)
     tau_abs = opts.trunc_rel * state.nu0
-    if stacked is None:
+    if tall:
         trunc = trunc_gram(gram, tau_abs=tau_abs, cap=cap)
     else:
         trunc = trunc_svd(stacked, tau_abs=tau_abs, cap=cap)
-    t_svd = t_gram + time.perf_counter() - t0
+    t_svd = time.perf_counter() - t0
 
     # Commit.
     state.append_xi(s)

@@ -12,10 +12,10 @@ right triangular solves, small SPD Cholesky factorization, the BLAS
 triangle, and the truncation of a residual factor with exact accounting of
 the discarded energy: a wide factor by an SVD taken through its Gram C C^T
 with no division by the singular values (:func:`trunc_svd`), a tall one from
-its Gram G = C^T C alone by a pivoted Cholesky (:func:`trunc_gram`;
-``trunc_svd`` forms C^T C and calls it).  Each route has one
-factor-and-solve, ``_ldlt`` or ``_superlu``, and it makes every
-factorization of a solve: the definiteness test of -A, E's, and each
+its Gram G = C^T C alone by a pivoted Cholesky (:func:`trunc_gram`).  The
+caller picks the rule by shape; both share one keep/cap/discard accounting.
+Each route has one factor-and-solve, ``_ldlt`` or ``_superlu``, and it makes
+every factorization of a solve: the definiteness test of -A, E's, and each
 shifted matrix's.  This module holds the package's only direct BLAS and
 LAPACK calls.  Everything public here is a pure function of its inputs;
 operator forms and factorization handles may be shared read-only across
@@ -443,9 +443,10 @@ class TruncationResult:
     ``discarded_sq_trace`` is the trace of the discarded part of that Gram, so
     the Frobenius energy of the input splits exactly into
     ``|factor|_F^2 + discarded_sq_trace``; ``cap_discard`` is the share of it
-    that the row cap moved there.  ``route`` names the decomposition:
-    ``"gram"`` (eigh of C C^T, an SVD truncation) or ``"tall-pchol"``
-    (pivoted Cholesky of C^T C).  On ``"gram"`` the rows are Sigma_k V_k^T,
+    that the row cap moved there.  ``route`` names the rule, one per shape:
+    ``"gram"`` (:func:`trunc_svd` of a wide factor, an eigh of C C^T) or
+    ``"tall-pchol"`` (:func:`trunc_gram` of a tall one's Gram C^T C, a
+    pivoted Cholesky).  On ``"gram"`` the rows are Sigma_k V_k^T,
     so their norms are the k retained singular values; the ``"tall-pchol"``
     rows are not singular directions.
     """
@@ -460,16 +461,28 @@ class TruncationResult:
         return int(self.factor.shape[0])
 
 
-def _select_retained(sq: np.ndarray, tau_abs: float) -> int:
-    """Smallest leading count of rows, of energies ``sq``, whose tail energy is <= tau_abs.
+def _retain(sq: np.ndarray, rows: int, tau_abs: float, cap: int):
+    """The accounting both truncation rules share: (kept, discard, cap discard).
 
-    The tail is summed from the back, so small tails do not cancel.
+    ``sq`` holds the energies of the ``rows`` candidate rows, leading first,
+    and then of any energy no row carries.  The tolerance keeps the fewest
+    leading rows whose tail energy is <= tau_abs, at most ``rows`` and with
+    trailing zero rows dropped; the tail is summed from the back, so small
+    tails do not cancel.  The cap then keeps at most ``cap`` of them.  The
+    discard is all the energy past the kept rows, and the cap discard its
+    share that the cap moved there.
     """
+    if tau_abs < 0:
+        raise ValueError("tau_abs must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be positive")
     tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
     keep = int(np.argmax(tail <= tau_abs))
     while keep > 0 and sq[keep - 1] == 0.0:
         keep -= 1
-    return keep
+    keep = min(keep, rows)
+    kept = min(keep, cap)
+    return kept, float(np.sum(sq[kept:])), float(np.sum(sq[kept:keep]))
 
 
 def _pivoted_cholesky_rows(g: np.ndarray, tau_abs: float):
@@ -498,13 +511,6 @@ def _pivoted_cholesky_rows(g: np.ndarray, tau_abs: float):
     return rows, np.append(sq, max(float(np.trace(g)) - float(np.sum(sq)), 0.0))
 
 
-def _check_truncation(tau_abs: float, cap: int) -> None:
-    if tau_abs < 0:
-        raise ValueError("tau_abs must be nonnegative")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-
-
 def trunc_gram(g: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     """Truncate a factor C, given only its n x n Gram G = C^T C, with exact discard accounting.
 
@@ -518,38 +524,26 @@ def trunc_gram(g: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     Appl. Numer. Math. 2012).  The kept Gram matches G minus the discard to
     about eps trace(G) however graded the spectrum.  Route ``"tall-pchol"``.
     """
-    _check_truncation(tau_abs, cap)
     rows, sq = _pivoted_cholesky_rows(g, tau_abs)
     # sq ends with the unfactored remainder, which has no row to keep.
-    keep = min(_select_retained(sq, tau_abs), rows.shape[0])
-    kept = min(keep, cap)
-    return TruncationResult(
-        rows[:kept], float(np.sum(sq[kept:])), "tall-pchol", float(np.sum(sq[kept:keep]))
-    )
+    kept, discard, cap_discard = _retain(sq, rows.shape[0], tau_abs, cap)
+    return TruncationResult(rows[:kept], discard, "tall-pchol", cap_discard)
 
 
 def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
-    """Truncate a p x n factor to few rows with exact discard accounting.
+    """Truncate a wide p x n factor (p <= n) to few rows with exact discard accounting.
 
     Retains the fewest leading rows such that the trace of the discarded Gram
     is <= ``tau_abs``, then enforces the row cap, moving any overflow into
-    ``discarded_sq_trace``.
-
-    A wide factor (p <= n) is truncated as an SVD: the eigh of C C^T = U
-    Lambda U^T orders the directions, and U_k^T C (= Sigma_k V_k^T) is kept
-    without dividing by sigma; the kept Gram matches C^T C minus the discard
-    to about eps |C|^2 however graded the spectrum.  A tall one (p > n) is
-    truncated by :func:`trunc_gram` of C^T C, the one rule for that shape.
+    ``discarded_sq_trace``.  The factor is truncated as an SVD: the eigh of
+    C C^T = U Lambda U^T orders the directions, and U_k^T C (= Sigma_k V_k^T)
+    is kept without dividing by sigma; the kept Gram matches C^T C minus the
+    discard to about eps |C|^2 however graded the spectrum.  A tall factor
+    is truncated from its Gram by :func:`trunc_gram` instead; the caller
+    chooses the rule.  Route ``"gram"``.
     """
     c = np.ascontiguousarray(np.atleast_2d(c), dtype=float)
-    _check_truncation(tau_abs, cap)
-    if c.shape[0] > c.shape[1]:
-        return trunc_gram(c.T @ c, tau_abs, cap)
     w, u = np.linalg.eigh(c @ c.T)
     sq, u = np.maximum(w[::-1], 0.0), u[:, ::-1]
-    keep = _select_retained(sq, tau_abs)
-    kept = min(keep, cap)
-    factor = np.ascontiguousarray(u[:, :kept].T) @ c
-    return TruncationResult(
-        factor, float(np.sum(sq[kept:])), "gram", float(np.sum(sq[kept:keep]))
-    )
+    kept, discard, cap_discard = _retain(sq, sq.size, tau_abs, cap)
+    return TruncationResult(np.ascontiguousarray(u[:, :kept].T) @ c, discard, "gram", cap_discard)

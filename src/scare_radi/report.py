@@ -69,7 +69,11 @@ class RunReport:
     ``flags`` carries ``"m"`` when the solution-factor width cap stopped the
     run and ``"t"`` when the truncation debt alone exceeded the tolerance, so
     that no later step could converge, and ``backend`` the route of the
-    shifted factorization (``"ldlt"`` or ``"superlu"``).
+    shifted factorization (``"ldlt"`` or ``"superlu"``).  ``peak_rss_mb`` is
+    the process's peak resident set size in MB once the run ended (Linux
+    ``ru_maxrss``), None unless the run went through ``bench.run_single``;
+    like ``wall_time`` it is a measurement, so the summary leaves it out
+    without timings.
     """
 
     rows: list = field(default_factory=list)
@@ -78,6 +82,7 @@ class RunReport:
     xi_width: int = 0
     final_nres: float = 1.0
     wall_time: float = 0.0
+    peak_rss_mb: float | None = None
     flags: str = ""
     backend: str = ""
     label: str = ""
@@ -112,6 +117,7 @@ class RunReport:
         }
         if include_timings:
             out["wall_time"] = self.wall_time
+            out["peak_rss_mb"] = self.peak_rss_mb
         return out
 
     def numeric_content(self) -> dict:

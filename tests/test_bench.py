@@ -1,12 +1,15 @@
 import argparse
 import csv
 import json
+import os
+import platform
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.io as sio
 import scipy.sparse as sp
 
@@ -355,6 +358,27 @@ def test_report_nres_history_matches_rows(tmp_path):
     assert data["rows"][0]["nres"] == 1.0
 
 
+def test_run_single_records_its_environment_and_peak_rss(tmp_path, monkeypatch):
+    # The environment is read once per process, so every summary of a
+    # process carries the same one and numeric_content stays comparable.
+    p = random_standard_problem(n=25, m=2, l=2, r=2, seed=20)
+    report = run_single(p, SolveOptions(), "unit", tmp_path)
+    env = report.config["environment"]
+    assert env == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        **{var: os.environ.get(var) for var in bench.BLAS_THREAD_VARS},
+    }
+    assert report.peak_rss_mb > 0.0
+    data = json.loads((tmp_path / "unit.json").read_text())
+    assert data["config"]["environment"] == env and data["peak_rss_mb"] == report.peak_rss_mb
+    assert "peak_rss_mb" not in report.summary_dict(include_timings=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    again = run_single(p, SolveOptions(), "unit")
+    assert again.config["environment"] == env
+    assert again.numeric_content() == report.numeric_content()
+
+
 def test_report_files_hold_every_field_of_every_row(tmp_path):
     # The JSON rows are the records' full asdict, and each CSV cell is its
     # field formatted by type, in field order: no field is dropped or moved.
@@ -588,6 +612,17 @@ def test_cli_grid_rejects_bad_configs_in_one_line(tmp_path, bad, message):
 def test_cli_generate_reads_a_boolean_mass_matrix(monkeypatch, flag, generalized):
     _, p = cli_solve(monkeypatch, ["--generate", f"heat:n=10,m=1,l=1,mass_matrix={flag}"])
     assert p.is_generalized == generalized
+
+
+@pytest.mark.parametrize(
+    "spec, key, value",
+    [("heat:n=10,m=1,l=1,mass_matrix=yes", "mass_matrix", "'yes'"), ("heat:n", "n", "''")],
+    ids=["word", "empty"],
+)
+def test_cli_generate_names_the_key_of_an_unreadable_value(spec, key, value):
+    message = f"invalid solve input: generate.{key} must be true, false or a number, not {value}"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(["solve", "--generate", spec])
 
 
 @pytest.mark.parametrize("value", ["no", 1, None])

@@ -332,26 +332,37 @@ def test_step_rejects_nonpositive_shift():
         step_once(p, init_state(p), -1.0)
 
 
+def dense_inv_sqrt(z):
+    """(I + Z Z^T)^-1/2 by a dense eigh: the reference for the step's scalings."""
+    lam, v = np.linalg.eigh(np.eye(z.shape[0]) + z @ z.T)
+    return (v * lam**-0.5) @ v.T
+
+
 @pytest.mark.parametrize(
     "rows,cols,decades",
     [(3, 7, 0.0), (7, 7, 0.0), (40, 7, 0.0), (40, 7, None), (30, 7, 8.0), (5, 7, 8.0)],
     ids=["wide", "square", "tall", "zero", "tall-graded", "wide-graded"],
 )
 def test_inv_sqrt_gram_matches_dense_eigh(rows, cols, decades):
+    # A wide step scales its couplings X by (I + Z Z^T)^-1/2 from the
+    # accumulator factor K (K^T K = I + Z^T Z) and T = K^-T Z^T X alone.
     rng = np.random.default_rng(rows + cols)
     if decades is None:
         z = np.zeros((rows, cols))
     else:
         z = rng.standard_normal((rows, cols)) * 10.0 ** -np.linspace(0.0, decades, cols)
     gram = np.eye(rows) + z @ z.T
-    lam, v = np.linalg.eigh(gram)
-    dense = (v * lam**-0.5) @ v.T
-    scale = engine._inv_sqrt_gram(z)
+    dense = dense_inv_sqrt(z)
+    k = kernels.chol_spd(np.eye(cols) + z.T @ z)
+
+    def scale(x):
+        return engine._scale_couplings(x, z.T, k, sla.solve_triangular(k, z.T @ x, trans="T"))
+
     w = scale(np.eye(rows))
     assert np.linalg.norm(w - dense) <= 1e-12 * np.linalg.norm(dense)
     assert np.linalg.norm(w @ w @ gram - np.eye(rows)) <= 1e-12 * np.sqrt(rows)
     x = rng.standard_normal((rows, 4))
-    for order in "CF":  # the map overwrites its argument, in either layout
+    for order in "CF":  # the scaling overwrites its argument, in either layout
         y = np.array(x, order=order)
         assert scale(y) is y
         np.testing.assert_allclose(y, dense @ x, rtol=0, atol=1e-12)
@@ -438,23 +449,24 @@ def test_residual_bookkeeping_with_truncation_debt(omega_recorder):
 def _stacked_residual_factor(p, state, gamma):
     """The step's new residual factor [C_top; (I + Z Z^T)^-1/2 X], built as a stack.
 
-    This is the stack formula the Gram route replaces: W is applied to the
-    couplings of C_gamma, not taken from S = W C_gamma.  Returns the stack and
+    The reference for both shapes of the step: W is applied to the couplings
+    of C_gamma, not taken from S = W C_gamma, and both scalings are dense
+    eighs, not the accumulator's.  Returns the stack and
     |C_top|_F^2 + |X|_F^2.
     """
     sqrt2g = np.sqrt(2.0 * gamma)
     c_f, _ = smw_row_solve(factor_shifted(state.ops, gamma), p.b, state.f, state.ccur)
     c_gamma = sqrt2g * c_f
     y = c_f @ p.b @ np.linalg.inv(state.kpi)
-    w = engine._inv_sqrt_gram(y)
-    w8 = sqrt2g * w(w(c_gamma.copy()))  # the map overwrites its argument
+    w = dense_inv_sqrt(y)
+    w8 = sqrt2g * w @ w @ c_gamma
     w8e = w8 if p.e is None else np.asarray((p.e.T @ w8.T).T)
     c_top = state.ccur + w8e
     f_mid = state.f - np.linalg.solve(state.kpi, y.T) @ w8e
     yhat = [c_gamma @ b_i for b_i in p.bhat.blocks]
-    z = np.vstack([w(y_i @ np.linalg.inv(state.kpi)) for y_i in yhat])
-    x = np.vstack([w(c_gamma @ a_i + y_i @ f_mid) for a_i, y_i in zip(p.ahat.blocks, yhat)])
-    stack = np.vstack([c_top, engine._inv_sqrt_gram(z)(x.copy())])
+    z = np.vstack([w @ y_i @ np.linalg.inv(state.kpi) for y_i in yhat])
+    x = np.vstack([w @ (c_gamma @ a_i + y_i @ f_mid) for a_i, y_i in zip(p.ahat.blocks, yhat)])
+    stack = np.vstack([c_top, dense_inv_sqrt(z) @ x])
     return stack, np.linalg.norm(c_top) ** 2 + np.linalg.norm(x) ** 2
 
 
@@ -462,26 +474,43 @@ def _stacked_residual_factor(p, state, gamma):
 @pytest.mark.parametrize("noise", [5e-2, 3.0])
 def test_tall_step_gram_matches_the_stacked_factor(monkeypatch, noise, with_e):
     # On a tall step the engine truncates X^T X - T^T T plus C_top^T C_top,
-    # accumulated without a stack; it must be the Gram of the stacked factor.
+    # accumulated without a stack, and on a wide one the stack it scales from
+    # K and T; either way it must be the Gram of the stacked factor.
     p = random_standard_problem(n=20, m=2, l=3, r=4, seed=6, noise=noise, with_e=with_e)
     st = init_state(p)
     grams = []
 
-    def recording(g, *args, **kwargs):
+    def recording_gram(g, *args, **kwargs):
         grams.append(np.triu(g) + np.triu(g, 1).T)
         return kernels.trunc_gram(g, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "trunc_gram", recording)
+    def recording_svd(c, *args, **kwargs):
+        grams.append(c.T @ c)
+        return kernels.trunc_svd(c, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "trunc_gram", recording_gram)
+    monkeypatch.setattr(engine, "trunc_svd", recording_svd)
     tall = 0
     for g in SHIFTS[:4]:
         stack, scale = _stacked_residual_factor(p, st, g)
         st, row = step_once(p, st, g, SolveOptions(trunc_rel=1e-12))
         assert (row.svd_route == "tall-pchol") == (stack.shape[0] > p.n)
-        if row.svd_route == "tall-pchol":
-            tall += 1
-            gap = np.linalg.norm(grams[-1] - stack.T @ stack)
-            assert gap <= 50 * np.finfo(float).eps * scale, gap / scale
-    assert tall >= 2 and len(grams) == tall
+        tall += row.svd_route == "tall-pchol"
+        gap = np.linalg.norm(grams[-1] - stack.T @ stack)
+        assert gap <= 50 * np.finfo(float).eps * scale, gap / scale
+    assert 2 <= tall < 4 and len(grams) == 4
+
+
+def test_r1_solve_with_more_outputs_than_states_truncates_its_gram():
+    # One shape rule for every r: with l > n the first r = 1 step's factor
+    # C_top is tall, so its Gram is truncated by the pivoted Cholesky.
+    p = random_standard_problem(n=6, m=2, l=9, r=1, seed=2)
+    _, report = radi_solve(p)
+    assert report.converged and report.rows[1].svd_route == "tall-pchol"
+    st, row = step_once(p, init_state(p), SHIFTS[0], SolveOptions(**NO_TRUNC))
+    assert row.svd_route == "tall-pchol" and st.ccur.shape[0] <= p.n
+    lhs = residual_dense(p, x_of(st))
+    assert np.linalg.norm(lhs - st.ccur.T @ st.ccur) <= 1e-9 * st.nu0
 
 
 def _twice_scaled_block(p, state, gamma):
@@ -489,9 +518,9 @@ def _twice_scaled_block(p, state, gamma):
     sqrt2g = np.sqrt(2.0 * gamma)
     c_f, _ = smw_row_solve(factor_shifted(state.ops, gamma), p.b, state.f, state.ccur)
     y = c_f @ p.b @ np.linalg.inv(state.kpi)
-    w = engine._inv_sqrt_gram(y)
-    s = w(sqrt2g * c_f)
-    w8 = sqrt2g * w(s.copy())  # the map overwrites its argument
+    w = dense_inv_sqrt(y)
+    s = w @ (sqrt2g * c_f)
+    w8 = sqrt2g * w @ s
     w8e = w8 if p.e is None else np.asarray((p.e.T @ w8.T).T)
     return s, state.ccur + w8e, state.f - np.linalg.solve(state.kpi, y.T) @ w8e
 

@@ -567,7 +567,8 @@ def test_chol_property_reconstruction(seed, k):
 
 
 # ---------------------------------------------------------------------------
-# truncation: SVD through C C^T (wide), pivoted Cholesky of C^T C (tall)
+# truncation: SVD through C C^T (wide), pivoted Cholesky of C^T C (tall).
+# The tall cases hand trunc_gram the Gram C^T C of their factor.
 
 EPS = np.finfo(float).eps
 
@@ -605,10 +606,20 @@ def pchol_gap_bound(g, factor):
             + gamma(rank) * np.linalg.norm(factor) ** 2)
 
 
+def test_both_rules_reject_a_negative_tolerance_and_an_empty_cap():
+    c = np.random.default_rng(1).standard_normal((3, 5))
+    for rule, arg in ((trunc_svd, c), (trunc_gram, c.T @ c)):
+        with pytest.raises(ValueError, match="tau_abs must be nonnegative"):
+            rule(arg, -1.0, cap=3)
+        with pytest.raises(ValueError, match="cap must be positive"):
+            rule(arg, 0.0, cap=0)
+
+
 def test_trunc_svd_zero_input():
     # Wide, empty and tall zero factors keep nothing on either route.
     for p in (3, 0, 7):
-        res = trunc_svd(np.zeros((p, 5)), 1.0, cap=3)
+        c = np.zeros((p, 5))
+        res = trunc_gram(c.T @ c, 1.0, cap=3) if p > 5 else trunc_svd(c, 1.0, cap=3)
         assert res.route == ("tall-pchol" if p > 5 else "gram")
         assert res.rank == 0 and res.factor.shape == (0, 5)
         assert res.discarded_sq_trace == 0.0 and res.cap_discard == 0.0
@@ -657,7 +668,7 @@ def test_trunc_svd_gram_residual_matches_discard():
 def test_trunc_svd_tall_input_conserves_energy():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((50, 8))
-    res = trunc_svd(c, tau_abs=0.0, cap=50)
+    res = trunc_gram(c.T @ c, tau_abs=0.0, cap=50)
     assert res.route == "tall-pchol" and res.rank == 8
     assert energy_gap(c, res) <= 1e-12 * np.linalg.norm(c) ** 2
 
@@ -732,12 +743,11 @@ def test_pivoted_cholesky_rows_are_the_scatter_in_c_order(rank):
 
 
 def test_trunc_gram_reads_the_upper_triangle_only():
-    # The tall route of trunc_svd is trunc_gram of C^T C, whose lower
-    # triangle may hold anything.
+    # The lower triangle of the Gram may hold anything.
     c = np.random.default_rng(12).standard_normal((40, 7)) * 10.0 ** -np.arange(7)
     g = c.T @ c
     g[np.tril_indices(7, -1)] = np.nan
-    got, ref = trunc_gram(g, 1e-9, cap=40), trunc_svd(c, 1e-9, cap=40)
+    got, ref = trunc_gram(g, 1e-9, cap=40), trunc_gram(c.T @ c, 1e-9, cap=40)
     np.testing.assert_array_equal(got.factor, ref.factor)
     assert (got.discarded_sq_trace, got.route) == (ref.discarded_sq_trace, "tall-pchol")
 
@@ -765,7 +775,7 @@ def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
     p = c.shape[0]
     total = np.linalg.norm(c) ** 2
 
-    res = trunc_svd(c, tau_abs=0.0, cap=p)
+    res = trunc_gram(c.T @ c, 0.0, cap=p) if tall else trunc_svd(c, tau_abs=0.0, cap=p)
     assert res.route == ("tall-pchol" if tall else "gram")
     assert res.factor.shape == (res.rank, c.shape[1])
     assert energy_gap(c, res) <= 1e-12 * total
@@ -827,7 +837,7 @@ def test_trunc_svd_tall_discard_is_the_gram_gap(seed, n, extra, log_frac, cap):
     c = tall_stack(seed, n + extra * n, n)
     total = np.linalg.norm(c) ** 2
     tau = 10.0**log_frac * total
-    res = trunc_svd(c, tau_abs=tau, cap=cap)
+    res = trunc_gram(c.T @ c, tau_abs=tau, cap=cap)
     assert res.route == "tall-pchol" and res.rank <= cap
     assert abs(gram_gap_trace(c, res) - res.discarded_sq_trace) <= 1e-12 * total
     assert energy_gap(c, res) <= 1e-12 * total
@@ -838,8 +848,8 @@ def test_trunc_svd_tall_discard_is_the_gram_gap(seed, n, extra, log_frac, cap):
 
 def test_trunc_svd_tall_cap_overflow_is_counted():
     c = tall_stack(3, 200, 40)
-    free = trunc_svd(c, tau_abs=0.0, cap=200)
-    capped = trunc_svd(c, tau_abs=0.0, cap=10)
+    free = trunc_gram(c.T @ c, tau_abs=0.0, cap=200)
+    capped = trunc_gram(c.T @ c, tau_abs=0.0, cap=10)
     assert free.cap_discard == 0.0 and capped.rank == 10 < free.rank
     # The capped factor is the free one's leading rows; the rest is counted.
     np.testing.assert_array_equal(capped.factor, free.factor[:10])
@@ -856,7 +866,7 @@ def test_trunc_svd_tall_rank_deficient_stack():
     rng = np.random.default_rng(7)
     c = rng.standard_normal((1500, 100)) @ rng.standard_normal((100, 300))
     total = np.linalg.norm(c) ** 2
-    res = trunc_svd(c, tau_abs=3.33e-15 * total, cap=1500)
+    res = trunc_gram(c.T @ c, tau_abs=3.33e-15 * total, cap=1500)
     assert res.route == "tall-pchol" and abs(res.rank - 100) <= 2
     assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * EPS * total
     assert energy_gap(c, res) <= 1e-12 * total
@@ -869,7 +879,7 @@ def test_trunc_svd_tall_discard_within_tau_on_steep_grading():
     c = np.random.default_rng(0).standard_normal((1500, 300)) * np.logspace(0, -12, 300)
     total = np.linalg.norm(c) ** 2
     tau = 3.33e-15 * total
-    res = trunc_svd(c, tau_abs=tau, cap=1500)
+    res = trunc_gram(c.T @ c, tau_abs=tau, cap=1500)
     assert res.route == "tall-pchol" and res.cap_discard == 0.0
     assert res.discarded_sq_trace <= tau
     assert abs(gram_gap_trace(c, res) - res.discarded_sq_trace) <= 1e-12 * total

