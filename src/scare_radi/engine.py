@@ -1,21 +1,31 @@
 """The practical low-rank RADI-type iteration.
 
 One iteration of the practical engine: draw a positive shift, push the
-current residual factor and the accumulated feedback through one sparse
-factorization of A - gamma*E (sharing it via the low-rank SMW correction),
-append a rank-l block to the solution factor, refresh the residual factor and
-the feedback/accumulator pair through identity-plus-rank-m scalings (no
-factor beyond m x m), compress the new residual factor, and account the
-discarded energy exactly.  The scaling W = (I + Y Y^T)^-1/2 is applied once,
-to the new block S, and the stochastic couplings are taken from S; their
-scaling by (I + Z Z^T)^-1 comes from the accumulator factor and the one
-projection the feedback update makes.  One rule, for every r, picks the
-truncation: while the new residual factor has at most n rows it is stacked
-and truncated by an SVD through its Gram C C^T (`kernels.trunc_svd`); once
-it would be tall, only its n x n Gram C^T C is accumulated, never the stack,
-and truncated by a pivoted Cholesky (`kernels.trunc_gram`).  The trace-norm
-residual is then available for free as the squared Frobenius norm of the
-kept factor plus the accumulated discard.
+current residual through one sparse factorization of A - gamma*E (sharing it
+via the low-rank SMW correction), add the step's rank-l block to X, and
+refresh the residual and the feedback/accumulator pair through
+identity-plus-rank-m scalings (no factor beyond m x m).  A solve holds the
+residual in one of two forms, and one rule, for every r, moves it from the
+first to the second:
+
+- *Factor form.*  While the new residual factor has at most n rows it is
+  stacked and truncated by an SVD through its Gram C C^T
+  (`kernels.trunc_svd`), with the discarded energy accounted exactly, and
+  the step appends its block S to the solution factor Xi.  The scaling
+  W = (I + Y Y^T)^-1/2 is applied once, to S, and the stochastic couplings
+  are taken from S; their scaling by (I + Z Z^T)^-1 comes from the
+  accumulator factor and the one projection the feedback update makes.
+- *Gram form.*  Once a step's new residual would have more than n rows
+  (full-rank noise, or r = 1 with l > n), the step stores its n x n Gram G
+  exactly, and every later step updates G and a dense part X_tall of the
+  solution from two SMW solves with n right-hand sides and rank-m
+  corrections (:func:`_gram_step`).  Nothing is truncated there, so these
+  steps add no truncation debt.
+
+The trace-norm residual is the kept residual's energy (the squared Frobenius
+norm of the factor, or trace G) plus the accumulated discard.  The solution
+factor is assembled once, at the end of a solve: Xi's blocks followed by the
+pivoted-Cholesky rows of X_tall (:meth:`SolverState.trim_xi`).
 
 The dense prototype this iteration is checked against (`alg1_init`/
 `alg1_step`) lives in :mod:`scare_radi.oracles`.
@@ -43,13 +53,12 @@ from .kernels import (
     add_product,
     chol_spd,
     factor_shifted,
-    gram_upper,
+    gram_factor,
     kron_gram,  # unused here, but perfbench/tracing.py wraps engine.kron_gram by name
     ltimes,
     materialize_stack,  # unused here too, for the same reason
     right_tri_solve,
     smw_row_solve,
-    trunc_gram,
     trunc_svd,
 )
 from .problems import StandardProblem
@@ -85,10 +94,13 @@ class SolveOptions:
     ``trunc_rel`` is relative to the trace norm of the residual at zero, so
     the default pairs 1e-12 accuracy with 300 iterations.  ``cap_cols`` caps
     the residual-factor row count (default 10*r*l), forcing truncation by
-    energy beyond it; ``max_cols_xi`` optionally stops the run when the
-    solution factor reaches a width budget (reported as flag "m").  A run
-    whose truncation debt alone passes ``tol_nres`` always stops (flag "t"):
-    the debt never shrinks, so no later step could converge.
+    energy beyond it; it binds factor-form (wide) steps only, since a Gram
+    step truncates nothing.  ``max_cols_xi`` optionally stops the run when
+    the solution factor reaches a width budget (reported as flag "m"); a
+    Gram step counts n columns (see :class:`SolverState`), so the flag fires
+    on a solve in Gram form too.  A run whose truncation debt alone passes
+    ``tol_nres`` always stops (flag "t"): the debt never shrinks, so no
+    later step could converge.
     """
 
     tol_nres: float = 1e-12
@@ -109,38 +121,52 @@ class SolveOptions:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve state: factors, feedback and accumulators.
+    """Mutable per-solve state: the solution, the residual, feedback and accumulators.
 
-    The solution factor is kept as the list of its blocks: Xi = [B_0^T, ...,
-    B_k^T] for the blocks B_i of n columns in ``xi_blocks``, where B_0 is
-    0 x n and each step appends its block S without copying it.  No block is
-    copied as Xi grows, and none is written once appended: the shift layer
-    reads its window from the tail of this list.  ``trim_xi`` writes Xi once
-    as one C-contiguous n x xi_width array, which then stands, transposed,
-    as the only block; until then ``xi`` assembles Xi on each call.  ``ops``
-    holds the problem's operators in the forms the steps and the shift layer
-    use, built once per solve.  ``shifts`` lists the solve's applied shifts,
-    one per committed step: the shift layer's record of them.
+    X = Xi Xi^T + X_tall.  The factor part is kept as the list of its
+    blocks: Xi = [B_0^T, ..., B_k^T] for the blocks B_i of n columns in
+    ``xi_blocks``, where B_0 is 0 x n and each factor-form step appends its
+    block S without copying it; no block is written once appended.  The
+    residual is the factor ``ccur`` (factor form) until a step's new residual
+    would have more than n rows; from then on ``ccur`` is None, ``gram``
+    holds its n x n Gram G and ``x_tall`` the dense n x n part of X, which
+    each Gram step updates in place, G included; ``work`` holds the n x n
+    arrays the Gram steps reuse, so that a step makes few new ones.
+    ``xi_width`` counts the columns the steps appended, n for each Gram step
+    (the rows of a full-rank S), until ``trim_xi`` writes Xi once as one
+    C-contiguous n x xi_width array, X_tall folded in as the rows of its
+    pivoted Cholesky, which then stands, transposed, as the only block;
+    ``xi_discard`` is the share of trace X_tall that factorization left out.
+    Until then ``xi`` assembles the factor part on each call;
+    :meth:`dense_x` and :meth:`residual_gram` read X and the residual's Gram
+    in either form.  ``ops`` holds the problem's operators in the forms the
+    steps and the shift layer use, built once per solve.  ``shifts`` lists
+    the solve's applied shifts, one per committed step: the shift layer's
+    record of them.
     """
 
     xi_blocks: list
     f: np.ndarray
     kpi: np.ndarray
-    ccur: np.ndarray
+    ccur: np.ndarray | None
     nu0: float
     ops: OperatorForms
+    gram: np.ndarray | None = None
+    x_tall: np.ndarray | None = None
+    work: dict = field(default_factory=dict, repr=False)
     xi_width: int = 0
+    xi_discard: float = 0.0
     nu_omega: float = 0.0
     k: int = 0
     shifts: list = field(default_factory=list)
 
     @property
     def xi(self) -> np.ndarray:
-        """The solution factor Xi, n x xi_width and C-contiguous."""
+        """The factor part of X, n x (its width) and C-contiguous."""
         blocks = self.xi_blocks
         if len(blocks) == 1:
             return blocks[0].T
-        out = np.empty((blocks[0].shape[1], self.xi_width))
+        out = np.empty((blocks[0].shape[1], sum(b.shape[0] for b in blocks)))
         buf = np.empty((XI_GROUP_ROWS, out.shape[0]))
         col = i = 0
         while i < len(blocks):
@@ -158,8 +184,33 @@ class SolverState:
         self.xi_width += s.shape[0]
 
     def trim_xi(self) -> None:
-        """Assemble Xi once, so that ``xi`` is one C-contiguous array."""
+        """Assemble Xi once, so that ``xi`` is one C-contiguous array holding all of X.
+
+        In Gram form the rows of the pivoted Cholesky of X_tall
+        (:func:`gram_factor`) follow the appended blocks, X_tall is dropped,
+        and ``xi_width`` becomes the assembled width.
+        """
+        if self.x_tall is not None:
+            self.work = {}
+            rows, left = gram_factor(self.x_tall)
+            trace = float(np.trace(self.x_tall))
+            self.xi_discard = left / trace if trace > 0.0 else 0.0
+            self.xi_blocks.append(rows)
+            self.x_tall = None
         self.xi_blocks = [self.xi.T]
+        self.xi_width = self.xi_blocks[0].shape[0]
+
+    def dense_x(self) -> np.ndarray:
+        """X = Xi Xi^T + X_tall as a dense n x n array, in either form (oracle sizes)."""
+        xi = self.xi
+        x = xi @ xi.T
+        return x if self.x_tall is None else x + self.x_tall
+
+    def residual_gram(self) -> np.ndarray:
+        """The n x n Gram of the kept residual, C^T C or G (oracle sizes)."""
+        if self.gram is not None:
+            return self.gram.copy()
+        return self.ccur.T @ self.ccur
 
 
 def init_state(p: StandardProblem) -> SolverState:
@@ -180,7 +231,11 @@ def nres_trace(state: SolverState) -> float:
     """Trace-norm normalized residual including accumulated truncation debt."""
     if state.nu0 <= 0.0:
         raise DegenerateProblemError("residual at zero vanishes; the solution is X = 0")
-    return (float(np.linalg.norm(state.ccur) ** 2) + state.nu_omega) / state.nu0
+    if state.gram is not None:
+        energy = float(np.trace(state.gram))
+    else:
+        energy = float(np.linalg.norm(state.ccur) ** 2)
+    return (energy + state.nu_omega) / state.nu0
 
 
 def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarray):
@@ -242,23 +297,21 @@ def step_once(
 ) -> tuple[SolverState, IterationRecord]:
     """One full iteration at a fixed shift; commits to state only on success.
 
-    The step's one sparse solve gives C_F = C (A + B F - gamma*E)^-1 and,
-    from the SMW core, C_F B (:func:`smw_row_solve`).  The new block
-    S = W C_gamma (C_gamma = sqrt(2 gamma) C_F), the top rows C_top of the
-    new residual factor and the mid-step feedback F_mid then take one
-    projection of C_F and one product with E (:func:`_new_block`).  With
-    r = 1 the new residual factor is C_top and the new feedback F_mid.
-    With r > 1 the new residual factor is [C_top; (I + Z Z^T)^-1/2 X] for the
-    stochastic couplings X = Sa + Shat F_mid and Z = Shat Kpi^-1, where
-    Sa = S lt Ahat and Shat = S lt Bhat.  Both shapes of it take the
-    scaling from the accumulator factor K (K^T K = I + Z^T Z) and
-    T = K^-T Z^T X, which the feedback update makes anyway.  One rule picks
-    the shape for every r: when the new factor has more rows than n the step
-    assembles its Gram C_top^T C_top + X^T X - T^T T by ``dsyrk`` and
-    truncates that (:func:`trunc_gram`); otherwise it stacks
-    [C_top; (I + Z Z^T)^-1/2 X] (:func:`_scale_couplings`) and truncates it
-    by an SVD (:func:`trunc_svd`).  The Gram assembly counts as truncation
-    time (``t_svd``).
+    In Gram form the step is :func:`_gram_step`.  In factor form the step's
+    one sparse solve gives C_F = C (A + B F - gamma*E)^-1 and, from the SMW
+    core, C_F B (:func:`smw_row_solve`).  The new block S = W C_gamma
+    (C_gamma = sqrt(2 gamma) C_F), the top rows C_top of the new residual
+    factor and the mid-step feedback F_mid then take one projection of C_F
+    and one product with E (:func:`_new_block`).  With r = 1 the new
+    residual factor is C_top and the new feedback F_mid.  With r > 1 it is
+    [C_top; (I + Z Z^T)^-1/2 X] for the stochastic couplings
+    X = Sa + Shat F_mid and Z = Shat Kpi^-1, where Sa = S lt Ahat and
+    Shat = S lt Bhat; the scaling comes from the accumulator factor K
+    (K^T K = I + Z^T Z) and T = K^-T Z^T X, which the feedback update makes
+    anyway (:func:`_scale_couplings`).  One rule picks what happens to the
+    new factor, for every r: with at most n rows it is truncated by an SVD
+    (:func:`trunc_svd`, route ``"gram"``); with more, the step stores its
+    Gram exactly and the solve goes on in Gram form (route ``"switch"``).
 
     Returns the state and the iteration's trace row; its ``t_shift`` is left
     to the caller, who picked the shift.  Raises :class:`ShiftRejectionError`
@@ -272,6 +325,8 @@ def step_once(
         raise ValueError("shift must be positive")
     opts = opts or SolveOptions()
     t_start = time.perf_counter()
+    if state.gram is not None:
+        return _gram_step(p, state, gamma, t_start)
     n, m, r = p.n, p.m, p.r
 
     # Rows of C through A + B F - gamma*E, from one sparse factorization of
@@ -283,10 +338,7 @@ def step_once(
 
     s, c_top, f_mid = _new_block(state, gamma, c_f, c_fb)
 
-    # One rule for every r: a new residual factor of more rows than n is
-    # truncated from its Gram, which is accumulated without stacking it.
-    tall = c_top.shape[0] + (r - 1) * s.shape[0] > n
-    add, subtract, t_ltimes = [c_top], [], 0.0
+    t_ltimes = 0.0
     if r > 1:
         # W acts on the left, so (I (x) W)(C_gamma lt M) = S lt M.  The blocks
         # are kept as the C-contiguous transposes ltimes gives, (r - 1, ., ell):
@@ -305,66 +357,177 @@ def step_once(
         ztx = np.matmul(zt.reshape(m, r - 1, ell).transpose(1, 0, 2), xt.transpose(0, 2, 1))
         kzx = sla.solve_triangular(k_factor, ztx.sum(axis=0), trans="T")
         f_new = f_mid - sla.solve_triangular(kpi_new, kzx)
-        if tall:  # X^T (I + Z Z^T)^-1 X = X^T X - T^T T
-            add += [x_i.T for x_i in xt]
-            subtract.append(kzx)
-        else:
-            x_mat = xt.transpose(0, 2, 1).reshape(-1, n)
-            add.append(_scale_couplings(x_mat, zt, k_factor, kzx))
+        x_mat = xt.transpose(0, 2, 1).reshape(-1, n)
+        stacked = np.vstack([c_top, _scale_couplings(x_mat, zt, k_factor, kzx)])
     else:
         # No stochastic blocks: the accumulator Gram is I, so its factor is I
         # and the update leaves Kpi and the mid-step feedback as they are.
-        kpi_new, f_new = state.kpi, f_mid
+        kpi_new, f_new, stacked = state.kpi, f_mid, c_top
 
-    # The tall Gram replaces the C^T C a truncation of the stack would form,
-    # so it is built in the truncation's time.  Its trace, or the stack's
-    # squared norm, is the new residual's energy; once that or the feedback
-    # is no longer finite the iteration has diverged.
+    # The stack's squared norm is the new residual's energy; once that or
+    # the feedback is no longer finite the iteration has diverged.
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        if tall:
-            gram = gram_upper(n, add, subtract)
-            energy = np.trace(gram)
-        else:
-            stacked = np.vstack(add) if r > 1 else c_top
-            energy = np.linalg.norm(stacked) ** 2
+        energy = np.linalg.norm(stacked) ** 2
         finite = np.isfinite(energy) and np.isfinite(f_new).all()
     if not finite:
         raise NumericalBreakdownError(
             state.k + 1, f"residual or feedback not finite at iteration {state.k + 1}"
         )
-    cap = opts.cap_cols if opts.cap_cols is not None else 10 * r * max(p.l, 1)
-    tau_abs = opts.trunc_rel * state.nu0
+    tall = stacked.shape[0] > n
     if tall:
-        trunc = trunc_gram(gram, tau_abs=tau_abs, cap=cap)
+        gram = stacked.T @ stacked
     else:
-        trunc = trunc_svd(stacked, tau_abs=tau_abs, cap=cap)
+        cap = opts.cap_cols if opts.cap_cols is not None else 10 * r * max(p.l, 1)
+        trunc = trunc_svd(stacked, tau_abs=opts.trunc_rel * state.nu0, cap=cap)
     t_svd = time.perf_counter() - t0
 
     # Commit.
     state.append_xi(s)
     state.shifts.append(gamma)
-    state.ccur = trunc.factor
     state.f = f_new
     state.kpi = kpi_new
-    state.nu_omega += trunc.discarded_sq_trace
     state.k += 1
+    if tall:
+        state.ccur, state.gram, state.x_tall = None, gram, np.zeros((n, n))
+        state.work = {"r": np.empty((n + m, n)), "p": np.empty((n + m, n)),
+                      "g_s": np.empty((n, n)), "z": np.empty((n, n))}
+        route, cols_c, cap_discard = "switch", n, 0.0
+    else:
+        state.ccur = trunc.factor
+        state.nu_omega += trunc.discarded_sq_trace
+        route, cols_c, cap_discard = trunc.route, trunc.rank, trunc.cap_discard
+    return state, _record(state, gamma, cols_c, route, cap_discard, t_start,
+                          t_solve, t_ltimes, t_svd)
 
+
+def _record(state, gamma, cols_c, route, cap_discard, t_start, t_solve, t_ltimes, t_svd):
+    """The trace row of the step just committed; ``t_other`` is the rest of its time."""
     t_total = time.perf_counter() - t_start
-    return state, IterationRecord(
+    return IterationRecord(
         k=state.k,
         gamma=float(gamma),
         nres=nres_trace(state),
-        cols_c=state.ccur.shape[0],
+        cols_c=cols_c,
         cols_xi=state.xi_width,
         nu_omega=state.nu_omega,
         t_solve=t_solve,
         t_ltimes=t_ltimes,
         t_svd=t_svd,
         t_other=max(t_total - t_solve - t_ltimes - t_svd, 0.0),
-        svd_route=trunc.route,
-        cap_discard=trunc.cap_discard,
+        svd_route=route,
+        cap_discard=cap_discard,
     )
+
+
+def _gram_step(p: StandardProblem, state: SolverState, gamma: float, t_start: float):
+    """One step in Gram form: the residual Gram G and X_tall updated, nothing truncated.
+
+    For M = A + B F - gamma*E and V = B Kpi^-1, two SMW solves with n
+    right-hand sides give R = G M^-1 and P = M^-T G M^-1 = R^T M^-1, and
+    with them R V and P V.  For Psi = V^T P V and H = (I + Psi)^-1 (an
+    m x m eigh), the RADI identities in Gram form (the factor C of G is
+    never needed) are:
+
+        G_S = S^T S = 2 gamma (P - P V H (P V)^T),
+        F_mid = F - 2 gamma Kpi^-1 H (P V)^T E,
+        C_top^T C_top = G + N + N^T,  N = 2 gamma (R' + gamma E^T Q_2) E,
+
+    with R' = R - R V H (P V)^T and Q_2 = P - P V (2H - H Psi H) (P V)^T,
+    the W^4 term.  With r > 1, L = sum_i Ahat_i^T G_S Bhat_i and
+    Omega = sum_i Bhat_i^T G_S Bhat_i give the couplings' Gram
+    sum_i X_i^T X_i = sum_i Ahat_i^T G_S Ahat_i + L F_mid + F_mid^T L^T
+    + F_mid^T Omega F_mid, the accumulator I + Z^T Z = I + Kpi^-T Omega
+    Kpi^-1 = K^T K and Z^T X = Kpi^-T (L^T + Omega F_mid), so
+    T = K^-T Z^T X; the new G is C_top^T C_top plus the couplings' Gram
+    minus T^T T, and the feedback and Kpi update as in factor form.
+    X_tall += G_S.  R, P, G_S and the transposed products with the noise
+    blocks live in the state's ``work`` arrays, reused from step to step;
+    the terms of the new G are summed in R's array, one of each symmetric
+    pair doubled, and its symmetric part overwrites the old G.
+
+    The two solves count as ``t_solve`` and the products with Ahat and Bhat
+    as ``t_ltimes``; nothing is truncated, so ``t_svd`` is 0.  Route
+    ``"gram-step"``.
+    """
+    n, m, r = p.n, p.m, p.r
+    g2 = 2.0 * gamma
+    e_times = state.ops.e_times
+    work = state.work
+
+    t0 = time.perf_counter()
+    fac = factor_shifted(state.ops, gamma)
+    rr, rb = smw_row_solve(fac, p.b, state.f, state.gram, out=work["r"])
+    pp, pb = smw_row_solve(fac, p.b, state.f, rr.T, out=work["p"])
+    t_solve = time.perf_counter() - t0
+
+    pv = right_tri_solve(state.kpi, pb)
+    rv = right_tri_solve(state.kpi, rb)
+    psi = sla.solve_triangular(state.kpi, p.b.T @ pv, trans="T")
+    lam, u = np.linalg.eigh(np.eye(m) + 0.5 * (psi + psi.T))
+    upv = u.T @ pv.T
+    h_pv = (u / lam) @ upv  # H (P V)^T
+    h2_pv = (u * ((lam + 1.0) / lam**2)) @ upv  # (2H - H Psi H) (P V)^T
+    g_s = add_product(np.multiply(pp, g2, out=work["g_s"]), -g2 * pv, h_pv)
+    f_mid = state.f - g2 * sla.solve_triangular(state.kpi, e_times(h_pv))
+    add_product(rr, -rv, h_pv)  # R'
+    add_product(pp, -pv, h2_pv)  # Q_2
+    # The new G is the symmetric part of g_acc = G + 2N + (the couplings'
+    # Gram, doubled where it is not symmetric) - T^T T, which starts as
+    # 2N = 4 gamma (R' + gamma E^T Q_2) E in R's array (E = I) or E's product.
+    pp *= gamma
+    rr += pp if p.e is None else e_times(pp).T  # E^T Q_2 = (Q_2 E)^T
+    g_acc = e_times(rr)
+    g_acc *= 2.0 * g2
+    g_acc += state.gram
+
+    t_ltimes = 0.0
+    if r > 1:
+        t0 = time.perf_counter()
+        # ltimes(G_S^T, Bhat) is the product of the stacked Bhat_i^T with
+        # G_S itself; its blocks are G_S^T Bhat_i = G_S Bhat_i.  The sum over
+        # the Ahat_i goes block by block, G_S Ahat_i = (Ahat_i^T G_S)^T
+        # copied into one work array, so no temporary exceeds n x n.
+        gsb = ltimes(g_s.T, p.bhat)
+        omega = np.matmul(p.bhat.stacked.reshape(r - 1, m, n), gsb).sum(axis=0)
+        l_mat = np.zeros((n, m))
+        z = work["z"]
+        for at_i, gsb_i in zip(p.ahat.blocks_t, gsb):
+            np.copyto(z, (at_i @ g_s).T)
+            g_acc += at_i @ z
+            l_mat += at_i @ gsb_i
+        t_ltimes = time.perf_counter() - t0
+        omega = 0.5 * (omega + omega.T)
+        ztz = right_tri_solve(state.kpi, sla.solve_triangular(state.kpi, omega, trans="T"))
+        k_factor = chol_spd(np.eye(m) + 0.5 * (ztz + ztz.T))
+        kpi_new = k_factor @ state.kpi
+        ztx = sla.solve_triangular(state.kpi, l_mat.T + omega @ f_mid, trans="T")
+        kzx = sla.solve_triangular(k_factor, ztx, trans="T")
+        f_new = f_mid - sla.solve_triangular(kpi_new, kzx)
+        add_product(g_acc, 2.0 * l_mat + f_mid.T @ omega, f_mid)
+        add_product(g_acc, -kzx.T, kzx)
+    else:
+        kpi_new, f_new = state.kpi, f_mid
+
+    # trace g_acc is the new residual's energy; once that or the feedback is
+    # no longer finite the iteration has diverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.trace(g_acc)) and np.isfinite(f_new).all()
+    if not finite:
+        raise NumericalBreakdownError(
+            state.k + 1, f"residual or feedback not finite at iteration {state.k + 1}"
+        )
+
+    # Commit: G is overwritten by the new one.
+    np.add(g_acc, g_acc.T, out=state.gram)
+    state.gram *= 0.5
+    state.x_tall += g_s
+    state.xi_width += n
+    state.shifts.append(gamma)
+    state.f = f_new
+    state.kpi = kpi_new
+    state.k += 1
+    return state, _record(state, gamma, n, "gram-step", 0.0, t_start, t_solve, t_ltimes, 0.0)
 
 
 def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
@@ -383,8 +546,9 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     than ``MAX_SHIFT_REJECTIONS`` the solve aborts with
     :class:`NoProgressError`, or :class:`NumericalBreakdownError` when the
     accumulator Gram was the one that failed.  A residual above ``MAX_NRES``
-    raises :class:`NumericalBreakdownError`.  The returned state holds Xi as a
-    C-contiguous array.
+    raises :class:`NumericalBreakdownError`.  The returned state holds all of
+    X as Xi, one C-contiguous array (X_tall folded in by
+    :meth:`SolverState.trim_xi`).
     """
     opts = opts or SolveOptions()
     wall0 = time.perf_counter()
@@ -440,6 +604,7 @@ def radi_solve(p: StandardProblem, opts: SolveOptions | None = None):
     state.trim_xi()
     report.iterations = state.k
     report.xi_width = state.xi_width
+    report.xi_discard = state.xi_discard
     report.final_nres = report.rows[-1].nres
     report.wall_time = time.perf_counter() - wall0
     return state, report

@@ -7,15 +7,16 @@ pencil or SuperLU otherwise, prepares its operands, and builds the mass
 matrix's maps: x E, one sparse product on both routes, and E^-1 u, the
 route's solve), the shifted factorization and its SMW-corrected row solves,
 right triangular solves, small SPD Cholesky factorization, the BLAS
-``dgemm`` accumulation of a product into its target in place, the BLAS
-``dsyrk`` accumulation of a signed sum of Grams A^T A into one upper
-triangle, and the truncation of a residual factor with exact accounting of
-the discarded energy: a wide factor by an SVD taken through its Gram C C^T
-with no division by the singular values (:func:`trunc_svd`), a tall one from
-its Gram G = C^T C alone by a pivoted Cholesky (:func:`trunc_gram`).  The
-caller picks the rule by shape; both share one keep/cap/discard accounting.
-Each route has one factor-and-solve, ``_ldlt`` or ``_superlu``, and it makes
-every factorization of a solve: the definiteness test of -A, E's, and each
+``dgemm`` accumulation of a product into its target in place, the
+truncation of a wide residual factor with exact accounting of the discarded
+energy, by an SVD taken through its Gram C C^T with no division by the
+singular values (:func:`trunc_svd`), and the factor F^T F = G of a
+positive semidefinite n x n Gram by a pivoted Cholesky (:func:`gram_factor`),
+which turns a solve's dense part X_tall into solution-factor columns.  A
+residual with more rows than n is not truncated at all: the solve carries
+its Gram instead (see :mod:`scare_radi.engine`).  Each route has one
+factor-and-solve, ``_ldlt`` or ``_superlu``, and it makes every
+factorization of a solve: the definiteness test of -A, E's, and each
 shifted matrix's.  This module holds the package's only direct BLAS and
 LAPACK calls.  Everything public here is a pure function of its inputs;
 operator forms and factorization handles may be shared read-only across
@@ -25,11 +26,12 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
@@ -51,8 +53,7 @@ __all__ = [
     "smw_row_solve",
     "chol_spd",
     "add_product",
-    "gram_upper",
-    "trunc_gram",
+    "gram_factor",
     "trunc_svd",
     "materialize_stack",
     "kron_gram",
@@ -103,6 +104,16 @@ class StackedMat:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def blocks_t(self) -> tuple:
+        """The blocks' transposes M_i^T, CSR when sparse, built on first use and kept.
+
+        A Gram step takes products M_i^T x with each of them; a sparse
+        block's transpose made on every use would cost a new sparse object.
+        """
+        return tuple(sp.csr_matrix(blk.T, dtype=float) if sp.issparse(blk) else blk.T
+                     for blk in self.blocks)
 
 
 def materialize_stack(blocks, ncols: int) -> np.ndarray:
@@ -343,7 +354,7 @@ def _solve_core(core: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def smw_row_solve(
-    fac: ShiftedFactorization, b: np.ndarray, f: np.ndarray, rows: np.ndarray
+    fac: ShiftedFactorization, b: np.ndarray, f: np.ndarray, rows: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X, X B) for X = rows @ (A + B F - gamma*E)^-1, from the factorization of A - gamma*E.
 
@@ -352,14 +363,21 @@ def smw_row_solve(
     the rows and F pushed through one stacked sparse solve, [R; F A_g^-1] B
     taken as one product, and the correction subtracted in place; with F = 0
     this is the plain shifted solve.  The sparse solve overwrites the stack,
-    which no caller sees.  The core's right-hand side comes out
+    which is a new array unless ``out``, a C-contiguous (k + m) x n float64
+    array, is given to hold it; on the LDL^T route X is then a view of
+    ``out``.  The core's right-hand side comes out
     as X B: R B - R B core^-1 F A_g^-1 B = R B core^-1 (core - F A_g^-1 B)
     = R B core^-1, so X B costs no product of its own.  X is C-contiguous.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     k = rows.shape[0]
-    both = fac.row_solve(np.vstack([rows, np.atleast_2d(f)]), overwrite_rows=True)
+    if out is None:
+        stack = np.vstack([rows, np.atleast_2d(f)])
+    else:
+        stack = out
+        stack[:k], stack[k:] = rows, f
+    both = fac.row_solve(stack, overwrite_rows=True)
     both_b = both @ b
     core = np.eye(b.shape[1]) + both_b[k:]
     xb = _solve_core(core, both_b[:k])
@@ -412,28 +430,6 @@ def add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def gram_upper(n: int, add, subtract=()) -> np.ndarray:
-    """The upper triangle of sum A^T A over ``add`` minus sum B^T B over ``subtract``.
-
-    Each factor has n columns.  The result is an n x n Fortran-ordered array
-    whose strict lower triangle is zero; BLAS ``dsyrk`` accumulates every
-    term into it in place (beta = 1), and a C- or Fortran-contiguous factor
-    is passed to BLAS without a copy.
-    """
-    g = np.zeros((n, n), order="F")
-    for alpha, factors in ((1.0, add), (-1.0, subtract)):
-        for a in factors:
-            if a.shape[1] != n:
-                raise ConformabilityError(f"Gram factor of shape {a.shape} needs {n} columns")
-            if a.shape[0] == 0:
-                continue
-            if a.flags.f_contiguous:
-                dsyrk(alpha, a, beta=1.0, c=g, trans=1, overwrite_c=1)
-            else:  # A^T is Fortran-ordered, and dsyrk's A A^T of it is A^T A
-                dsyrk(alpha, np.ascontiguousarray(a).T, beta=1.0, c=g, overwrite_c=1)
-    return g
-
-
 @dataclass
 class TruncationResult:
     """Retained rows of a truncated factor plus the discarded energy.
@@ -443,12 +439,9 @@ class TruncationResult:
     ``discarded_sq_trace`` is the trace of the discarded part of that Gram, so
     the Frobenius energy of the input splits exactly into
     ``|factor|_F^2 + discarded_sq_trace``; ``cap_discard`` is the share of it
-    that the row cap moved there.  ``route`` names the rule, one per shape:
-    ``"gram"`` (:func:`trunc_svd` of a wide factor, an eigh of C C^T) or
-    ``"tall-pchol"`` (:func:`trunc_gram` of a tall one's Gram C^T C, a
-    pivoted Cholesky).  On ``"gram"`` the rows are Sigma_k V_k^T,
-    so their norms are the k retained singular values; the ``"tall-pchol"``
-    rows are not singular directions.
+    that the row cap moved there.  ``route`` names the rule, ``"gram"``
+    (:func:`trunc_svd`, an eigh of C C^T); the rows are Sigma_k V_k^T, so
+    their norms are the k retained singular values.
     """
 
     factor: np.ndarray
@@ -461,73 +454,26 @@ class TruncationResult:
         return int(self.factor.shape[0])
 
 
-def _retain(sq: np.ndarray, rows: int, tau_abs: float, cap: int):
-    """The accounting both truncation rules share: (kept, discard, cap discard).
+def gram_factor(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rows F with F^T F = G for a positive semidefinite n x n G, and the trace they leave out.
 
-    ``sq`` holds the energies of the ``rows`` candidate rows, leading first,
-    and then of any energy no row carries.  The tolerance keeps the fewest
-    leading rows whose tail energy is <= tau_abs, at most ``rows`` and with
-    trailing zero rows dropped; the tail is summed from the back, so small
-    tails do not cancel.  The cap then keeps at most ``cap`` of them.  The
-    discard is all the energy past the kept rows, and the cap discard its
-    share that the cap moved there.
+    Only the upper triangle of ``g`` is read.  LAPACK's pivoted Cholesky
+    ``dpstrf``, P^T G P = R^T R, stops at its numerical rank, the first pivot
+    at or below its default tolerance n eps max diag(G); only the rows
+    before it are finished, so only those are returned, as F = R[:rank] P^T
+    in one C-contiguous array: the columns of the upper triangle of R are
+    gathered through the inverse pivot permutation, with no zero-filled
+    target to scatter them into.  The trace left out is trace G minus the
+    rows' squared norms, clamped at 0: the trace of the unfactored Schur
+    complement, at most n times the tolerance.
     """
-    if tau_abs < 0:
-        raise ValueError("tau_abs must be nonnegative")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-    keep = int(np.argmax(tail <= tau_abs))
-    while keep > 0 and sq[keep - 1] == 0.0:
-        keep -= 1
-    keep = min(keep, rows)
-    kept = min(keep, cap)
-    return kept, float(np.sum(sq[kept:])), float(np.sum(sq[kept:keep]))
-
-
-def _pivoted_cholesky_rows(g: np.ndarray, tau_abs: float):
-    """Rows R P^T of the pivoted Cholesky P^T G P = R^T R, and their energies.
-
-    LAPACK ``dpstrf`` stops at its numerical rank, the first pivot at or below
-    its tolerance; only the rows before it are finished, so only those are
-    returned, as one C-contiguous array: the columns of the upper triangle
-    of R are gathered through the inverse pivot permutation, with no
-    zero-filled target to scatter them into.  The energies are the squared
-    row norms followed by the trace that the stop left unfactored, clamped
-    at 0.  The tolerance is LAPACK's default n eps max diag(G), lowered to
-    tau_abs / n when that is smaller: the at most n pivots left unfactored
-    then sum to at most tau_abs, so the unfactored trace alone never exceeds
-    the allowed discard.
-    """
-    n = g.shape[0]
-    tol = min(n * _MACHEPS * float(np.max(np.diag(g), initial=0.0)), tau_abs / max(n, 1))
-    r, piv, rank, info = dpstrf(g, tol=tol)
+    r, piv, rank, info = dpstrf(g, tol=-1.0)
     if info < 0:
         raise ValueError(f"illegal value in pivoted Cholesky argument {-info}")
     # np.triu returns a C-ordered copy; np.take of its columns keeps C order,
     # where a fancy index would return a Fortran-ordered array.
     rows = np.take(np.triu(r[:rank]), np.argsort(piv), axis=1)
-    sq = np.einsum("ij,ij->i", rows, rows)
-    return rows, np.append(sq, max(float(np.trace(g)) - float(np.sum(sq)), 0.0))
-
-
-def trunc_gram(g: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
-    """Truncate a factor C, given only its n x n Gram G = C^T C, with exact discard accounting.
-
-    Only the upper triangle of ``g`` is read.  Keeps the fewest leading rows
-    of the pivoted Cholesky P^T G P = R^T R such that the trace of the
-    discarded Gram is <= ``tau_abs``, then enforces the row cap, moving any
-    overflow into ``discarded_sq_trace``.  About n^3/3 flops against several
-    n^3 for an eigh: R[:k] P^T leaves the Schur complement S_k of G, whose
-    exact trace |R[k:]|_F^2 (plus the rounding-level remainder past the
-    factorization's rank) is the discard (Harbrecht, Peters & Schneider,
-    Appl. Numer. Math. 2012).  The kept Gram matches G minus the discard to
-    about eps trace(G) however graded the spectrum.  Route ``"tall-pchol"``.
-    """
-    rows, sq = _pivoted_cholesky_rows(g, tau_abs)
-    # sq ends with the unfactored remainder, which has no row to keep.
-    kept, discard, cap_discard = _retain(sq, rows.shape[0], tau_abs, cap)
-    return TruncationResult(rows[:kept], discard, "tall-pchol", cap_discard)
+    return rows, max(float(np.trace(g)) - float(np.einsum("ij,ij->", rows, rows)), 0.0)
 
 
 def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
@@ -538,12 +484,25 @@ def trunc_svd(c: np.ndarray, tau_abs: float, cap: int) -> TruncationResult:
     ``discarded_sq_trace``.  The factor is truncated as an SVD: the eigh of
     C C^T = U Lambda U^T orders the directions, and U_k^T C (= Sigma_k V_k^T)
     is kept without dividing by sigma; the kept Gram matches C^T C minus the
-    discard to about eps |C|^2 however graded the spectrum.  A tall factor
-    is truncated from its Gram by :func:`trunc_gram` instead; the caller
-    chooses the rule.  Route ``"gram"``.
+    discard to about eps |C|^2 however graded the spectrum.  A factor of
+    more rows than n is never truncated: the engine carries its Gram
+    instead.  Route ``"gram"``.
     """
+    if tau_abs < 0:
+        raise ValueError("tau_abs must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be positive")
     c = np.ascontiguousarray(np.atleast_2d(c), dtype=float)
     w, u = np.linalg.eigh(c @ c.T)
     sq, u = np.maximum(w[::-1], 0.0), u[:, ::-1]
-    kept, discard, cap_discard = _retain(sq, sq.size, tau_abs, cap)
-    return TruncationResult(np.ascontiguousarray(u[:, :kept].T) @ c, discard, "gram", cap_discard)
+    # The tail energies are summed from the back, so small tails do not
+    # cancel; trailing zero rows are dropped, and so are directions past the
+    # n-th, which C (rank at most n) holds only as rounding, before the cap
+    # applies.
+    tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
+    keep = min(int(np.argmax(tail <= tau_abs)), c.shape[1])
+    while keep > 0 and sq[keep - 1] == 0.0:
+        keep -= 1
+    kept = min(keep, cap)
+    return TruncationResult(np.ascontiguousarray(u[:, :kept].T) @ c, float(np.sum(sq[kept:])),
+                            "gram", float(np.sum(sq[kept:keep])))

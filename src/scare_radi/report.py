@@ -69,7 +69,10 @@ class RunReport:
     ``flags`` carries ``"m"`` when the solution-factor width cap stopped the
     run and ``"t"`` when the truncation debt alone exceeded the tolerance, so
     that no later step could converge, and ``backend`` the route of the
-    shifted factorization (``"ldlt"`` or ``"superlu"``).  ``peak_rss_mb`` is
+    shifted factorization (``"ldlt"`` or ``"superlu"``).  ``xi_width`` is the
+    column count of the returned solution factor, and ``xi_discard`` the
+    share of trace X_tall that the pivoted Cholesky folding it into the
+    factor left out (0 for a solve that never left factor form).  ``peak_rss_mb`` is
     the process's peak resident set size in MB once the run ended (Linux
     ``ru_maxrss``), None unless the run went through ``bench.run_single``;
     like ``wall_time`` it is a measurement, so the summary leaves it out
@@ -80,6 +83,7 @@ class RunReport:
     converged: bool = False
     iterations: int = 0
     xi_width: int = 0
+    xi_discard: float = 0.0
     final_nres: float = 1.0
     wall_time: float = 0.0
     peak_rss_mb: float | None = None
@@ -110,6 +114,7 @@ class RunReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "xi_width": self.xi_width,
+            "xi_discard": self.xi_discard,
             "final_nres": self.final_nres,
             "flags": self.flags,
             "backend": self.backend,

@@ -19,7 +19,11 @@ pivoted QR of the window, whose rows can number as many as n.  A block
 of a stochastic (r > 1) solve can hold hundreds of rows; projecting onto all
 of them costs a Hamiltonian eig of twice that width and yields poorer shifts
 (c9 at n=300: 21-22 iterations against 14).  An r = 1 block has at most l
-rows, so there the cap never binds.
+rows, so there the cap never binds.  A solve in Gram form (see
+:mod:`scare_radi.engine`) has no blocks past its switch; its l*s directions
+are the leading rows of the diagonally pivoted Cholesky of the residual
+Gram G (:func:`gram_rows`), orthonormalized the same way, and the
+Hamiltonian's residual term is W^T G W.
 
 Only real shifts are produced: complex eigenvalues contribute their shared
 real part once.  Emitted shifts are clamped to 1e-8 |A|_1, since the
@@ -40,6 +44,7 @@ __all__ = [
     "ShiftConfig",
     "ShiftCache",
     "build_basis",
+    "gram_rows",
     "hamiltonian_shifts",
     "projection_shifts",
     "next_shift",
@@ -206,8 +211,9 @@ def hamiltonian_shifts(u: np.ndarray, p, state) -> list:
     """Shifts from the eigenpairs of the projected 2d x 2d Hamiltonian matrix.
 
     Builds Abar = U^T (A + B F) E^-1 U, Gbar = (U^T B_k)(U^T B_k)^T with
-    B_k = B Kpi^-1, and Qbar from the projected residual factor, all read
-    from ``state``, then returns the stable eigenvalues' negated real parts
+    B_k = B Kpi^-1, and Qbar = W^T C^T C W for W = E^-1 U from the residual
+    factor C, or W^T G W from its Gram G in Gram form, all read from
+    ``state``, then returns the stable eigenvalues' negated real parts
     ordered by descending lower-block eigenvector norm.  Norms at the
     rounding floor (2d eps) count as zero.  Ties prefer real eigenvalues,
     then real parts closest to zero.  With no stable eigenpair available it
@@ -217,8 +223,11 @@ def hamiltonian_shifts(u: np.ndarray, p, state) -> list:
     abar, w, ub = _projected_closed_loop(u, p, state)
     ub = right_tri_solve(state.kpi, ub)  # U^T B_k
     gbar = ub @ ub.T
-    cu = np.atleast_2d(state.ccur) @ w
-    qbar = cu.T @ cu
+    if state.gram is None:
+        cu = np.atleast_2d(state.ccur) @ w
+        qbar = cu.T @ cu
+    else:
+        qbar = w.T @ (state.gram @ w)
     d = abar.shape[0]
     ham = np.block([[abar, gbar], [qbar, -abar.T]])
     lam, vecs = np.linalg.eig(ham)
@@ -236,8 +245,33 @@ def hamiltonian_shifts(u: np.ndarray, p, state) -> list:
     return _clamped(-lam[order].real, state)
 
 
+def gram_rows(g: np.ndarray, q: int) -> np.ndarray:
+    """The first q rows of the diagonally pivoted Cholesky of a positive semidefinite G.
+
+    Each step pivots on the largest diagonal entry of the Schur complement
+    left so far, and stops early once it is at most n eps max diag(G),
+    LAPACK ``dpstrf``'s default rank rule; the rows R[:j] P^T returned are
+    those of a full pivoted Cholesky P^T G P = R^T R, at O(q^2 n) cost.
+    """
+    n = g.shape[0]
+    d = np.diag(g).copy()
+    tol = n * _EPS * float(d.max(initial=0.0))
+    rows = np.empty((min(q, n), n))
+    for j in range(rows.shape[0]):
+        i = int(np.argmax(d))
+        if d[i] <= tol:
+            return rows[:j]
+        rows[j] = (g[i] - rows[:j, i] @ rows[:j]) / np.sqrt(d[i])
+        d -= rows[j] ** 2
+    return rows
+
+
 def _compute(cfg: ShiftConfig, p, state) -> ShiftCache:
-    u = build_basis(state.xi_blocks[-cfg.window_s:], state.ccur, q=p.l * cfg.window_s)
+    q = p.l * cfg.window_s
+    if state.gram is None:
+        u = build_basis(state.xi_blocks[-cfg.window_s:], state.ccur, q=q)
+    else:
+        u = build_basis([gram_rows(state.gram, q)], None, q=q)
     strategy = hamiltonian_shifts if cfg.strategy == "hamiltonian" else projection_shifts
     return ShiftCache(strategy(u, p, state), state.k, u.shape[1])
 

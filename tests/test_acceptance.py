@@ -134,7 +134,7 @@ def test_criterion_04_prototype_equivalence_ten_steps():
             st, _ = step_once(p, st, g, opts)
             proto = alg1_step(proto, g)
             x1 = proto.x
-            x2 = st.xi @ st.xi.T
+            x2 = st.dense_x()
             worst = max(worst, np.linalg.norm(x1 - x2) / np.linalg.norm(x1))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
@@ -156,8 +156,8 @@ def test_criterion_05_truncated_bookkeeping(omega_recorder):
         with omega_recorder() as omegas:
             for g in shifts:
                 st, _ = step_once(p, st, g, opts)
-                lhs = residual_dense(p, st.xi @ st.xi.T)
-                rhs = st.ccur.T @ st.ccur
+                lhs = residual_dense(p, st.dense_x())
+                rhs = st.residual_gram()
                 for om in omegas:
                     rhs = rhs + om.T @ om
                 worst = max(worst, np.linalg.norm(lhs - rhs) / st.nu0)

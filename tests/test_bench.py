@@ -305,7 +305,9 @@ def test_grid_writes_outputs(tmp_path):
 @pytest.mark.parametrize("r", [1, 5])
 def test_csv_last_column_names_truncation_route(tmp_path, r):
     # The stochastic stack has 5x the rows of the residual factor and turns
-    # tall once the factor passes n/5 rows; the r=1 factor never outgrows l.
+    # tall once the factor passes n/5 rows: that step stores its Gram
+    # ("switch") and the later ones are Gram steps.  The r=1 factor never
+    # outgrows l.
     base = gen_heat_problem(40, 7, 6, seed=0, scale=100.0, damping=100.0)
     p = base if r == 1 else with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
     run_single(p, SolveOptions(cap_cols=1500), "unit", tmp_path)
@@ -318,7 +320,7 @@ def test_csv_last_column_names_truncation_route(tmp_path, r):
     if r == 1:
         assert routes == {"gram"}
     else:
-        assert "tall-pchol" in routes and routes <= {"gram", "tall-pchol"}
+        assert column[1:].count("switch") == 1 and routes == {"gram", "switch", "gram-step"}
 
 
 def test_csv_header_is_the_documented_column_list():

@@ -31,7 +31,7 @@ from scare_radi.oracles import (
     newton_ref_solve,
     one_step_approximant,
 )
-from scare_radi.problems import adapt_in_place, residual_dense
+from scare_radi.problems import DenseCoefficients, adapt_in_place, residual_dense
 from scare_radi.shifts import ShiftConfig, next_shift
 from scare_radi.testing import random_original_problem, random_standard_problem
 
@@ -41,7 +41,7 @@ SHIFTS = [2.0, 0.9, 3.5, 1.2, 0.6, 2.7, 1.8, 1.1, 0.8, 2.2]
 
 
 def x_of(state):
-    return state.xi @ state.xi.T
+    return state.dense_x()
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +369,9 @@ def test_inv_sqrt_gram_matches_dense_eigh(rows, cols, decades):
 
 
 def test_stochastic_step_factors_only_the_accumulator(monkeypatch):
-    # The residual factor grows to tens of rows at n = 40 and r = 5, while the
-    # only matrix a step factors is the m x m accumulator Gram.
+    # The residual factor grows to tens of rows at n = 40 and r = 5 (then to
+    # its n x n Gram), while the only matrix a step factors is the m x m
+    # accumulator Gram.
     base = gen_heat_problem(40, 7, 6, seed=0, scale=100.0, damping=100.0)
     p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
     dims, rows = [], []
@@ -381,7 +382,7 @@ def test_stochastic_step_factors_only_the_accumulator(monkeypatch):
         return real_chol(mat)
 
     def recording_step(p, state, *args, **kwargs):
-        rows.append(state.ccur.shape[0])
+        rows.append(p.n if state.ccur is None else state.ccur.shape[0])
         return real_step(p, state, *args, **kwargs)
 
     monkeypatch.setattr(engine, "chol_spd", recording_chol)
@@ -404,7 +405,7 @@ def test_exact_residual_bookkeeping_without_truncation(r, with_e):
     for g in SHIFTS[:6]:
         st, _ = step_once(p, st, g, opts)
         lhs = residual_dense(p, x_of(st))
-        rhs = st.ccur.T @ st.ccur
+        rhs = st.residual_gram()
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * st.nu0
 
 
@@ -423,7 +424,7 @@ def test_bookkeeping_property_single_steps(omega_recorder, seed, r, gamma, with_
         for g in (gamma, 0.5 * gamma + 0.3):
             st, _ = step_once(p, st, g, opts)
     lhs = residual_dense(p, x_of(st))
-    rhs = st.ccur.T @ st.ccur
+    rhs = st.residual_gram()
     for om in omegas:
         rhs = rhs + om.T @ om
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * st.nu0
@@ -437,7 +438,7 @@ def test_residual_bookkeeping_with_truncation_debt(omega_recorder):
         for g in SHIFTS[:6]:
             st, _ = step_once(p, st, g, opts)
             lhs = residual_dense(p, x_of(st))
-            rhs = st.ccur.T @ st.ccur
+            rhs = st.residual_gram()
             for om in omegas:
                 rhs = rhs + om.T @ om
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * st.nu0
@@ -473,44 +474,48 @@ def _stacked_residual_factor(p, state, gamma):
 @pytest.mark.parametrize("with_e", [False, True], ids=["standard", "mass"])
 @pytest.mark.parametrize("noise", [5e-2, 3.0])
 def test_tall_step_gram_matches_the_stacked_factor(monkeypatch, noise, with_e):
-    # On a tall step the engine truncates X^T X - T^T T plus C_top^T C_top,
-    # accumulated without a stack, and on a wide one the stack it scales from
-    # K and T; either way it must be the Gram of the stacked factor.
+    # A wide step truncates the stack it scales from K and T; the first step
+    # whose stack has more rows than n stores the stack's Gram exactly
+    # instead (route "switch"), and the solve goes on in Gram form.  Either
+    # way it must be the Gram of the stacked factor.
     p = random_standard_problem(n=20, m=2, l=3, r=4, seed=6, noise=noise, with_e=with_e)
     st = init_state(p)
-    grams = []
-
-    def recording_gram(g, *args, **kwargs):
-        grams.append(np.triu(g) + np.triu(g, 1).T)
-        return kernels.trunc_gram(g, *args, **kwargs)
+    grams, routes = [], []
 
     def recording_svd(c, *args, **kwargs):
         grams.append(c.T @ c)
         return kernels.trunc_svd(c, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "trunc_gram", recording_gram)
     monkeypatch.setattr(engine, "trunc_svd", recording_svd)
-    tall = 0
     for g in SHIFTS[:4]:
+        if st.gram is not None:
+            break
         stack, scale = _stacked_residual_factor(p, st, g)
         st, row = step_once(p, st, g, SolveOptions(trunc_rel=1e-12))
-        assert (row.svd_route == "tall-pchol") == (stack.shape[0] > p.n)
-        tall += row.svd_route == "tall-pchol"
-        gap = np.linalg.norm(grams[-1] - stack.T @ stack)
+        assert (row.svd_route == "switch") == (stack.shape[0] > p.n)
+        routes.append(row.svd_route)
+        got = st.gram if row.svd_route == "switch" else grams[-1]
+        gap = np.linalg.norm(got - stack.T @ stack)
         assert gap <= 50 * np.finfo(float).eps * scale, gap / scale
-    assert 2 <= tall < 4 and len(grams) == 4
+    assert routes == ["gram"] * (len(routes) - 1) + ["switch"] and len(routes) >= 2
+    assert len(grams) == len(routes) - 1
 
 
-def test_r1_solve_with_more_outputs_than_states_truncates_its_gram():
+def test_r1_solve_with_more_outputs_than_states_carries_its_gram():
     # One shape rule for every r: with l > n the first r = 1 step's factor
-    # C_top is tall, so its Gram is truncated by the pivoted Cholesky.
+    # C_top is tall, so that step stores its Gram and the solve goes on in
+    # Gram form, whose steps keep the residual exact.
     p = random_standard_problem(n=6, m=2, l=9, r=1, seed=2)
     _, report = radi_solve(p)
-    assert report.converged and report.rows[1].svd_route == "tall-pchol"
-    st, row = step_once(p, init_state(p), SHIFTS[0], SolveOptions(**NO_TRUNC))
-    assert row.svd_route == "tall-pchol" and st.ccur.shape[0] <= p.n
-    lhs = residual_dense(p, x_of(st))
-    assert np.linalg.norm(lhs - st.ccur.T @ st.ccur) <= 1e-9 * st.nu0
+    routes = [row.svd_route for row in report.rows[1:]]
+    assert report.converged and routes[0] == "switch" and set(routes[1:]) <= {"gram-step"}
+    st = init_state(p)
+    for g in SHIFTS[:4]:
+        st, row = step_once(p, st, g, SolveOptions(**NO_TRUNC))
+        lhs = residual_dense(p, x_of(st))
+        assert np.linalg.norm(lhs - st.residual_gram()) <= 1e-9 * st.nu0
+        assert nres_trace(st) * st.nu0 == pytest.approx(np.trace(lhs), rel=1e-9, abs=1e-12 * st.nu0)
+    assert row.svd_route == "gram-step" and st.ccur is None
 
 
 def _twice_scaled_block(p, state, gamma):
@@ -529,20 +534,21 @@ def _twice_scaled_block(p, state, gamma):
 def test_new_block_takes_w_and_w_squared_from_one_projection(shape):
     # An r = 1 step at n = 5000 with the mass matrix (l = 6), and an r = 5
     # step at n = 300 whose residual factor has 300 graded rows.  One step
-    # first makes F (and for r = 5, Kpi) nontrivial; the compared step takes
-    # the shift the solver would.
+    # first makes F (and for r = 5, Kpi) nontrivial; for r = 5 it starts from
+    # C, so that it stays in factor form.  The compared step takes the shift
+    # the solver would.
     if shape == "det-mass":
         p = gen_heat_problem(5000, 7, 6, seed=0, mass_matrix=True)
-        st = init_state(p)
     else:
         base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
         p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
-        st = init_state(p)
+    st = init_state(p)
+    gamma, _ = next_shift(ShiftConfig(), None, p, st)
+    st, _ = step_once(p, st, gamma, SolveOptions(cap_cols=1500))
+    if shape == "c9":
         grade = 10.0 ** -np.linspace(0.0, 12.0, 300)[:, None]
         st.ccur = np.random.default_rng(0).standard_normal((300, 300)) * grade
         st.nu0 = float(np.linalg.norm(st.ccur) ** 2)
-    gamma, _ = next_shift(ShiftConfig(), None, p, st)
-    st, _ = step_once(p, st, gamma, SolveOptions(cap_cols=1500))
     gamma, _ = next_shift(ShiftConfig(), None, p, st)
     assert np.linalg.norm(st.f) > 0.0
     want = _twice_scaled_block(p, st, gamma)
@@ -553,7 +559,9 @@ def test_new_block_takes_w_and_w_squared_from_one_projection(shape):
 
 
 def test_nu_omega_monotone_and_width_bounded():
-    p = random_standard_problem(n=30, m=2, l=2, r=3, seed=5)
+    # n = 40 holds the capped stack (12 rows and 2 x 12 coupling rows), so
+    # every step is a wide one, which the cap binds.
+    p = random_standard_problem(n=40, m=2, l=2, r=3, seed=5)
     cap = 12
     opts = SolveOptions(trunc_rel=1e-8, cap_cols=cap)
     st = init_state(p)
@@ -579,14 +587,33 @@ def test_cap_discard_is_the_share_of_the_discard_the_cap_moved(cap):
     assert any(capped) == (cap == 12)
 
 
+def test_cap_cols_binds_wide_steps_only():
+    # A Gram step truncates nothing, so the row cap leaves it alone: its row
+    # reports n residual rows and no discard, and the debt stays at what the
+    # wide steps discarded.
+    p = random_standard_problem(n=30, m=2, l=2, r=3, seed=5)
+    st = init_state(p)
+    routes = []
+    for g in SHIFTS[:6]:
+        before = st.nu_omega
+        st, row = step_once(p, st, g, SolveOptions(trunc_rel=1e-8, cap_cols=12))
+        routes.append(row.svd_route)
+        if row.svd_route == "gram":
+            assert row.cols_c <= 12
+        else:
+            assert row.cols_c == p.n > 12
+            assert row.cap_discard == 0.0 and st.nu_omega == before
+    assert routes[0] == "gram" and "switch" in routes and "gram-step" in routes, routes
+
+
 def test_c9_n300_seeds_converge_with_independent_nres():
-    # The tall truncation picks rows by a pivoted Cholesky, and the shift
-    # basis pivots on the rows of the step's block, so a different row basis
-    # with the same Gram could move the shifts.  Seeds 0-9 of the
-    # criterion-9 solve at n = 300 pin the iteration count, and the dense
-    # trace-norm residual of X = Xi Xi^T checks the reported nres.
+    # From step 3 on these solves run in Gram form, whose shift basis pivots
+    # on the residual Gram, so a change there could move the shifts.  Seeds
+    # 0-9 of the criterion-9 solve at n = 300 pin the iteration count, and
+    # the dense trace-norm residual of X = Xi Xi^T, Xi the returned factor
+    # (X_tall folded in by its pivoted Cholesky), checks the reported nres.
     opts = SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached"), cap_cols=1500)
-    iterations = [12, 11, 12, 12, 12, 11, 12, 12, 12, 12]
+    iterations = [11, 12, 12, 11, 12, 12, 12, 12, 12, 12]
     for seed in range(10):
         base = gen_heat_problem(300, 7, 6, seed=seed, scale=100.0, damping=100.0)
         p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=seed + 100)
@@ -629,7 +656,58 @@ def test_prototype_matches_engine_r5(ell):
         x1, x2 = proto.x, x_of(st)
         assert np.linalg.norm(x1 - x2) <= 1e-10 * np.linalg.norm(x1)
         lhs = residual_dense(p, x2)
-        assert np.linalg.norm(lhs - st.ccur.T @ st.ccur) <= 1e-10 * st.nu0
+        assert np.linalg.norm(lhs - st.residual_gram()) <= 1e-10 * st.nu0
+
+
+def _mass_prototype(p):
+    """The dense prototype of a problem with E, run on its E^-1-standard form.
+
+    With Atil = E^-1 A and the same on B and the noise blocks, the standard
+    form's shifted solve is C M^-1 E for M = A + B F - gamma*E, so its blocks
+    are S E, its feedback and residual factor are those of the problem with
+    E, and its X is E^T X_E E.  Returns the prototype state and E^-1.
+    """
+    co = p.dense_coefficients()
+    einv = np.linalg.inv(co.e)
+    std = DenseCoefficients(einv @ co.a, einv @ co.b, co.c,
+                            [einv @ a for a in co.ahat], [einv @ b for b in co.bhat])
+    return alg1_init(std), einv
+
+
+@pytest.mark.parametrize("case", ["r2", "r3-ldlt", "r1-tall"])
+def test_gram_steps_with_a_mass_matrix_match_the_prototype(case):
+    # Ten fixed shifts, most of them Gram steps, on a problem with a mass
+    # matrix: r = 2 (SuperLU), r = 3 on the LDL^T route, and r = 1 with
+    # l > n, which goes to Gram form at its first step.  X is compared with
+    # the dense prototype at criterion 4's bound, and trace G with the trace
+    # norm of the dense residual.  The prototype's residual factor grows by
+    # a factor r each step; X depends on it only through its Gram, so once
+    # it has more than n rows it is replaced by an n-row factor of that Gram.
+    if case == "r2":
+        p = random_standard_problem(n=30, m=2, l=2, r=2, seed=21, with_e=True)
+    elif case == "r3-ldlt":
+        base = gen_heat_problem(40, 2, 2, seed=3, mass_matrix=True, scale=5.0, damping=1.0)
+        p = with_noise_blocks(base, [1e-3, 1e-2], seed=103)
+    else:
+        p = random_standard_problem(n=8, m=2, l=11, r=1, seed=22, with_e=True)
+    st = init_state(p)
+    assert st.ops.route == ("ldlt" if case == "r3-ldlt" else "superlu")
+    proto, einv = _mass_prototype(p)
+    routes = []
+    for g in SHIFTS:
+        st, row = step_once(p, st, g, SolveOptions(**NO_TRUNC))
+        routes.append(row.svd_route)
+        proto = alg1_step(proto, g)
+        if proto.c.shape[0] > p.n:
+            w, v = np.linalg.eigh(proto.c.T @ proto.c)
+            proto.c = np.sqrt(np.maximum(w, 0.0))[:, None] * v.T
+        x_ref = einv.T @ proto.x @ einv
+        x = x_of(st)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref), row.k
+        if st.gram is not None:
+            trace_norm = np.abs(np.linalg.eigvalsh(residual_dense(p, x))).sum()
+            assert abs(np.trace(st.gram) - trace_norm) <= 1e-9 * st.nu0, row.k
+    assert routes.count("switch") == 1 and routes.count("gram-step") >= 5, routes
 
 
 def test_prototype_scalar_first_step(scalar_problem):
@@ -778,6 +856,22 @@ def test_solve_width_cap_sets_flag():
     assert report.xi_width >= 20
 
 
+def test_width_budget_stops_a_solve_in_gram_form():
+    # Each Gram step counts n columns, so flag "m" fires in Gram form too.
+    # The returned Xi, X_tall folded in by its pivoted Cholesky, is no wider
+    # than that count.
+    p = random_standard_problem(n=30, m=2, l=3, r=3, seed=16)
+    _, free = radi_solve(p, SolveOptions(max_iter=50))
+    first = next(row for row in free.rows if row.svd_route == "gram-step")
+    budget = first.cols_xi + p.n  # reached at the second Gram step
+    st, report = radi_solve(p, SolveOptions(max_cols_xi=budget, max_iter=50))
+    assert report.flags == "m" and not report.converged
+    last = report.rows[-1]
+    assert last.svd_route == "gram-step" and last.cols_xi == budget
+    assert report.iterations == first.k + 1 < free.iterations
+    assert report.xi_width == st.xi.shape[1] <= budget
+
+
 def test_solve_stall_rule_sets_flag():
     # Loose truncation accumulates debt that passes the tolerance, so the
     # total residual (including debt) cannot get below it.
@@ -798,10 +892,12 @@ def test_solve_stall_rule_sets_flag():
 def test_debt_stop_fires_at_the_first_row_past_tolerance():
     # The truncation debt never shrinks, so once nu_omega / nu0 passes tol no
     # later step can converge and the run stops at that row with flag "t".
+    # At n = 200 the residual stays wide (truncated) until the debt stop.
     p = with_noise_blocks(
-        gen_heat_problem(100, 7, 6, seed=0, scale=100.0, damping=100.0), [1e-4, 1e-3], seed=100
+        gen_heat_problem(200, 7, 6, seed=0, scale=100.0, damping=100.0), [1e-4, 1e-3], seed=100
     )
     st, report = radi_solve(p, SolveOptions(trunc_rel=1e-12))
+    assert {row.svd_route for row in report.rows[1:]} == {"gram"}
     debt = [row.nu_omega / st.nu0 for row in report.rows]
     first = next(k for k, d in enumerate(debt) if d > 1e-12)
     assert report.flags == "t" and not report.converged

@@ -20,10 +20,9 @@ from scare_radi.kernels import (
     add_product,
     chol_spd,
     factor_shifted,
-    gram_upper,
+    gram_factor,
     ltimes,
     smw_row_solve,
-    trunc_gram,
     trunc_svd,
 )
 from scare_radi.oracles import ltimes_dense, ltimes_identities_check
@@ -567,28 +566,34 @@ def test_chol_property_reconstruction(seed, k):
 
 
 # ---------------------------------------------------------------------------
-# truncation: SVD through C C^T (wide), pivoted Cholesky of C^T C (tall).
-# The tall cases hand trunc_gram the Gram C^T C of their factor.
+# truncation: SVD through C C^T (wide); the pivoted Cholesky factor of a
+# Gram C^T C (gram_factor, for X_tall).  The tall cases hand gram_factor the
+# Gram of their factor.
 
 EPS = np.finfo(float).eps
 
 
 def energy_gap(c, res):
-    """| |C|_F^2 - (|factor|_F^2 + discard) |: zero when the energy splits exactly."""
-    kept = np.linalg.norm(res.factor) ** 2
-    return abs(np.linalg.norm(c) ** 2 - (kept + res.discarded_sq_trace))
+    """| |C|_F^2 - (|factor|_F^2 + discard) |: zero when the energy splits exactly.
+
+    ``res`` is a :class:`TruncationResult` or gram_factor's (rows, trace left out).
+    """
+    factor, discard = (res.factor, res.discarded_sq_trace) if hasattr(res, "factor") else res
+    return abs(np.linalg.norm(c) ** 2 - (np.linalg.norm(factor) ** 2 + discard))
 
 
-def gram_gap_trace(c, res):
+def gram_gap_trace(c, factor):
     """trace(C^T C - F^T F), the energy the factor leaves out."""
-    return np.trace(c.T @ c - res.factor.T @ res.factor)
+    return np.trace(c.T @ c - factor.T @ factor)
 
 
-def pchol_gap_bound(g, factor):
-    """Error bound, in the 2-norm, on G - F^T F for the tall route at tau_abs = 0.
+def pchol_gap_bound(g, factor, left):
+    """Error bound, in the 2-norm, on G - F^T F for F from :func:`gram_factor`.
 
-    That route stops the pivoted Cholesky P^T G P = R^T R at its first
-    nonpositive pivot, rank r, and keeps F = R[:r] P^T.  The computed
+    It stops the pivoted Cholesky P^T G P = R^T R at its numerical rank r,
+    LAPACK's default, and keeps F = R[:r] P^T; the Schur complement it leaves
+    is positive semidefinite to rounding, so its 2-norm is at most the
+    trace left out, which is added to the bound.  The computed
     partial factor satisfies |G - F^T F|_2 <= 2 r gamma_{r+1}
     (|W|_2 + 1)^2 |G|_2 + O(u^2) with W = R11^-1 R12 (Higham, "Analysis of
     the Cholesky decomposition of a semi-definite matrix", 1990), so the gap
@@ -598,31 +603,31 @@ def pchol_gap_bound(g, factor):
     def gamma(j):  # j u / (1 - j u) for the unit roundoff u = eps / 2
         return j * EPS / (2 - j * EPS)
 
-    _, piv, rank, _ = dpstrf(g, tol=0.0)  # the route's own call at tau_abs = 0
+    _, piv, rank, _ = dpstrf(g, tol=-1.0)  # gram_factor's own call
     assert rank == factor.shape[0]
     w = sla.solve_triangular(factor[:, piv[:rank] - 1], factor[:, piv[rank:] - 1])
     w_norm = np.linalg.norm(w, 2) if w.size else 0.0
     return (2 * rank * gamma(rank + 1) * (w_norm + 1) ** 2 * np.linalg.norm(g, 2)
-            + gamma(rank) * np.linalg.norm(factor) ** 2)
+            + gamma(rank) * np.linalg.norm(factor) ** 2 + left)
 
 
-def test_both_rules_reject_a_negative_tolerance_and_an_empty_cap():
+def test_trunc_svd_rejects_a_negative_tolerance_and_an_empty_cap():
     c = np.random.default_rng(1).standard_normal((3, 5))
-    for rule, arg in ((trunc_svd, c), (trunc_gram, c.T @ c)):
-        with pytest.raises(ValueError, match="tau_abs must be nonnegative"):
-            rule(arg, -1.0, cap=3)
-        with pytest.raises(ValueError, match="cap must be positive"):
-            rule(arg, 0.0, cap=0)
+    with pytest.raises(ValueError, match="tau_abs must be nonnegative"):
+        trunc_svd(c, -1.0, cap=3)
+    with pytest.raises(ValueError, match="cap must be positive"):
+        trunc_svd(c, 0.0, cap=0)
 
 
 def test_trunc_svd_zero_input():
-    # Wide, empty and tall zero factors keep nothing on either route.
-    for p in (3, 0, 7):
-        c = np.zeros((p, 5))
-        res = trunc_gram(c.T @ c, 1.0, cap=3) if p > 5 else trunc_svd(c, 1.0, cap=3)
-        assert res.route == ("tall-pchol" if p > 5 else "gram")
+    # Wide and empty zero factors keep nothing, and a zero Gram has no factor rows.
+    for p in (3, 0):
+        res = trunc_svd(np.zeros((p, 5)), 1.0, cap=3)
+        assert res.route == "gram"
         assert res.rank == 0 and res.factor.shape == (0, 5)
         assert res.discarded_sq_trace == 0.0 and res.cap_discard == 0.0
+    rows, left = gram_factor(np.zeros((5, 5)))
+    assert rows.shape == (0, 5) and left == 0.0
 
 
 def test_trunc_svd_diagonal_example():
@@ -660,30 +665,19 @@ def test_trunc_svd_gram_residual_matches_discard():
     c = rng.standard_normal((10, 60))
     res = trunc_svd(c, tau_abs=0.5, cap=10)
     assert (
-        abs(gram_gap_trace(c, res) - res.discarded_sq_trace)
+        abs(gram_gap_trace(c, res.factor) - res.discarded_sq_trace)
         <= 1e-12 * np.linalg.norm(c) ** 2
     )
 
 
 def test_trunc_svd_tall_input_conserves_energy():
+    # The Gram of a tall factor of full column rank: its pivoted Cholesky
+    # keeps every column, and the rows carry the whole energy.
     rng = np.random.default_rng(5)
     c = rng.standard_normal((50, 8))
-    res = trunc_gram(c.T @ c, tau_abs=0.0, cap=50)
-    assert res.route == "tall-pchol" and res.rank == 8
-    assert energy_gap(c, res) <= 1e-12 * np.linalg.norm(c) ** 2
-
-
-def test_gram_upper_accumulates_signed_grams_of_either_layout():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((9, 6))
-    b = np.asfortranarray(rng.standard_normal((4, 6)))
-    x = rng.standard_normal((3, 6, 5)).transpose(0, 2, 1)  # Fortran-ordered slices
-    g = gram_upper(6, [a, *x, np.zeros((0, 6))], [0.5 * b])
-    want = a.T @ a + sum(x_i.T @ x_i for x_i in x) - 0.25 * b.T @ b
-    np.testing.assert_allclose(np.triu(g), np.triu(want), rtol=0, atol=1e-13)
-    assert not np.tril(g, -1).any() and g.flags.f_contiguous
-    with pytest.raises(ConformabilityError):
-        gram_upper(6, [a.T])
+    rows, left = gram_factor(c.T @ c)
+    assert rows.shape == (8, 8)
+    assert energy_gap(c, (rows, left)) <= 1e-12 * np.linalg.norm(c) ** 2
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -719,37 +713,35 @@ def test_add_product_rejects_a_target_blas_would_copy():
         add_product(np.zeros((6, 5)), a, b)
 
 
-def scattered_cholesky_rows(g, tau_abs):
-    """The rows R P^T as scattered into a zero matrix, and their energies (the reference)."""
+def scattered_cholesky_rows(g):
+    """The rows R P^T as scattered into a zero matrix, and the trace they leave out (the reference)."""
     n = g.shape[0]
-    tol = min(n * np.finfo(float).eps * float(np.max(np.diag(g), initial=0.0)), tau_abs / n)
-    r, piv, rank, _ = dpstrf(g, tol=tol)
+    r, piv, rank, _ = dpstrf(g, tol=-1.0)
     rows = np.zeros((rank, n))
     rows[:, piv - 1] = np.triu(r[:rank])
-    sq = np.einsum("ij,ij->i", rows, rows)
-    return rows, np.append(sq, max(float(np.trace(g)) - float(np.sum(sq)), 0.0))
+    return rows, max(float(np.trace(g)) - float(np.einsum("ij,ij->", rows, rows)), 0.0)
 
 
 @pytest.mark.parametrize("rank", [40, 13], ids=["full", "deficient"])
 def test_pivoted_cholesky_rows_are_the_scatter_in_c_order(rank):
     rng = np.random.default_rng(15)
     c = rng.standard_normal((rank, 40)) * 10.0 ** -np.linspace(0.0, 6.0, 40)
-    g = gram_upper(40, [c])
-    rows, sq = kernels._pivoted_cholesky_rows(g, 1e-20)
-    want_rows, want_sq = scattered_cholesky_rows(g, 1e-20)
+    g = np.triu(c.T @ c)
+    rows, left = gram_factor(g)
+    want_rows, want_left = scattered_cholesky_rows(g)
     assert (rows.shape[0] < 40) == (rank < 40)  # dpstrf stopped early on the deficient Gram
     assert rows.flags.c_contiguous
-    assert rows.tobytes() == want_rows.tobytes() and sq.tobytes() == want_sq.tobytes()
+    assert rows.tobytes() == want_rows.tobytes() and left == want_left
 
 
-def test_trunc_gram_reads_the_upper_triangle_only():
+def test_gram_factor_reads_the_upper_triangle_only():
     # The lower triangle of the Gram may hold anything.
     c = np.random.default_rng(12).standard_normal((40, 7)) * 10.0 ** -np.arange(7)
     g = c.T @ c
     g[np.tril_indices(7, -1)] = np.nan
-    got, ref = trunc_gram(g, 1e-9, cap=40), trunc_gram(c.T @ c, 1e-9, cap=40)
-    np.testing.assert_array_equal(got.factor, ref.factor)
-    assert (got.discarded_sq_trace, got.route) == (ref.discarded_sq_trace, "tall-pchol")
+    (got, got_left), (ref, ref_left) = gram_factor(g), gram_factor(c.T @ c)
+    np.testing.assert_array_equal(got, ref)
+    assert got_left == ref_left
 
 
 @settings(max_examples=40, deadline=None)
@@ -761,8 +753,9 @@ def test_trunc_gram_reads_the_upper_triangle_only():
     st.booleans(),
 )
 def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
-    # Neither route divides by a singular value, so the kept Gram is accurate
-    # to rounding even where the spectrum spans 12-16 decades (a
+    # Neither the SVD route nor the pivoted Cholesky factor of a tall
+    # factor's Gram divides by a singular value, so the kept Gram is
+    # accurate to rounding even where the spectrum spans 12-16 decades (a
     # Sigma^-1 U^T C recovery would lose the small directions): to eps |C|^2
     # on the SVD route, within the pivoted Cholesky's error bound on the
     # tall one.
@@ -775,14 +768,16 @@ def test_trunc_svd_gram_routes_on_graded_factors(seed, k, ratio, decades, tall):
     p = c.shape[0]
     total = np.linalg.norm(c) ** 2
 
-    res = trunc_gram(c.T @ c, 0.0, cap=p) if tall else trunc_svd(c, tau_abs=0.0, cap=p)
-    assert res.route == ("tall-pchol" if tall else "gram")
-    assert res.factor.shape == (res.rank, c.shape[1])
-    assert energy_gap(c, res) <= 1e-12 * total
     g = c.T @ c
     if tall:
-        assert np.linalg.norm(g - res.factor.T @ res.factor, 2) <= pchol_gap_bound(g, res.factor)
+        rows, left = gram_factor(g)
+        assert rows.shape[1] == c.shape[1] and energy_gap(c, (rows, left)) <= 1e-12 * total
+        assert np.linalg.norm(g - rows.T @ rows, 2) <= pchol_gap_bound(g, rows, left)
         return
+    res = trunc_svd(c, tau_abs=0.0, cap=p)
+    assert res.route == "gram"
+    assert res.factor.shape == (res.rank, c.shape[1])
+    assert energy_gap(c, res) <= 1e-12 * total
     assert np.linalg.norm(g - res.factor.T @ res.factor) <= 50 * EPS * total
 
     # The wide route is an SVD truncation: with a threshold between two of
@@ -823,63 +818,26 @@ def tall_stack(seed, p, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 10_000),
-    st.integers(2, 40),
-    st.integers(1, 4),
-    st.floats(-16.0, 0.0),
-    st.integers(1, 40),
-)
-def test_trunc_svd_tall_discard_is_the_gram_gap(seed, n, extra, log_frac, cap):
-    # The kept rows R[:k] P^T leave the Schur complement of C^T C, so the
-    # discard is the trace of C^T C - F^T F, and it stays within tau unless
-    # the row cap binds.
+@given(st.integers(0, 10_000), st.integers(2, 40), st.integers(1, 4))
+def test_trunc_svd_tall_discard_is_the_gram_gap(seed, n, extra):
+    # The rows R[:k] P^T of a tall factor's Gram leave the Schur complement
+    # of C^T C, so the trace left out is the trace of C^T C - F^T F, at most
+    # n pivots at or below LAPACK's tolerance n eps max diag.
     c = tall_stack(seed, n + extra * n, n)
     total = np.linalg.norm(c) ** 2
-    tau = 10.0**log_frac * total
-    res = trunc_gram(c.T @ c, tau_abs=tau, cap=cap)
-    assert res.route == "tall-pchol" and res.rank <= cap
-    assert abs(gram_gap_trace(c, res) - res.discarded_sq_trace) <= 1e-12 * total
-    assert energy_gap(c, res) <= 1e-12 * total
-    assert res.discarded_sq_trace <= tau + 1e-12 * total or res.rank == cap
-    assert res.cap_discard <= res.discarded_sq_trace + 1e-12 * total
-    assert res.cap_discard == 0.0 or res.rank == cap
-
-
-def test_trunc_svd_tall_cap_overflow_is_counted():
-    c = tall_stack(3, 200, 40)
-    free = trunc_gram(c.T @ c, tau_abs=0.0, cap=200)
-    capped = trunc_gram(c.T @ c, tau_abs=0.0, cap=10)
-    assert free.cap_discard == 0.0 and capped.rank == 10 < free.rank
-    # The capped factor is the free one's leading rows; the rest is counted.
-    np.testing.assert_array_equal(capped.factor, free.factor[:10])
-    assert capped.cap_discard > 0.0
-    total = np.linalg.norm(c) ** 2
-    overflow = capped.discarded_sq_trace - free.discarded_sq_trace
-    assert abs(overflow - capped.cap_discard) <= 1e-12 * total
-    assert abs(gram_gap_trace(c, capped) - capped.discarded_sq_trace) <= 1e-12 * total
+    rows, left = gram_factor(c.T @ c)
+    assert abs(gram_gap_trace(c, rows) - left) <= 1e-12 * total
+    assert energy_gap(c, (rows, left)) <= 1e-12 * total
+    assert left <= n * n * EPS * np.max(np.diag(c.T @ c)) + 1e-12 * total
 
 
 def test_trunc_svd_tall_rank_deficient_stack():
-    # A 1500 x 300 stack of rank 100 keeps about 100 rows, and they carry
-    # its whole Gram.
+    # The Gram of a 1500 x 300 stack of rank 100 keeps about 100 rows, and
+    # they carry its whole Gram.
     rng = np.random.default_rng(7)
     c = rng.standard_normal((1500, 100)) @ rng.standard_normal((100, 300))
     total = np.linalg.norm(c) ** 2
-    res = trunc_gram(c.T @ c, tau_abs=3.33e-15 * total, cap=1500)
-    assert res.route == "tall-pchol" and abs(res.rank - 100) <= 2
-    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * EPS * total
-    assert energy_gap(c, res) <= 1e-12 * total
-
-
-def test_trunc_svd_tall_discard_within_tau_on_steep_grading():
-    # Column scales spanning 12 decades leave pivots below LAPACK's default
-    # tolerance whose trace alone is several times tau; they must be factored
-    # and counted, not discarded whole.
-    c = np.random.default_rng(0).standard_normal((1500, 300)) * np.logspace(0, -12, 300)
-    total = np.linalg.norm(c) ** 2
-    tau = 3.33e-15 * total
-    res = trunc_gram(c.T @ c, tau_abs=tau, cap=1500)
-    assert res.route == "tall-pchol" and res.cap_discard == 0.0
-    assert res.discarded_sq_trace <= tau
-    assert abs(gram_gap_trace(c, res) - res.discarded_sq_trace) <= 1e-12 * total
+    rows, left = gram_factor(c.T @ c)
+    assert abs(rows.shape[0] - 100) <= 2
+    assert np.linalg.norm(c.T @ c - rows.T @ rows) <= 50 * EPS * total
+    assert energy_gap(c, (rows, left)) <= 1e-12 * total

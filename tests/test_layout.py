@@ -49,8 +49,8 @@ def test_dense_references_live_in_oracles(name):
 
 @pytest.mark.parametrize("module", ["engine", "shifts", "problems"])
 def test_factorization_route_is_decided_in_kernels(module):
-    # The shifted factorization's route, the truncation Gram's dsyrk and every
-    # other direct BLAS or LAPACK call live in kernels alone.
+    # The shifted factorization's route, the pivoted Cholesky of X_tall and
+    # every other direct BLAS or LAPACK call live in kernels alone.
     assert not _imported_modules(PACKAGE / f"{module}.py") & {"lapack", "blas"}
 
 
@@ -117,10 +117,12 @@ def test_the_applied_shifts_are_recorded_on_the_solve_state_alone():
 
 def test_each_residual_shape_has_one_truncation_rule():
     # The step scales its couplings from the accumulator factor alone and
-    # picks the rule by shape itself: trunc_svd is the wide rule, and both
-    # rules share one keep/cap/discard accounting.
+    # picks the rule by shape itself: trunc_svd is the one truncation, of a
+    # wide residual; a tall one is carried as its Gram, never truncated.
     assert not hasattr(scare_radi.engine, "_inv_sqrt_gram")
     tree = ast.parse(inspect.getsource(scare_radi.kernels.trunc_svd))
     calls = {getattr(node.func, "id", None) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert "trunc_gram" not in calls
-    assert not {"_select_retained", "_check_truncation"} & set(vars(scare_radi.kernels))
+    assert "gram_factor" not in calls
+    gone = {"_select_retained", "_check_truncation", "trunc_gram", "gram_upper",
+            "_pivoted_cholesky_rows"}
+    assert not gone & (set(vars(scare_radi.kernels)) | set(vars(scare_radi.engine)))

@@ -15,9 +15,7 @@ from scare_radi.engine import SolveOptions, init_state, step_once
 from scare_radi.kernels import (
     OperatorForms,
     factor_shifted,
-    gram_upper,
     ltimes,
-    trunc_gram,
     trunc_svd,
 )
 from scare_radi.shifts import ShiftConfig, build_basis, hamiltonian_shifts, next_shift
@@ -75,36 +73,44 @@ def test_xi_append_75_steps(benchmark):
     assert state.xi.tobytes() == np.hstack([s.T for s in blocks]).tobytes()
 
 
-@pytest.mark.parametrize("route", ["tall-pchol", "gram"], ids=["tall", "wide"])
+@pytest.mark.parametrize("route", ["gram"], ids=["wide"])
 def test_trunc_svd_c9_shape(benchmark, route):
-    # Graded c9 stacks at n = 300.  Tall: five blocks of a 300-row residual
-    # factor, whose Gram is truncated under the workload's row cap.  Wide:
-    # the 150-row stack of step 2, whose spectrum spans 12 decades.
+    # A graded c9 stack at n = 300: the 150-row stack of step 2, whose
+    # spectrum spans 12 decades.  (A taller residual is not truncated: the
+    # solve carries its Gram instead.)
     rng = np.random.default_rng(0)
-    if route == "tall-pchol":
-        c = rng.standard_normal((1500, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
-        fn, arg = trunc_gram, c.T @ c
-    else:
-        c = 10.0 ** -np.linspace(0.0, 12.0, 150)[:, None] * rng.standard_normal((150, 300))
-        fn, arg = trunc_svd, c
-    res = benchmark.pedantic(fn, args=(arg, 0.0, 1500), rounds=5, warmup_rounds=1)
+    c = 10.0 ** -np.linspace(0.0, 12.0, 150)[:, None] * rng.standard_normal((150, 300))
+    res = benchmark.pedantic(trunc_svd, args=(c, 0.0, 1500), rounds=5, warmup_rounds=1)
     total = np.linalg.norm(c) ** 2
     assert res.route == route
     assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * np.finfo(float).eps * total
 
 
-def test_trunc_gram_c9_tall_step(benchmark):
-    # The Gram a tall c9 step truncates at n = 300: gram_upper of five graded
-    # 300-row blocks, under the workload's row cap.
-    rng = np.random.default_rng(0)
-    blocks = [rng.standard_normal((300, 300)) * 10.0 ** -np.linspace(0.0, 12.0, 300)
-              for _ in range(5)]
-    g = gram_upper(300, blocks)
-    res = benchmark.pedantic(trunc_gram, args=(g, 0.0, 1500), rounds=5, warmup_rounds=1)
-    c = np.vstack(blocks)
-    assert res.route == "tall-pchol" and res.factor.flags.c_contiguous
-    assert np.linalg.norm(c.T @ c - res.factor.T @ res.factor) <= 50 * np.finfo(float).eps * (
-        np.linalg.norm(c) ** 2)
+def c9_gram_state(p):
+    """A c9 state in Gram form at n = 300, from the switch step of a graded 300-row factor."""
+    ccur = np.random.default_rng(0).standard_normal((300, 300))
+    ccur *= 10.0 ** -np.linspace(0.0, 12.0, 300)[:, None]
+    st = init_state(p)
+    st.ccur, st.nu0 = ccur, float(np.linalg.norm(ccur) ** 2)
+    st, row = step_once(p, st, 200.0, SolveOptions(cap_cols=1500))
+    assert row.svd_route == "switch"
+    return st
+
+
+def test_gram_step_c9_shape(benchmark):
+    # One Gram step of the c9 stochastic solve at n = 300 (r = 5, m = 7):
+    # two SMW solves with n right-hand sides, the sums over the noise blocks
+    # and the n x n updates of G and X_tall.
+    base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
+    p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+
+    def fresh_state():
+        return (p, c9_gram_state(p), 150.0), {}
+
+    st, row = benchmark.pedantic(step_once, setup=fresh_state, rounds=10, warmup_rounds=1)
+    assert row.svd_route == "gram-step" and (st.k, row.cols_c) == (2, 300)
+    assert np.array_equal(st.gram, st.gram.T) and np.isfinite(st.x_tall).all()
+    assert 0.0 < row.nres < 1.0 and st.nu_omega == 0.0
 
 
 @pytest.mark.parametrize("impl", ["build_basis", "dgeqp3"])
@@ -178,7 +184,8 @@ def test_step_once_det_mass_shape(benchmark):
 
 def test_step_once_c9_shape(benchmark):
     # One step of the c9 stochastic solve at n = 300 once its residual factor
-    # has grown to ell = n = 300 rows: r = 5, m = 7.
+    # has grown to ell = n = 300 rows: r = 5, m = 7.  Its new residual has
+    # 5 x 300 rows, so this is the switch step, which stores their Gram.
     base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
     p = with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
     rng = np.random.default_rng(0)
@@ -193,4 +200,5 @@ def test_step_once_c9_shape(benchmark):
 
     st, row = benchmark.pedantic(step_once, setup=fresh_state, rounds=5, warmup_rounds=1)
     assert (st.k, st.xi_width) == (1, 300)
-    assert 0 < st.ccur.shape[0] <= 1500 and np.isfinite(row.nres)
+    assert row.svd_route == "switch" and st.ccur is None and st.gram.shape == (300, 300)
+    assert np.isfinite(row.nres)

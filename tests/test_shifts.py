@@ -167,6 +167,34 @@ def test_basis_recomputes_a_cancelled_norm_as_dgeqp3_does():
     np.testing.assert_allclose(np.abs(np.sum(u * ref, axis=0)), 1.0, rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("rank", [40, 4], ids=["full", "deficient"])
+def test_gram_rows_are_the_leading_rows_of_the_pivoted_cholesky(rank):
+    # The q partial steps pivot as LAPACK's dpstrf does, so their rows are
+    # the leading rows of the full factor; on a rank-4 Gram they stop at 4.
+    rng = np.random.default_rng(16)
+    c = rng.standard_normal((rank, 40)) * 10.0 ** -np.linspace(0.0, 6.0, 40)
+    g = c.T @ c
+    full, _ = kernels.gram_factor(g)
+    rows = shifts.gram_rows(g, 6)
+    assert rows.shape == (min(6, rank), 40)
+    scale = np.linalg.norm(full[0])
+    assert np.linalg.norm(rows - full[: rows.shape[0]]) <= 1e-12 * scale
+
+
+def test_hamiltonian_shifts_read_the_residual_in_either_form():
+    # Qbar is (C W)^T (C W) in factor form and W^T G W in Gram form; with
+    # G = C^T C the shifts agree to rounding.
+    base = gen_heat_problem(60, 2, 2, seed=3, scale=50.0, damping=20.0, mass_matrix=True)
+    p = with_noise_blocks(base, [1e-3], seed=103)
+    st = init_state(p)
+    st = step_once(p, st, 300.0, SolveOptions(cap_cols=1500))[0]
+    u = build_basis(st.xi_blocks[-1:], st.ccur, q=2)
+    want = hamiltonian_shifts(u, p, st)
+    st.gram, st.ccur = st.ccur.T @ st.ccur, None
+    got = hamiltonian_shifts(u, p, st)
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 def c9_recompute_inputs():
     """A c9 shift recompute at n = 300: a 300-row block and residual, graded over 12 decades."""
     base = gen_heat_problem(300, 7, 6, seed=0, scale=100.0, damping=100.0)
@@ -187,21 +215,27 @@ def det_mass_recompute_inputs():
 
 @pytest.mark.parametrize("s", [1, 2, 5])
 def test_recomputes_project_onto_the_tail_of_xi(monkeypatch, s):
-    # Per-iteration shifts recompute at every step.  Each recompute's window
-    # is the last s blocks of Xi, the very arrays the steps appended, and the
-    # first, with only Xi's empty seed block, falls back to the residual factor.
+    # Per-iteration shifts recompute at every step.  In factor form each
+    # recompute's window is the last s blocks of Xi, the very arrays the steps
+    # appended, and the first, with only Xi's empty seed block, falls back to
+    # the residual factor.  In Gram form, which this solve reaches, the window
+    # is the l*s leading rows of the pivoted Cholesky of the residual Gram.
     base = gen_heat_problem(60, 2, 2, seed=3, scale=50.0, damping=20.0)
     p = with_noise_blocks(base, [1e-3], seed=103)
-    calls, blocks = [], []
+    calls, blocks, grams = [], [], []
     real_basis, real_step = shifts.build_basis, engine.step_once
 
     def recording_basis(window, fallback, q=None):
         calls.append((list(window), fallback))
         return real_basis(window, fallback, q)
 
-    def recording_step(*args, **kwargs):
-        st, row = real_step(*args, **kwargs)
-        blocks.append(st.xi_blocks[-1])
+    def recording_step(p, state, *args, **kwargs):
+        # the residual the step's shift was computed from; a Gram step
+        # overwrites it in place
+        grams.append(None if state.gram is None else state.gram.copy())
+        st, row = real_step(p, state, *args, **kwargs)
+        if row.svd_route != "gram-step":
+            blocks.append(st.xi_blocks[-1])
         return st, row
 
     monkeypatch.setattr(shifts, "build_basis", recording_basis)
@@ -210,12 +244,17 @@ def test_recomputes_project_onto_the_tail_of_xi(monkeypatch, s):
         p, SolveOptions(shift=ShiftConfig("hamiltonian", s, "per_iteration")))
     assert report.converged and report.iterations > 5
     assert not any(row.rejections for row in report.rows)
-    assert len(calls) == len(blocks) == report.iterations
+    assert len(calls) == len(grams) == report.iterations
+    assert any(g is None for g in grams) and any(g is not None for g in grams)
     seed_block = calls[0][0][0]
     assert seed_block.shape == (0, p.n)
     assert len(calls[0][0]) == 1
     np.testing.assert_array_equal(calls[0][1], p.c)
-    for k, (window, _) in enumerate(calls):
+    for k, (window, fallback) in enumerate(calls):
+        if grams[k] is not None:
+            assert fallback is None and len(window) == 1
+            np.testing.assert_array_equal(window[0], shifts.gram_rows(grams[k], p.l * s))
+            continue
         want = ([seed_block] + blocks[:k])[-s:]
         assert len(window) == len(want)
         assert all(got is block for got, block in zip(window, want))
