@@ -17,15 +17,17 @@ first to the second:
   accumulator factor and the one projection the feedback update makes.
 - *Gram form.*  Once a step's new residual would have more than n rows
   (full-rank noise, or r = 1 with l > n), the step stores its n x n Gram G
-  exactly, and every later step updates G and a dense part X_tall of the
-  solution from two SMW solves with n right-hand sides and rank-m
-  corrections (:func:`_gram_step`).  Nothing is truncated there, so these
-  steps add no truncation debt.
+  exactly, and folds the solution's blocks into a dense X_tall, which from
+  then on holds all of X.  Every later step updates G and X_tall from two
+  SMW solves with n right-hand sides and rank-m corrections
+  (:func:`_gram_step`), in arrays the solve reuses.  Nothing is truncated
+  there, so these steps add no truncation debt.
 
 The trace-norm residual is the kept residual's energy (the squared Frobenius
 norm of the factor, or trace G) plus the accumulated discard.  The solution
-factor is assembled once, at the end of a solve: Xi's blocks followed by the
-pivoted-Cholesky rows of X_tall (:meth:`SolverState.trim_xi`).
+factor is assembled once, at the end of a solve
+(:meth:`SolverState.trim_xi`): Xi's blocks in factor form, or in Gram form
+the pivoted-Cholesky rows of X_tall alone, at most n columns.
 
 The dense prototype this iteration is checked against (`alg1_init`/
 `alg1_step`) lives in :mod:`scare_radi.oracles`.
@@ -37,7 +39,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DegenerateProblemError,
@@ -51,6 +52,7 @@ from .errors import (
 from .kernels import (
     OperatorForms,
     add_product,
+    add_sparse_product,
     chol_spd,
     factor_shifted,
     gram_factor,
@@ -59,6 +61,7 @@ from .kernels import (
     materialize_stack,  # unused here too, for the same reason
     right_tri_solve,
     smw_row_solve,
+    tri_solve,
     trunc_svd,
 )
 from .problems import StandardProblem
@@ -128,16 +131,18 @@ class SolverState:
     ``xi_blocks``, where B_0 is 0 x n and each factor-form step appends its
     block S without copying it; no block is written once appended.  The
     residual is the factor ``ccur`` (factor form) until a step's new residual
-    would have more than n rows; from then on ``ccur`` is None, ``gram``
-    holds its n x n Gram G and ``x_tall`` the dense n x n part of X, which
-    each Gram step updates in place, G included; ``work`` holds the n x n
-    arrays the Gram steps reuse, so that a step makes few new ones.
+    would have more than n rows.  That step (the switch) folds the blocks,
+    its own S included, into ``x_tall`` = Xi Xi^T, the dense n x n X, and
+    ``xi_blocks`` goes back to the empty B_0; from then on ``ccur`` is None,
+    ``gram`` holds the residual's n x n Gram G, and each Gram step updates
+    G and X_tall in place; ``work`` holds the n x n arrays the Gram steps
+    reuse, so that a step makes no new ones on the LDL^T route with E = I.
     ``xi_width`` counts the columns the steps appended, n for each Gram step
     (the rows of a full-rank S), until ``trim_xi`` writes Xi once as one
-    C-contiguous n x xi_width array, X_tall folded in as the rows of its
-    pivoted Cholesky, which then stands, transposed, as the only block;
-    ``xi_discard`` is the share of trace X_tall that factorization left out.
-    Until then ``xi`` assembles the factor part on each call;
+    C-contiguous n x xi_width array, which then stands, transposed, as the
+    only block: in Gram form the rows of the pivoted Cholesky of X_tall, at
+    most n, and ``xi_discard`` the share of trace X that factorization left
+    out.  Until then ``xi`` assembles the factor part on each call;
     :meth:`dense_x` and :meth:`residual_gram` read X and the residual's Gram
     in either form.  ``ops`` holds the problem's operators in the forms the
     steps and the shift layer use, built once per solve.  ``shifts`` lists
@@ -186,18 +191,21 @@ class SolverState:
     def trim_xi(self) -> None:
         """Assemble Xi once, so that ``xi`` is one C-contiguous array holding all of X.
 
-        In Gram form the rows of the pivoted Cholesky of X_tall
-        (:func:`gram_factor`) follow the appended blocks, X_tall is dropped,
-        and ``xi_width`` becomes the assembled width.
+        In factor form Xi is the appended blocks.  In Gram form, where X_tall
+        holds all of X, Xi is the rows of its pivoted Cholesky
+        (:func:`gram_factor`) alone, at most n columns; ``xi_discard`` is
+        the share of trace X they leave out, and X_tall and the work arrays
+        are dropped.  ``xi_width`` becomes the assembled width.
         """
-        if self.x_tall is not None:
+        if self.x_tall is None:
+            self.xi_blocks = [self.xi.T]
+        else:
             self.work = {}
             rows, left = gram_factor(self.x_tall)
             trace = float(np.trace(self.x_tall))
             self.xi_discard = left / trace if trace > 0.0 else 0.0
-            self.xi_blocks.append(rows)
             self.x_tall = None
-        self.xi_blocks = [self.xi.T]
+            self.xi_blocks = [np.ascontiguousarray(rows.T).T]
         self.xi_width = self.xi_blocks[0].shape[0]
 
     def dense_x(self) -> np.ndarray:
@@ -268,9 +276,7 @@ def _new_block(state: SolverState, gamma: float, c_f: np.ndarray, c_fb: np.ndarr
     s = add_product(sqrt2g * c_f, u, (sqrt2g * (lam**-0.5 - 1.0))[:, None] * t)
     w8 = add_product(np.multiply(c_f, g2, out=c_f), u, (g2 * (1.0 / lam - 1.0))[:, None] * t)
     w8e = state.ops.e_times(w8)
-    f_mid = add_product(
-        state.f.copy(), -sla.solve_triangular(state.kpi, y.T, lower=False), w8e
-    )
+    f_mid = add_product(state.f.copy(), -tri_solve(state.kpi, y.T), w8e)
     c_top = np.add(state.ccur, w8e, out=w8)
     return s, c_top, f_mid
 
@@ -285,7 +291,7 @@ def _scale_couplings(x: np.ndarray, zt: np.ndarray, k: np.ndarray, t: np.ndarray
     must be C- or Fortran-contiguous; it is overwritten and returned.
     """
     lam, q = np.linalg.eigh(k @ k.T)
-    corr = sla.solve_triangular(k, (q / (1.0 + lam**-0.5)) @ (q.T @ t))
+    corr = tri_solve(k, (q / (1.0 + lam**-0.5)) @ (q.T @ t))
     return add_product(x, -zt.T, corr)
 
 
@@ -311,7 +317,8 @@ def step_once(
     anyway (:func:`_scale_couplings`).  One rule picks what happens to the
     new factor, for every r: with at most n rows it is truncated by an SVD
     (:func:`trunc_svd`, route ``"gram"``); with more, the step stores its
-    Gram exactly and the solve goes on in Gram form (route ``"switch"``).
+    Gram exactly, folds Xi into X_tall, and the solve goes on in Gram form
+    (route ``"switch"``).
 
     Returns the state and the iteration's trace row; its ``t_shift`` is left
     to the caller, who picked the shift.  Raises :class:`ShiftRejectionError`
@@ -350,13 +357,13 @@ def step_once(
         t_ltimes = time.perf_counter() - t0
         for x_i, sh_i in zip(xt, sht):
             add_product(x_i, f_mid.T, sh_i)
-        zt = sla.solve_triangular(state.kpi, sht.transpose(1, 0, 2).reshape(m, -1), trans="T")
+        zt = tri_solve(state.kpi, sht.transpose(1, 0, 2).reshape(m, -1), trans=True)
         k_factor = chol_spd(np.eye(m) + zt @ zt.T)
         kpi_new = k_factor @ state.kpi
         # kzx = T = K^-T Z^T X, with Z^T X = sum_i Z_i^T X_i.
         ztx = np.matmul(zt.reshape(m, r - 1, ell).transpose(1, 0, 2), xt.transpose(0, 2, 1))
-        kzx = sla.solve_triangular(k_factor, ztx.sum(axis=0), trans="T")
-        f_new = f_mid - sla.solve_triangular(kpi_new, kzx)
+        kzx = tri_solve(k_factor, ztx.sum(axis=0), trans=True)
+        f_new = f_mid - tri_solve(kpi_new, kzx)
         x_mat = xt.transpose(0, 2, 1).reshape(-1, n)
         stacked = np.vstack([c_top, _scale_couplings(x_mat, zt, k_factor, kzx)])
     else:
@@ -389,7 +396,11 @@ def step_once(
     state.kpi = kpi_new
     state.k += 1
     if tall:
-        state.ccur, state.gram, state.x_tall = None, gram, np.zeros((n, n))
+        # All of X moves into X_tall, the Gram of Xi's stacked blocks (S
+        # included), and the blocks are freed.
+        rows = np.concatenate(state.xi_blocks)
+        state.xi_blocks = state.xi_blocks[:1]
+        state.ccur, state.gram, state.x_tall = None, gram, rows.T @ rows
         state.work = {"r": np.empty((n + m, n)), "p": np.empty((n + m, n)),
                       "g_s": np.empty((n, n)), "z": np.empty((n, n))}
         route, cols_c, cap_discard = "switch", n, 0.0
@@ -443,8 +454,13 @@ def _gram_step(p: StandardProblem, state: SolverState, gamma: float, t_start: fl
     minus T^T T, and the feedback and Kpi update as in factor form.
     X_tall += G_S.  R, P, G_S and the transposed products with the noise
     blocks live in the state's ``work`` arrays, reused from step to step;
-    the terms of the new G are summed in R's array, one of each symmetric
-    pair doubled, and its symmetric part overwrites the old G.
+    the terms of the new G are summed in R's array (C-ordered on both
+    routes), one of each symmetric pair doubled, and its symmetric part
+    overwrites the old G.  Each sparse noise block's products are added in
+    place (:func:`add_sparse_product`), Ahat_i^T G_S into P's array, free
+    once Q_2 is folded into R'.  On the LDL^T route with E = I the step
+    makes no n x n array; SuperLU's solves and the products with E make new
+    ones.
 
     The two solves count as ``t_solve`` and the products with Ahat and Bhat
     as ``t_ltimes``; nothing is truncated, so ``t_svd`` is 0.  Route
@@ -463,21 +479,24 @@ def _gram_step(p: StandardProblem, state: SolverState, gamma: float, t_start: fl
 
     pv = right_tri_solve(state.kpi, pb)
     rv = right_tri_solve(state.kpi, rb)
-    psi = sla.solve_triangular(state.kpi, p.b.T @ pv, trans="T")
+    psi = tri_solve(state.kpi, p.b.T @ pv, trans=True)
     lam, u = np.linalg.eigh(np.eye(m) + 0.5 * (psi + psi.T))
     upv = u.T @ pv.T
     h_pv = (u / lam) @ upv  # H (P V)^T
     h2_pv = (u * ((lam + 1.0) / lam**2)) @ upv  # (2H - H Psi H) (P V)^T
     g_s = add_product(np.multiply(pp, g2, out=work["g_s"]), -g2 * pv, h_pv)
-    f_mid = state.f - g2 * sla.solve_triangular(state.kpi, e_times(h_pv))
+    f_mid = state.f - g2 * tri_solve(state.kpi, e_times(h_pv))
     add_product(rr, -rv, h_pv)  # R'
     add_product(pp, -pv, h2_pv)  # Q_2
     # The new G is the symmetric part of g_acc = G + 2N + (the couplings'
     # Gram, doubled where it is not symmetric) - T^T T, which starts as
-    # 2N = 4 gamma (R' + gamma E^T Q_2) E in R's array (E = I) or E's product.
+    # 2N = 4 gamma (R' + gamma E^T Q_2) E in R's array, C-ordered on both
+    # routes (E's product is copied back into it).
     pp *= gamma
     rr += pp if p.e is None else e_times(pp).T  # E^T Q_2 = (Q_2 E)^T
-    g_acc = e_times(rr)
+    if p.e is not None:
+        rr[...] = e_times(rr)
+    g_acc = rr
     g_acc *= 2.0 * g2
     g_acc += state.gram
 
@@ -486,24 +505,27 @@ def _gram_step(p: StandardProblem, state: SolverState, gamma: float, t_start: fl
         t0 = time.perf_counter()
         # ltimes(G_S^T, Bhat) is the product of the stacked Bhat_i^T with
         # G_S itself; its blocks are G_S^T Bhat_i = G_S Bhat_i.  The sum over
-        # the Ahat_i goes block by block, G_S Ahat_i = (Ahat_i^T G_S)^T
-        # copied into one work array, so no temporary exceeds n x n.
+        # the Ahat_i goes block by block: Ahat_i^T G_S into P's array, free
+        # now, its transpose G_S Ahat_i into z, and Ahat_i^T z added to
+        # g_acc in place, so the loop makes no n x n array.
         gsb = ltimes(g_s.T, p.bhat)
         omega = np.matmul(p.bhat.stacked.reshape(r - 1, m, n), gsb).sum(axis=0)
         l_mat = np.zeros((n, m))
-        z = work["z"]
+        buf, z = work["p"][:n], work["z"]
         for at_i, gsb_i in zip(p.ahat.blocks_t, gsb):
-            np.copyto(z, (at_i @ g_s).T)
-            g_acc += at_i @ z
-            l_mat += at_i @ gsb_i
+            add = add_product if isinstance(at_i, np.ndarray) else add_sparse_product
+            buf.fill(0.0)
+            np.copyto(z, add(buf, at_i, g_s).T)
+            add(g_acc, at_i, z)
+            add(l_mat, at_i, gsb_i)
         t_ltimes = time.perf_counter() - t0
         omega = 0.5 * (omega + omega.T)
-        ztz = right_tri_solve(state.kpi, sla.solve_triangular(state.kpi, omega, trans="T"))
+        ztz = right_tri_solve(state.kpi, tri_solve(state.kpi, omega, trans=True))
         k_factor = chol_spd(np.eye(m) + 0.5 * (ztz + ztz.T))
         kpi_new = k_factor @ state.kpi
-        ztx = sla.solve_triangular(state.kpi, l_mat.T + omega @ f_mid, trans="T")
-        kzx = sla.solve_triangular(k_factor, ztx, trans="T")
-        f_new = f_mid - sla.solve_triangular(kpi_new, kzx)
+        ztx = tri_solve(state.kpi, l_mat.T + omega @ f_mid, trans=True)
+        kzx = tri_solve(k_factor, ztx, trans=True)
+        f_new = f_mid - tri_solve(kpi_new, kzx)
         add_product(g_acc, 2.0 * l_mat + f_mid.T @ omega, f_mid)
         add_product(g_acc, -kzx.T, kzx)
     else:

@@ -6,21 +6,24 @@ factorization's route, a LAPACK LDL^T for a symmetric-definite tridiagonal
 pencil or SuperLU otherwise, prepares its operands, and builds the mass
 matrix's maps: x E, one sparse product on both routes, and E^-1 u, the
 route's solve), the shifted factorization and its SMW-corrected row solves,
-right triangular solves, small SPD Cholesky factorization, the BLAS
-``dgemm`` accumulation of a product into its target in place, the
-truncation of a wide residual factor with exact accounting of the discarded
-energy, by an SVD taken through its Gram C C^T with no division by the
-singular values (:func:`trunc_svd`), and the factor F^T F = G of a
-positive semidefinite n x n Gram by a pivoted Cholesky (:func:`gram_factor`),
-which turns a solve's dense part X_tall into solution-factor columns.  A
-residual with more rows than n is not truncated at all: the solve carries
-its Gram instead (see :mod:`scare_radi.engine`).  Each route has one
-factor-and-solve, ``_ldlt`` or ``_superlu``, and it makes every
-factorization of a solve: the definiteness test of -A, E's, and each
-shifted matrix's.  This module holds the package's only direct BLAS and
-LAPACK calls.  Everything public here is a pure function of its inputs;
-operator forms and factorization handles may be shared read-only across
-threads.
+the package's one triangular solve (:func:`tri_solve`, LAPACK ``dtrtrs``)
+and its right-hand form, small SPD Cholesky factorization, the in-place
+accumulation c += a @ b of a product into its target, by BLAS ``dgemm``
+(:func:`add_product`) or, for a CSR a, by scipy's ``csr_matvecs``
+(:func:`add_sparse_product`), the truncation of a wide residual factor
+with exact accounting of the discarded energy, by an SVD taken through its
+Gram C C^T with no division by the singular values (:func:`trunc_svd`),
+and the factor F^T F = G of a positive semidefinite n x n Gram by a
+pivoted Cholesky (:func:`gram_factor`), which turns a solve's dense X_tall
+into its at most n solution-factor columns.  A residual with more rows
+than n is not truncated at all: the solve carries its Gram instead (see
+:mod:`scare_radi.engine`).  Each route has one factor-and-solve, ``_ldlt``
+or ``_superlu``, and it makes every factorization of a solve: the
+definiteness test of -A, E's, and each shifted matrix's.  This module
+holds the package's only direct BLAS and LAPACK calls, and its only
+triangular solves.  Everything public here is a pure function of its
+inputs; operator forms and factorization handles may be shared read-only
+across threads.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpstrf, dpttrf, dpttrs, dtrtrs
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -48,11 +51,13 @@ __all__ = [
     "OperatorForms",
     "TruncationResult",
     "ltimes",
+    "tri_solve",
     "right_tri_solve",
     "factor_shifted",
     "smw_row_solve",
     "chol_spd",
     "add_product",
+    "add_sparse_product",
     "gram_factor",
     "trunc_svd",
     "materialize_stack",
@@ -149,9 +154,30 @@ def ltimes(x: np.ndarray, m: StackedMat) -> np.ndarray:
     return prod.reshape(m.block_count, m.block_cols, x.shape[0]).transpose(0, 2, 1)
 
 
+def tri_solve(t: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """t^-1 x, or t^-T x with ``trans``, for an upper-triangular t, by LAPACK ``dtrtrs``.
+
+    Only the upper triangle of t is read.  A t that is not Fortran-ordered
+    is passed as its transpose, the lower triangle of t^T, with the
+    transpose flag flipped, so no copy of t is made.  x is not
+    overwritten; the result is a new Fortran-ordered array.  An exactly
+    zero diagonal entry of t raises :class:`SpdViolationError` naming it:
+    the triangular factors solved with are those of SPD matrices.
+    """
+    if x.size == 0:
+        return np.zeros(x.shape)
+    if t.flags.f_contiguous:
+        sol, info = dtrtrs(t, x, lower=0, trans=int(trans))
+    else:
+        sol, info = dtrtrs(t.T, x, lower=1, trans=int(not trans))
+    if info > 0:
+        raise SpdViolationError(info, f"triangular factor is singular: zero diagonal entry {info}")
+    return sol
+
+
 def right_tri_solve(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x @ t^-1 for upper-triangular t."""
-    return sla.solve_triangular(t, x.T, trans="T", lower=False).T
+    return tri_solve(t, x.T, trans=True).T
 
 
 @dataclass
@@ -427,6 +453,31 @@ def add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # x^T of a C-contiguous x is Fortran-ordered: pass it with the transpose flag.
     (a, ta), (b, tb) = ((x, 0) if x.flags.f_contiguous else (x.T, 1) for x in (a, b))
     dgemm(1.0, a, b, beta=1.0, c=target, trans_a=ta, trans_b=tb, overwrite_c=1)
+    return c
+
+
+def add_sparse_product(c: np.ndarray, a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """c += a @ x in place for a CSR a, by scipy's ``csr_matvecs``; returns c.
+
+    The sparse counterpart of :func:`add_product`: no temporary of c's size
+    is made.  ``x`` is read as a C-contiguous float64 array (any other is
+    copied first).  The kernel writes through c's buffer, so a c that is not
+    a writeable, C-contiguous float64 array raises ValueError, as does an a
+    that is not CSR with float64 values.  ``csr_matvecs`` is looked up on
+    ``scipy.sparse._sparsetools``, a private module, on every call, so a
+    scipy without it fails here, by name.
+    """
+    if c.dtype != np.float64 or not c.flags.writeable or not c.flags.c_contiguous:
+        raise ValueError("add_sparse_product needs a writeable, C-contiguous float64 target")
+    if not sp.issparse(a) or a.format != "csr" or a.dtype != np.float64:
+        raise ValueError("add_sparse_product needs a CSR float64 operand")
+    if c.shape != (a.shape[0], x.shape[1]) or a.shape[1] != x.shape[0]:
+        raise ConformabilityError(f"cannot add {a.shape} @ {x.shape} to {c.shape}")
+    matvecs = _sparsetools.csr_matvecs
+    if c.size:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        matvecs(a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices, a.data,
+                x.reshape(-1), c.reshape(-1))
     return c
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ConformabilityError,
     DefinitenessError,
 )
-from .kernels import OperatorForms, StackedMat, chol_spd, right_tri_solve
+from .kernels import OperatorForms, StackedMat, chol_spd, right_tri_solve, tri_solve
 
 __all__ = [
     "OriginalProblem",
@@ -240,8 +240,7 @@ def _r_inv_lt(r_weight: np.ndarray, l: np.ndarray) -> np.ndarray:
         raise AssumptionViolationError(
             "control weight R must be symmetric positive definite"
         ) from exc
-    z = sla.solve_triangular(p, l.T, trans="T", lower=False)
-    return sla.solve_triangular(p, z, lower=False), p
+    return tri_solve(p, tri_solve(p, l.T, trans=True)), p
 
 
 def adapt_in_place(orig: OriginalProblem) -> StandardProblem:

@@ -70,9 +70,10 @@ class RunReport:
     run and ``"t"`` when the truncation debt alone exceeded the tolerance, so
     that no later step could converge, and ``backend`` the route of the
     shifted factorization (``"ldlt"`` or ``"superlu"``).  ``xi_width`` is the
-    column count of the returned solution factor, and ``xi_discard`` the
-    share of trace X_tall that the pivoted Cholesky folding it into the
-    factor left out (0 for a solve that never left factor form).  ``peak_rss_mb`` is
+    column count of the returned solution factor, at most n in Gram form,
+    and ``xi_discard`` the share of trace X that the pivoted Cholesky of
+    X_tall, the factor in Gram form, left out (0 for a solve that never
+    left factor form).  ``peak_rss_mb`` is
     the process's peak resident set size in MB once the run ended (Linux
     ``ru_maxrss``), None unless the run went through ``bench.run_single``;
     like ``wall_time`` it is a measurement, so the summary leaves it out

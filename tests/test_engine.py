@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -674,17 +675,21 @@ def _mass_prototype(p):
     return alg1_init(std), einv
 
 
-@pytest.mark.parametrize("case", ["r2", "r3-ldlt", "r1-tall"])
+@pytest.mark.parametrize("case", ["r2", "r2-dense", "r3-ldlt", "r1-tall"])
 def test_gram_steps_with_a_mass_matrix_match_the_prototype(case):
     # Ten fixed shifts, most of them Gram steps, on a problem with a mass
-    # matrix: r = 2 (SuperLU), r = 3 on the LDL^T route, and r = 1 with
-    # l > n, which goes to Gram form at its first step.  X is compared with
-    # the dense prototype at criterion 4's bound, and trace G with the trace
-    # norm of the dense residual.  The prototype's residual factor grows by
-    # a factor r each step; X depends on it only through its Gram, so once
-    # it has more than n rows it is replaced by an n-row factor of that Gram.
-    if case == "r2":
+    # matrix: r = 2 (SuperLU), with sparse or dense noise blocks, r = 3 on
+    # the LDL^T route, and r = 1 with l > n, which goes to Gram form at its
+    # first step.  X is compared with the dense prototype at criterion 4's
+    # bound, and trace G with the trace norm of the dense residual.  The
+    # prototype's residual factor grows by a factor r each step; X depends
+    # on it only through its Gram, so once it has more than n rows it is
+    # replaced by an n-row factor of that Gram.
+    if case.startswith("r2"):
         p = random_standard_problem(n=30, m=2, l=2, r=2, seed=21, with_e=True)
+        if case == "r2-dense":
+            dense = [blk.toarray() for blk in p.ahat.blocks]
+            p = dataclasses.replace(p, ahat=kernels.StackedMat.from_blocks(dense))
     elif case == "r3-ldlt":
         base = gen_heat_problem(40, 2, 2, seed=3, mass_matrix=True, scale=5.0, damping=1.0)
         p = with_noise_blocks(base, [1e-3, 1e-2], seed=103)
@@ -870,6 +875,76 @@ def test_width_budget_stops_a_solve_in_gram_form():
     assert last.svd_route == "gram-step" and last.cols_xi == budget
     assert report.iterations == first.k + 1 < free.iterations
     assert report.xi_width == st.xi.shape[1] <= budget
+
+
+def c9_problem(n):
+    """The criterion-9 stochastic problem (r = 5, damped heat) at size n, seed 0."""
+    base = gen_heat_problem(n, 7, 6, seed=0, scale=100.0, damping=100.0)
+    return with_noise_blocks(base, [1e-5, 1e-4, 1e-3, 1e-2], seed=100)
+
+
+@pytest.mark.parametrize("case", ["c9-n40", "mass-r3"])
+def test_gram_form_returns_a_factor_of_at_most_n_columns(monkeypatch, case):
+    # At the switch Xi's blocks are folded into X_tall and freed, so from
+    # then on X_tall holds all of X and the returned factor is its pivoted
+    # Cholesky alone, at most n columns; what that leaves out is the
+    # reported xi_discard share of trace X.  The width budget still counts n
+    # columns a Gram step.
+    if case == "c9-n40":
+        p = c9_problem(40)
+    else:
+        p = random_standard_problem(n=30, m=2, l=2, r=3, seed=21, with_e=True)
+    rows, before = [], []
+    real_step, real_trim = engine.step_once, engine.SolverState.trim_xi
+
+    def recording_step(*args, **kwargs):
+        st, row = real_step(*args, **kwargs)
+        rows.append((row, [b.shape for b in st.xi_blocks]))
+        return st, row
+
+    def recording_trim(self):
+        before.append(self.dense_x())
+        real_trim(self)
+
+    monkeypatch.setattr(engine, "step_once", recording_step)
+    monkeypatch.setattr(engine.SolverState, "trim_xi", recording_trim)
+    opts = SolveOptions(shift=ShiftConfig("hamiltonian", 1, "cached"), cap_cols=1500)
+    st, report = radi_solve(p, opts)
+    assert report.converged
+    assert [row.svd_route for row, _ in rows].count("switch") == 1
+    for (prev, _), (row, shapes) in zip(rows, rows[1:]):
+        if row.svd_route == "gram-step":
+            assert shapes == [(0, p.n)] and row.cols_xi == prev.cols_xi + p.n
+    assert st.xi.flags.c_contiguous and st.x_tall is None
+    assert st.xi.shape == (p.n, report.xi_width) and report.xi_width <= p.n
+    assert report.xi_discard == st.xi_discard
+    x = before[0]
+    gap = np.linalg.norm(x - st.xi @ st.xi.T)
+    assert gap <= (report.xi_discard + p.n * np.finfo(float).eps) * np.trace(x)
+
+
+def test_a_gram_step_makes_no_n_by_n_temporary():
+    # A Gram step of the c9 solve at n = 300 works in the state's reused
+    # arrays, so its traced allocation peak stays below one n x n array.
+    n = 300
+    p = c9_problem(n)
+    st = init_state(p)
+    st.ccur = np.random.default_rng(0).standard_normal((n, n))
+    st.ccur *= 10.0 ** -np.linspace(0.0, 12.0, n)[:, None]
+    st.nu0 = float(np.linalg.norm(st.ccur) ** 2)
+    for gamma in (200.0, 150.0):  # the switch, then a first Gram step
+        st, row = step_once(p, st, gamma)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        st, row = step_once(p, st, 120.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert row.svd_route == "gram-step"
+    assert peak < 8 * n * n
 
 
 def test_solve_stall_rule_sets_flag():

@@ -18,11 +18,14 @@ from scare_radi.kernels import (
     OperatorForms,
     StackedMat,
     add_product,
+    add_sparse_product,
     chol_spd,
     factor_shifted,
     gram_factor,
     ltimes,
+    right_tri_solve,
     smw_row_solve,
+    tri_solve,
     trunc_svd,
 )
 from scare_radi.oracles import ltimes_dense, ltimes_identities_check
@@ -711,6 +714,74 @@ def test_add_product_rejects_a_target_blas_would_copy():
     assert not strided.any()
     with pytest.raises(ConformabilityError):
         add_product(np.zeros((6, 5)), a, b)
+
+
+@pytest.mark.parametrize("shape", [(50, 40, 7), (40, 40, 40), (12, 30, 1)])
+def test_add_sparse_product_matches_the_sparse_product(shape):
+    # Random CSR blocks with empty rows, accumulated in place into c itself.
+    rows, cols, vecs = shape
+    rng = np.random.default_rng(16)
+    a = sp.random(rows, cols, density=0.05, format="csr", random_state=rng)
+    assert (np.diff(a.indptr) == 0).any()
+    x, c = rng.standard_normal((cols, vecs)), rng.standard_normal((rows, vecs))
+    want = c + a @ x
+    assert add_sparse_product(c, a, x) is c
+    np.testing.assert_allclose(c, want, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(add_sparse_product(np.zeros_like(c), a, np.asfortranarray(x)),
+                               a @ x, rtol=0.0, atol=1e-14)
+
+
+def test_add_sparse_product_rejects_a_target_it_would_copy():
+    rng = np.random.default_rng(17)
+    a = sp.random(6, 5, density=0.5, format="csr", random_state=rng)
+    x = rng.standard_normal((5, 4))
+    frozen = np.zeros((6, 4))
+    frozen.flags.writeable = False
+    for c in (np.zeros((6, 4), order="F"), np.zeros((6, 8))[:, ::2], frozen,
+              np.zeros((6, 4), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            add_sparse_product(c, a, x)
+        assert not c.any()
+    with pytest.raises(ValueError):
+        add_sparse_product(np.zeros((6, 4)), a.tocsc(), x)
+    with pytest.raises(ConformabilityError):
+        add_sparse_product(np.zeros((6, 3)), a, x)
+
+
+def test_add_sparse_product_needs_scipys_private_csr_matvecs(monkeypatch):
+    # The kernel wraps scipy.sparse._sparsetools.csr_matvecs, a private name:
+    # it must exist, and without it the kernel fails by name, not silently.
+    from scipy.sparse import _sparsetools
+
+    assert callable(_sparsetools.csr_matvecs)
+    monkeypatch.delattr(_sparsetools, "csr_matvecs")
+    a = sp.identity(3, format="csr")
+    with pytest.raises(AttributeError, match="csr_matvecs"):
+        add_sparse_product(np.zeros((3, 2)), a, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("trans", [False, True])
+def test_tri_solve_is_scipys_triangular_solve(order, trans):
+    # Either layout of t reaches dtrtrs without a copy, with the same bits as
+    # scipy.linalg.solve_triangular; only the upper triangle is read.
+    rng = np.random.default_rng(18)
+    t = np.asarray(np.triu(rng.standard_normal((6, 6))) + 4.0 * np.eye(6), order=order)
+    x = rng.standard_normal((6, 3))
+    want = sla.solve_triangular(t, x, trans="T" if trans else "N")
+    with_nan = np.asarray(t + np.tril(np.full((6, 6), np.nan), -1), order=order)
+    assert tri_solve(with_nan, x, trans).tobytes() == want.tobytes()
+    assert np.array_equal(right_tri_solve(with_nan, x.T),
+                          sla.solve_triangular(t, x, trans="T").T)
+    assert tri_solve(t, np.zeros((6, 0)), trans).shape == (6, 0)
+
+
+def test_tri_solve_rejects_a_singular_factor_with_a_typed_error():
+    t = np.triu(np.ones((4, 4)))
+    t[2, 2] = 0.0
+    with pytest.raises(SpdViolationError) as info:
+        tri_solve(t, np.ones((4, 1)))
+    assert info.value.pivot_index == 3
 
 
 def scattered_cholesky_rows(g):

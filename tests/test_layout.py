@@ -126,3 +126,26 @@ def test_each_residual_shape_has_one_truncation_rule():
     gone = {"_select_retained", "_check_truncation", "trunc_gram", "gram_upper",
             "_pivoted_cholesky_rows"}
     assert not gone & (set(vars(scare_radi.kernels)) | set(vars(scare_radi.engine)))
+
+
+def _calls(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("module", ["engine", "shifts", "problems"])
+def test_only_kernels_solves_triangular_systems(module):
+    # kernels.tri_solve (LAPACK dtrtrs) is the one triangular solve: the
+    # step, the shift layer and the problem containers call it, never
+    # scipy's solve_triangular, and the engine imports no scipy.linalg.
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert not _calls(tree, "solve_triangular") and not _calls(tree, "dtrtrs")
+    assert module != "engine" or "linalg" not in _imported_modules(PACKAGE / "engine.py")
+
+
+def test_kernels_has_one_triangular_solve():
+    tree = ast.parse((PACKAGE / "kernels.py").read_text())
+    tri = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "tri_solve")
+    assert not _calls(tree, "solve_triangular")
+    assert len(_calls(tree, "dtrtrs")) == len(_calls(tri, "dtrtrs")) > 0

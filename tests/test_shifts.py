@@ -234,7 +234,7 @@ def test_recomputes_project_onto_the_tail_of_xi(monkeypatch, s):
         # overwrites it in place
         grams.append(None if state.gram is None else state.gram.copy())
         st, row = real_step(p, state, *args, **kwargs)
-        if row.svd_route != "gram-step":
+        if row.svd_route == "gram":  # the switch folds Xi's blocks into X_tall
             blocks.append(st.xi_blocks[-1])
         return st, row
 
